@@ -53,6 +53,11 @@ def monic(w, ordering):
     return w * (1 / leading_term(w, ordering).coefficient)
 
 
+class DivisionInvariantError(RuntimeError):
+    """A division step failed to lower the leading monomial: an engine bug, or
+    an ordering that is not translation-compatible."""
+
+
 @dataclass
 class DivisionResult:
     quotients: list
@@ -77,8 +82,16 @@ def divide(w, divisors, ordering, trace=None):
         (i, leading_term(f, ordering)) for i, f in enumerate(divisors) if f
     ]
     p = w
+    previous_key = None
     while p:
         lt_p = leading_term(p, ordering)
+        key = ordering.sort_key(lt_p.monomial)
+        if previous_key is not None and key >= previous_key:
+            raise DivisionInvariantError(
+                f"leading monomial {lt_p.monomial!r} did not drop below the "
+                "previous one; the ordering is not a normal ordering"
+            )
+        previous_key = key
         if trace is not None:
             trace.append(lt_p.monomial)
         for i, lt_f in leads:
@@ -94,11 +107,6 @@ def divide(w, divisors, ordering, trace=None):
         else:
             remainder_terms[lt_p.monomial] = lt_p.coefficient
             p = p - WeylElement.from_term(n, lt_p.monomial, lt_p.coefficient)
-        if p:
-            # top monomial must drop strictly; anything else is a bug
-            assert ordering.compare(
-                leading_term(p, ordering).monomial, lt_p.monomial
-            ) < 0
     return DivisionResult(quotients, WeylElement(n, remainder_terms))
 
 

@@ -4,9 +4,10 @@ Systems are lists of rows (coeffs, rhs), each meaning coeffs . w >= rhs.
 Variables are eliminated from the highest index down; combining a row with
 positive coefficient and one with negative coefficient on the pivot uses
 positive multipliers only, so every derived row is a nonnegative combination
-of input rows.  If elimination produces 0 >= rhs with rhs > 0, rerunning it
-with multiplier tracking yields a Farkas certificate of infeasibility that
-can be checked independently of this solver.
+of input rows.  Each distinct row remembers the first pair of rows it was
+derived from, so when elimination produces 0 >= rhs with rhs > 0, walking
+those origins back to the input gives a Farkas certificate of infeasibility
+that can be checked independently of this solver.
 
 Internally rows are scaled to integers and GCD-normalized after every
 combination step, which keeps the arithmetic in machine integers; Fractions
@@ -75,19 +76,39 @@ def solve_inequalities(rows, num_vars):
         if len(coeffs) != num_vars:
             raise ValueError("row width does not match num_vars")
 
-    scaled, scales = [], []
-    for coeffs, rhs in original:
-        denom = math.lcm(*(f.denominator for f in coeffs + (rhs,)))
-        scaled.append(
-            (tuple(int(c * denom) for c in coeffs), int(rhs * denom))
-        )
-        scales.append(denom)
+    # origin[row] is (i, g) when g * row == scales[i] * original[i], and
+    # (p, q, b, a, g) when g * row == b * p + a * q: the first derivation of
+    # each distinct row, inserted after the rows it came from.
+    scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
+    stage, origin = [], {}
+    for i, ((coeffs, rhs), s) in enumerate(zip(original, scales)):
+        row, g = _normalize(tuple(int(c * s) for c in coeffs), int(rhs * s))
+        if row not in origin:
+            origin[row] = (i, g)
+            if _contradicts(row):
+                return Infeasible(original, _multipliers(row, origin, scales))
+            stage.append(row)
 
-    stages = _eliminate_all(scaled, num_vars)
-    if stages is None:
-        mults = _farkas_multipliers(scaled, num_vars)
-        adjusted = tuple(m * s for m, s in zip(mults, scales))
-        return Infeasible(original, adjusted)
+    # stages[k] still involves variables 0 .. num_vars-1-k
+    stages = [stage]
+    for var in range(num_vars - 1, -1, -1):
+        pos = [r for r in stage if r[0][var] > 0]
+        neg = [r for r in stage if r[0][var] < 0]
+        stage = [r for r in stage if r[0][var] == 0]
+        seen = set(stage)
+        for p in pos:
+            for q in neg:
+                a, b = p[0][var], -q[0][var]
+                row, g = _normalize(
+                    tuple(b * x + a * y for x, y in zip(p[0], q[0])), b * p[1] + a * q[1]
+                )
+                if row not in seen:
+                    origin.setdefault(row, (p, q, b, a, g))
+                    if _contradicts(row):
+                        return Infeasible(original, _multipliers(row, origin, scales))
+                    seen.add(row)
+                    stage.append(row)
+        stages.append(stage)
 
     solution = [Fraction(0)] * num_vars
     for var in range(num_vars):
@@ -111,86 +132,36 @@ def solve_inequalities(rows, num_vars):
 
 
 def _normalize(coeffs, rhs):
-    g = math.gcd(*(abs(c) for c in coeffs), abs(rhs))
+    """The row divided by the GCD g of its entries, and g (1 when g <= 1)."""
+    g = math.gcd(*coeffs, rhs)
     if g > 1:
-        return tuple(c // g for c in coeffs), rhs // g
-    return coeffs, rhs
+        return (tuple(c // g for c in coeffs), rhs // g), g
+    return (coeffs, rhs), 1
 
 
-def _eliminate_all(rows, num_vars):
-    """Stage list from the integer system, or None when infeasible.
+def _contradicts(row):
+    """True for 0 >= rhs with rhs > 0."""
+    return row[1] > 0 and not any(row[0])
 
-    stages[k] still involves variables 0 .. num_vars-1-k; a stage row with
-    zero coefficients everywhere and positive right side kills feasibility.
+
+def _multipliers(row, origin, scales):
+    """Nonnegative weights on the original rows whose combination is ``row``.
+
+    Origins are walked newest first, so a row's weight is complete before it
+    is passed on to the rows it was derived from.
     """
-    current = []
-    seen = set()
-    for coeffs, rhs in rows:
-        row = _normalize(coeffs, rhs)
-        if row not in seen:
-            seen.add(row)
-            current.append(row)
-    stages = [current]
-    for var in range(num_vars - 1, -1, -1):
-        for coeffs, rhs in current:
-            if rhs > 0 and not any(coeffs):
-                return None
-        nxt, seen = [], set()
-        pos = [r for r in current if r[0][var] > 0]
-        neg = [r for r in current if r[0][var] < 0]
-        for r in current:
-            if r[0][var] == 0 and r not in seen:
-                seen.add(r)
-                nxt.append(r)
-        for pc, pr in pos:
-            for nc, nr in neg:
-                a, b = pc[var], -nc[var]
-                row = _normalize(
-                    tuple(b * x + a * y for x, y in zip(pc, nc)), b * pr + a * nr
-                )
-                if row not in seen:
-                    seen.add(row)
-                    nxt.append(row)
-        stages.append(nxt)
-        current = nxt
-    for coeffs, rhs in current:
-        if rhs > 0:
-            return None
-    return stages
-
-
-def _farkas_multipliers(rows, num_vars):
-    """Rerun elimination with multiplier tracking; rows must be infeasible."""
-    working = []
-    for i, (coeffs, rhs) in enumerate(rows):
-        mults = tuple(Fraction(int(k == i)) for k in range(len(rows)))
-        working.append((coeffs, rhs, mults))
-    for var in range(num_vars - 1, -1, -1):
-        hit = _find_contradiction(working)
-        if hit is not None:
-            return hit
-        nxt = [r for r in working if r[0][var] == 0]
-        pos = [r for r in working if r[0][var] > 0]
-        neg = [r for r in working if r[0][var] < 0]
-        for pc, pr, pm in pos:
-            for nc, nr, nm in neg:
-                a, b = pc[var], -nc[var]
-                nxt.append(
-                    (
-                        tuple(b * x + a * y for x, y in zip(pc, nc)),
-                        b * pr + a * nr,
-                        tuple(b * x + a * y for x, y in zip(pm, nm)),
-                    )
-                )
-        working = nxt
-    hit = _find_contradiction(working)
-    if hit is None:
-        raise AssertionError("certificate rerun found no contradiction")
-    return hit
-
-
-def _find_contradiction(working):
-    for coeffs, rhs, mults in working:
-        if rhs > 0 and not any(coeffs):
-            return mults
-    return None
+    mults = [Fraction(0)] * len(scales)
+    weights = {row: Fraction(1)}
+    for r in reversed(origin):
+        w = weights.pop(r, None)
+        if w is None:
+            continue
+        src = origin[r]
+        if len(src) == 2:
+            i, g = src
+            mults[i] += w * scales[i] / g
+        else:
+            p, q, b, a, g = src
+            weights[p] = weights.get(p, 0) + w * b / g
+            weights[q] = weights.get(q, 0) + w * a / g
+    return tuple(mults)

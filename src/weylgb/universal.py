@@ -23,7 +23,6 @@ records this boundary.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -141,8 +140,8 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP):
     Depth-first search over chains in which every prefix is realizable;
     since a chain's constraints contain its prefix's constraints, pruning an
     infeasible prefix cannot lose a realizable completion.  The result is
-    identical to filtering all permutations (enumerate_restrictions_naive)
-    and is returned in a deterministic order.
+    identical to filtering all permutations (the naive oracle in the test
+    suite) and is returned in a deterministic order.
     """
     support = _sorted_support(support)
     if len(support) > max_support:
@@ -161,20 +160,6 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP):
             prefix.pop()
 
     extend([], None, support)
-    return out
-
-
-def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):
-    """Filter all |support|! permutations; the oracle twin of the pruned search."""
-    support = _sorted_support(support)
-    if len(support) > max_support:
-        raise SupportCapExceeded(len(support), max_support)
-    out = []
-    for perm in itertools.permutations(support):
-        restriction = Restriction(perm)
-        witness = realize_restriction(restriction)
-        if isinstance(witness, WeightWitness):
-            out.append((restriction, witness))
     return out
 
 

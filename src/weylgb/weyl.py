@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -200,21 +201,16 @@ class WeylElement:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return WeylElement._raw(self.n, out)
+        return self._termwise(other, operator.add)
 
     def __sub__(self, other):
+        return self._termwise(other, operator.sub)
+
+    def _termwise(self, other, op):
         self._check_compatible(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) - coeff
+            acc = op(out.get(mono, 0), coeff)
             if acc:
                 out[mono] = acc
             else:

@@ -6,12 +6,22 @@ words letter by letter with the single swap rule
     d_i x_j  ->  x_j d_i  (+ drop the pair when i == j)
 
 until no d stands left of an x, then counts letters.  Slow and obviously
-correct, which is the point.
+correct, which is the point.  The enumeration oracle realizes every
+permutation of a support instead of pruning infeasible prefixes.
 """
 
+import itertools
 from fractions import Fraction
 
-from weylgb import Monomial, WeylElement
+from weylgb import (
+    Monomial,
+    Restriction,
+    SupportCapExceeded,
+    WeightWitness,
+    WeylElement,
+    realize_restriction,
+)
+from weylgb.universal import DEFAULT_SUPPORT_CAP, _sorted_support
 
 
 def _word(mono_left, mono_right):
@@ -78,4 +88,18 @@ def brute_element_product(u: WeylElement, v: WeylElement) -> WeylElement:
     for ma, ca in u.terms.items():
         for mb, cb in v.terms.items():
             out = out + (ca * cb) * brute_monomial_product(ma, mb)
+    return out
+
+
+def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):
+    """Filter all |support|! permutations; the oracle twin of the pruned search."""
+    support = _sorted_support(support)
+    if len(support) > max_support:
+        raise SupportCapExceeded(len(support), max_support)
+    out = []
+    for perm in itertools.permutations(support):
+        restriction = Restriction(perm)
+        witness = realize_restriction(restriction)
+        if isinstance(witness, WeightWitness):
+            out.append((restriction, witness))
     return out

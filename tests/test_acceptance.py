@@ -21,7 +21,6 @@ from weylgb import (
     commutative_buchberger,
     divide,
     enumerate_restrictions,
-    enumerate_restrictions_naive,
     induced_ordering,
     is_groebner,
     leading_term,
@@ -38,7 +37,7 @@ from conftest import (
     random_ordering,
     random_weight_row,
 )
-from oracles import brute_monomial_product
+from oracles import brute_monomial_product, enumerate_restrictions_naive
 
 
 def _verdict(number, description, ok):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from weylgb import (
     to_commutative,
 )
 from weylgb.commutative import poly_leading
+from weylgb.division import DivisionInvariantError
 from conftest import random_element, random_ordering
 
 
@@ -150,3 +155,52 @@ def test_leading_term_commutes_with_relabeling(rng):
         weyl_lt = leading_term(w, ordering).monomial
         comm_lt, _ = poly_leading(to_commutative(w), ordering)
         assert weyl_lt == comm_lt
+
+
+_NON_NORMAL_DIVISION = """
+from weylgb import Monomial, WeylAlgebra, divide
+from weylgb.division import DivisionInvariantError
+
+ONE, D, X = Monomial((0,), (0,)), Monomial((0,), (1,)), Monomial((1,), (0,))
+XX, XD = Monomial((2,), (0,)), Monomial((1,), (1,))
+
+
+class TableOrdering:
+    # 1 < d < x < x^2 < x*d: total, but not translation-compatible
+    rank = {ONE: 0, D: 1, X: 2, XX: 3, XD: 4}
+
+    def sort_key(self, mono):
+        return self.rank[mono]
+
+
+W = WeylAlgebra(1)
+x, d = W.xi(1), W.d(1)
+try:
+    divide(x * x, [x - d], TableOrdering())
+except DivisionInvariantError as exc:
+    print("raised:", exc)
+else:
+    raise SystemExit("x^2 - x*(x - d) = x*d rose above x^2 unnoticed")
+"""
+
+
+def test_divide_descent_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_NORMAL_DIVISION],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.startswith("raised:")
+
+
+def test_division_invariant_error_is_an_internal_error(monkeypatch, capsys):
+    import weylgb.cli as cli
+
+    def broken(*args, **kwargs):
+        raise DivisionInvariantError("leading monomial did not drop")
+
+    monkeypatch.setattr(cli, "divide", broken)
+    assert cli.main(["div", "--n", "1", "x1*d1", "d1"]) == 3
+    assert "internal error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,3 +74,78 @@ def test_deterministic_witness():
 def test_row_width_validated():
     with pytest.raises(ValueError):
         solve_inequalities([((F(1),), F(0))], 2)
+
+
+def _satisfies(rows, solution):
+    return all(sum(c * s for c, s in zip(coeffs, solution)) >= rhs for coeffs, rhs in rows)
+
+
+def _cycle(rng, variables, num_vars, rhs):
+    """Rows w_a - w_b >= r around a cycle, each scaled by a positive rational.
+
+    Summing the rows cancels every coefficient, so the system is infeasible
+    exactly when the right sides add up to something positive, and
+    elimination only sees 0 >= sum once len(variables) - 1 variables are gone.
+    """
+    rows = []
+    for a, b, r in zip(variables, variables[1:] + variables[:1], rhs):
+        scale = Fraction(rng.randint(1, 6), rng.choice([1, 2, 3, 5]))
+        coeffs = [F(0)] * num_vars
+        coeffs[a], coeffs[b] = scale, -scale
+        rows.append((tuple(coeffs), scale * r))
+    return rows
+
+
+def _random_row(rng, num_vars):
+    if rng.random() < 0.5:
+        # integer row with a common factor g > 1
+        g = rng.choice([2, 3, 6])
+        return (tuple(F(g * rng.randint(-2, 2)) for _ in range(num_vars)), F(g * rng.randint(-2, 2)))
+    return (
+        tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(num_vars)),
+        Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])),
+    )
+
+
+def test_cycle_contradiction_found_after_several_eliminations():
+    rng = random.Random(7)
+    rows = _cycle(rng, [0, 3, 1, 2], 4, [F(1), F(0), Fraction(-1, 2), F(1)])
+    outcome = solve_inequalities(rows, 4)
+    assert isinstance(outcome, Infeasible)
+    assert outcome.verify()
+    # a simple cycle needs every one of its rows in the certificate
+    assert all(m > 0 for m in outcome.multipliers)
+
+
+def test_solve_inequalities_property(rng):
+    outcomes = {"feasible": 0, "infeasible": 0, "deep_infeasible": 0}
+    for _ in range(300):
+        num_vars = rng.randint(1, 5)
+        rows = [_random_row(rng, num_vars) for _ in range(rng.randint(0, 4))]
+        deep = num_vars >= 3 and rng.random() < 0.6
+        if deep:
+            variables = rng.sample(range(num_vars), rng.randint(3, num_vars))
+            rhs = [Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in variables]
+            rows += _cycle(rng, variables, num_vars, rhs)
+        for row in rng.sample(rows, min(2, len(rows))):
+            # an exact duplicate and a positive multiple of an existing row
+            coeffs, b = row
+            k = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            rows += [row, (tuple(k * c for c in coeffs), k * b)]
+        if rng.random() < 0.5:
+            rows += nonneg_rows(num_vars)
+        rng.shuffle(rows)
+
+        outcome = solve_inequalities(rows, num_vars)
+        if deep and sum(rhs) > 0:
+            assert isinstance(outcome, Infeasible), rows
+            outcomes["deep_infeasible"] += 1
+        if isinstance(outcome, Infeasible):
+            assert outcome.verify(), rows
+            assert outcome.rows == tuple(rows)
+            outcomes["infeasible"] += 1
+        else:
+            assert len(outcome) == num_vars
+            assert _satisfies(rows, outcome), rows
+            outcomes["feasible"] += 1
+    assert min(outcomes.values()) >= 30, outcomes

@@ -19,7 +19,6 @@ from weylgb import (
     certify_universal,
     commutative_buchberger,
     enumerate_restrictions,
-    enumerate_restrictions_naive,
     is_groebner,
     realize_restriction,
     to_commutative,
@@ -28,6 +27,7 @@ from weylgb import (
 from weylgb.groebner import buchberger, reduce_basis
 from weylgb.universal import _restriction_rows
 from conftest import random_element, random_monomial, random_weight_row
+from oracles import enumerate_restrictions_naive
 
 
 W1 = WeylAlgebra(1)
