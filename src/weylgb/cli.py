@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from .division import check_division_contract, divide
 from .groebner import buchberger, reduce_basis
 from .orderings import Ordering
 from .parsing import (
-    ParseError,
     format_element,
     format_monomial,
     format_ordering,
@@ -24,6 +24,7 @@ from .parsing import (
     parse_ordering,
 )
 from .universal import (
+    DEFAULT_SUPPORT_CAP,
     CounterexampleOrdering,
     SupportCapExceeded,
     certificate_json,
@@ -87,7 +88,7 @@ def build_parser():
     parser = _Parser(prog="weylgb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_order=False):
+    def common(p):
         p.add_argument("--n", type=int, default=None, help="algebra dimension")
         p.add_argument(
             "--order",
@@ -99,20 +100,12 @@ def build_parser():
         p.add_argument(
             "--max-support",
             type=int,
-            default=9,
+            default=DEFAULT_SUPPORT_CAP,
             help="refuse enumerations over supports larger than this",
         )
         p.add_argument("exprs", nargs="*", help="element expressions")
 
-    for name, desc in [
-        ("mul", "product of the given elements, left to right"),
-        ("nf", "canonical (normal) form of one element"),
-        ("div", "divide the first element by the rest; report the contract"),
-        ("gb", "reduced Groebner basis of the generated left ideal"),
-        ("ugb", "universal Groebner basis with certificate"),
-        ("cert", "certify a given basis as universal"),
-        ("cmp", "compare two monomials under an ordering"),
-    ]:
+    for name, (desc, _) in _COMMANDS.items():
         common(sub.add_parser(name, help=desc))
     return parser
 
@@ -246,18 +239,18 @@ def cmd_cert(args):
         raise UsageError("cert needs at least one basis element")
     outcome = certify_universal(_parse_all(texts, n), max_support=args.max_support)
     if isinstance(outcome, CounterexampleOrdering):
-        chain = " < ".join(format_monomial(m) for m in outcome.restriction.monomials)
-        weights = " ".join(str(w) for w in outcome.witness.weights)
+        chain = [format_monomial(m) for m in outcome.restriction.monomials]
+        weights = [str(w) for w in outcome.witness.weights]
         lines = [
             "verdict: not universal",
-            f"counterexample restriction: {chain}",
-            f"counterexample weights: {weights}",
+            f"counterexample restriction: {' < '.join(chain)}",
+            f"counterexample weights: {' '.join(weights)}",
         ]
         payload = {
             "command": "cert",
             "verdict": "counterexample",
-            "restriction": [format_monomial(m) for m in outcome.restriction.monomials],
-            "weights": [str(w) for w in outcome.witness.weights],
+            "restriction": chain,
+            "weights": weights,
         }
     else:
         lines = certificate_text(outcome).rstrip("\n").split("\n")
@@ -288,39 +281,39 @@ def cmd_cmp(args):
 
 
 _COMMANDS = {
-    "mul": cmd_mul,
-    "nf": cmd_nf,
-    "div": cmd_div,
-    "gb": cmd_gb,
-    "ugb": cmd_ugb,
-    "cert": cmd_cert,
-    "cmp": cmd_cmp,
+    "mul": ("product of the given elements, left to right", cmd_mul),
+    "nf": ("canonical (normal) form of one element", cmd_nf),
+    "div": ("divide the first element by the rest; report the contract", cmd_div),
+    "gb": ("reduced Groebner basis of the generated left ideal", cmd_gb),
+    "ugb": ("universal Groebner basis with certificate", cmd_ugb),
+    "cert": ("certify a given basis as universal", cmd_cert),
+    "cmp": ("compare two monomials under an ordering", cmd_cmp),
 }
 
 
-def run_command(argv=None):
+def main(argv=None):
     """Dispatch a command line; returns the process exit status."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ValueError) as exc:
+        status = _COMMANDS[args.command][1](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SupportCapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except BrokenPipeError:
+        # The result was computed; the reader stopped reading.  Point stdout
+        # at devnull so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception:
         print("internal error; diagnostics follow", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-
-
-def main(argv=None):
-    return run_command(argv)
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ def leading_term(w, ordering):
     return LeadingTerm(mono, w.terms[mono])
 
 
-def leading_monomial(w, ordering):
-    return leading_term(w, ordering).monomial
-
-
 def term_quotient(num: LeadingTerm, den: LeadingTerm) -> LeadingTerm:
     """Exponentwise quotient with coefficient division; den must divide num."""
     return LeadingTerm(num.monomial / den.monomial, num.coefficient / den.coefficient)

@@ -104,7 +104,11 @@ class _Parser:
     def base(self):
         kind, text, pos = self.advance()
         if kind == "number":
-            return WeylElement.from_term(self.n, Monomial.unit(self.n), Fraction(text))
+            try:
+                coeff = Fraction(text)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
+            return WeylElement.from_term(self.n, Monomial.unit(self.n), coeff)
         if kind == "var":
             index = int(text[1:])
             if not 1 <= index <= self.n:

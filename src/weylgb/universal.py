@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .division import divide
+from .division import divide, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities
 from .groebner import buchberger, is_groebner, reduce_basis
 from .orderings import Ordering, lex_compare
@@ -250,12 +250,12 @@ def universal_groebner(
     nonzero = [g for g in generators if g]
     if not nonzero:
         raise ValueError("universal basis of the zero ideal is empty; need a nonzero generator")
-    n = nonzero[0].n
-
-    basis = [
-        _canonical_scale(e)
-        for e in reduce_basis(buchberger(generators, Ordering.grlex(n))).elements
-    ]
+    # Every basis element is scaled monic under graded lex, whatever ordering
+    # produced it, so the same ideal element contributed by different rounds
+    # lands on one representative.  Rescaling never changes Groebner status:
+    # leading monomials and S-pair reductions are invariant.
+    grlex = Ordering.grlex(nonzero[0].n)
+    basis = list(reduce_basis(buchberger(generators, grlex)).elements)
     rounds = 0
     while True:
         rounds += 1
@@ -273,9 +273,7 @@ def universal_groebner(
         if isinstance(result, UniversalCertificate):
             return result
         fix = reduce_basis(buchberger(generators, result.ordering()))
-        added = [
-            e for e in (_canonical_scale(f) for f in fix.elements) if e not in basis
-        ]
+        added = [e for e in (monic(f, grlex) for f in fix.elements) if e not in basis]
         if not added:
             raise RuntimeError(
                 "counterexample ordering contributed no new elements; "
@@ -283,17 +281,6 @@ def universal_groebner(
             )
         basis.extend(added)
         basis = sorted(set(basis), key=_element_key, reverse=True)
-
-
-def _canonical_scale(e):
-    """Scale so the graded-lex-greatest term has coefficient 1.
-
-    Ordering-independent, so the same ideal element contributed by different
-    saturation rounds lands on one representative.  Rescaling never changes
-    Groebner status: leading monomials and S-pair reductions are invariant.
-    """
-    top = max(e.terms, key=Monomial.sort_key)
-    return e * (1 / e.terms[top])
 
 
 def _element_key(e):
@@ -304,33 +291,27 @@ def _element_key(e):
 
 def certificate_text(cert):
     """Canonical plain-text serialization; byte-stable for identical inputs."""
-    from .parsing import format_element, format_monomial
-
-    n = cert.basis[0].n
+    data = certificate_json(cert)
     lines = [
         "universal groebner certificate",
-        f"dimension: {n}",
-        f"certified family: {COVERAGE_FAMILY}",
+        f"dimension: {data['dimension']}",
+        f"certified family: {data['family']}",
         "coverage: every normal ordering whose restriction to the support",
         "  is realized by the family above is covered by the transfer principle",
-        f"basis ({len(cert.basis)}):",
+        f"basis ({len(data['basis'])}):",
+        *(f"  {e}" for e in data["basis"]),
+        f"support ({len(data['support'])}): {', '.join(data['support'])}",
+        f"cones ({len(data['cones'])}):",
     ]
-    for e in cert.basis:
-        lines.append(f"  {format_element(e)}")
-    lines.append(
-        "support (%d): %s"
-        % (len(cert.support), ", ".join(format_monomial(m) for m in cert.support))
-    )
-    lines.append(f"cones ({len(cert.cones)}):")
-    for i, cone in enumerate(cert.cones, 1):
-        chain = " < ".join(format_monomial(m) for m in cone.restriction.monomials)
-        weights = " ".join(str(w) for w in cone.witness.weights)
-        lines.append(f"  cone {i}: {chain} | weights {weights} | {cone.verdict}")
+    for i, cone in enumerate(data["cones"], 1):
+        chain = " < ".join(cone["restriction"])
+        weights = " ".join(cone["weights"])
+        lines.append(f"  cone {i}: {chain} | weights {weights} | {cone['verdict']}")
     return "\n".join(lines) + "\n"
 
 
 def certificate_json(cert):
-    """JSON-ready dict mirror of certificate_text."""
+    """JSON-ready dict of the certificate; certificate_text lays it out as text."""
     from .parsing import format_element, format_monomial
 
     return {

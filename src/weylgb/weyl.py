@@ -300,11 +300,6 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
     return WeylElement._raw(n, terms)
 
 
-def commutator(u, v):
-    """uv - vu."""
-    return u.commutator(v)
-
-
 def combined_support(elements):
     """Union of the supports of a family of elements."""
     out = set()
@@ -339,16 +334,8 @@ class WeylAlgebra:
     def zero(self):
         return WeylElement.zero(self.n)
 
-    def monomial(self, xi_exps, d_exps):
-        return Monomial(tuple(xi_exps), tuple(d_exps))
-
     def element(self, mapping):
         return WeylElement(self.n, mapping)
-
-    def parse(self, text):
-        from .parsing import parse_element
-
-        return parse_element(text, self.n)
 
     def _check_index(self, i):
         if not 1 <= i <= self.n:

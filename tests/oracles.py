@@ -8,6 +8,16 @@ words letter by letter with the single swap rule
 until no d stands left of an x, then counts letters.  Slow and obviously
 correct, which is the point.  The enumeration oracle realizes every
 permutation of a support instead of pruning infeasible prefixes.
+
+The commutative twin at the end is a polynomial ring in the 2n commuting
+variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
+completion.  ``to_commutative`` relabels normal monomials x^a d^b as
+commutative monomials X^a Y^b coefficient by coefficient.  It is a module
+isomorphism, not a ring map: products must be normalized on the Weyl side
+first.  The twin's arithmetic, division and completion are deliberately
+written from scratch rather than shared with the engine, so any
+disagreement between the two points at the noncommutative product rule and
+nothing else.  Only the monomial exponent type and the orderings are shared.
 """
 
 import itertools
@@ -103,3 +113,217 @@ def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):
         if isinstance(witness, WeightWitness):
             out.append((restriction, witness))
     return out
+
+
+class CommutativePolynomial:
+    """Polynomial in the 2n commuting variables X1..Xn, Y1..Yn."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
+        clean = {}
+        for mono, coeff in (terms or {}).items():
+            if mono.dimension != n:
+                raise ValueError(
+                    f"monomial dimension {mono.dimension} does not match n={n}"
+                )
+            coeff = Fraction(coeff)
+            if coeff:
+                clean[mono] = coeff
+        self.n = n
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    @classmethod
+    def from_term(cls, n, mono, coeff=1):
+        return cls(n, {mono: Fraction(coeff)})
+
+    def support(self):
+        return frozenset(self.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CommutativePolynomial)
+            and self.n == other.n
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            acc = out.get(mono, 0) + coeff
+            if acc:
+                out[mono] = acc
+            else:
+                out.pop(mono, None)
+        return CommutativePolynomial(self.n, out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            acc = out.get(mono, 0) - coeff
+            if acc:
+                out[mono] = acc
+            else:
+                out.pop(mono, None)
+        return CommutativePolynomial(self.n, out)
+
+    def __neg__(self):
+        return CommutativePolynomial(self.n, {m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, CommutativePolynomial):
+            out = {}
+            for ma, ca in self.terms.items():
+                for mb, cb in other.terms.items():
+                    mono = ma * mb
+                    acc = out.get(mono, 0) + ca * cb
+                    if acc:
+                        out[mono] = acc
+                    else:
+                        out.pop(mono, None)
+            return CommutativePolynomial(self.n, out)
+        return CommutativePolynomial(
+            self.n, {m: c * Fraction(other) for m, c in self.terms.items()}
+        )
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __repr__(self):
+        items = ", ".join(
+            f"{m.xi}{m.d}: {c}"
+            for m, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        )
+        return f"CommutativePolynomial(n={self.n}, {{{items}}})"
+
+
+def to_commutative(w: WeylElement) -> CommutativePolynomial:
+    """Coefficient-preserving relabeling of basis monomials; linear, bijective."""
+    return CommutativePolynomial(w.n, dict(w.terms))
+
+
+def to_weyl(p: CommutativePolynomial) -> WeylElement:
+    return WeylElement(p.n, dict(p.terms))
+
+
+def induced_ordering(ordering):
+    """The matching commutative monomial ordering.
+
+    Exponent comparison is shared between the two sides, so this is the
+    identity; it exists as a named hop so tests can state the leading-term
+    compatibility of the relabeling explicitly.
+    """
+    return ordering
+
+
+def poly_leading(p, ordering):
+    if not p:
+        raise ValueError("the zero polynomial has no leading term")
+    mono = max(p.terms, key=ordering.sort_key)
+    return mono, p.terms[mono]
+
+
+def poly_monic(p, ordering):
+    if not p:
+        return p
+    _, c = poly_leading(p, ordering)
+    return p * (1 / c)
+
+
+def poly_divide(p, divisors, ordering):
+    """Commutative division with remainder, first-match divisor selection."""
+    quotients = [CommutativePolynomial.zero(p.n) for _ in divisors]
+    remainder = CommutativePolynomial.zero(p.n)
+    leads = [(i, poly_leading(f, ordering)) for i, f in enumerate(divisors) if f]
+    work = p
+    while work:
+        mono, coeff = poly_leading(work, ordering)
+        for i, (lt_m, lt_c) in leads:
+            if lt_m.divides(mono):
+                t = CommutativePolynomial.from_term(p.n, mono / lt_m, coeff / lt_c)
+                quotients[i] = quotients[i] + t
+                work = work - t * divisors[i]
+                break
+        else:
+            t = CommutativePolynomial.from_term(p.n, mono, coeff)
+            remainder = remainder + t
+            work = work - t
+    return quotients, remainder
+
+
+def poly_s_polynomial(f, g, ordering):
+    fm, fc = poly_leading(f, ordering)
+    gm, gc = poly_leading(g, ordering)
+    m = fm.lcm(gm)
+    return (
+        CommutativePolynomial.from_term(f.n, m / fm, 1 / fc) * f
+        - CommutativePolynomial.from_term(g.n, m / gm, 1 / gc) * g
+    )
+
+
+def commutative_buchberger(generators, ordering):
+    """Reduced Groebner basis in the commutative polynomial ring."""
+    basis = []
+    for g in generators:
+        g = poly_monic(g, ordering)
+        if g and g not in basis:
+            basis.append(g)
+    if not basis:
+        return []
+
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        pairs.sort(
+            key=lambda ij: ordering.sort_key(
+                poly_leading(basis[ij[0]], ordering)[0].lcm(
+                    poly_leading(basis[ij[1]], ordering)[0]
+                )
+            )
+        )
+        i, j = pairs.pop(0)
+        s = poly_s_polynomial(basis[i], basis[j], ordering)
+        _, r = poly_divide(s, basis, ordering)
+        if r:
+            basis.append(poly_monic(r, ordering))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+
+    return reduce_commutative_basis(basis, ordering)
+
+
+def reduce_commutative_basis(basis, ordering):
+    """Monic, minimal, tail-reduced form, sorted by leading monomial descending."""
+    elems = [poly_monic(p, ordering) for p in basis if p]
+    elems.sort(key=lambda p: ordering.sort_key(poly_leading(p, ordering)[0]))
+    kept = []
+    for p in elems:
+        lt_p = poly_leading(p, ordering)[0]
+        if not any(poly_leading(q, ordering)[0].divides(lt_p) for q in kept):
+            kept.append(p)
+
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept)):
+            others = kept[:idx] + kept[idx + 1 :]
+            _, r = poly_divide(kept[idx], others, ordering)
+            r = poly_monic(r, ordering)
+            if r != kept[idx]:
+                kept[idx] = r
+                changed = True
+
+    kept.sort(
+        key=lambda p: ordering.sort_key(poly_leading(p, ordering)[0]), reverse=True
+    )
+    return kept

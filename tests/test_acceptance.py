@@ -18,17 +18,14 @@ from weylgb import (
     certificate_text,
     check_division_contract,
     combined_support,
-    commutative_buchberger,
     divide,
     enumerate_restrictions,
-    induced_ordering,
     is_groebner,
     leading_term,
     monomials_up_to_degree,
     multiply_monomials,
     ordering_distance,
     reduce_basis,
-    to_commutative,
     universal_groebner,
 )
 from conftest import (
@@ -37,7 +34,13 @@ from conftest import (
     random_ordering,
     random_weight_row,
 )
-from oracles import brute_monomial_product, enumerate_restrictions_naive
+from oracles import (
+    brute_monomial_product,
+    commutative_buchberger,
+    enumerate_restrictions_naive,
+    induced_ordering,
+    to_commutative,
+)
 
 
 def _verdict(number, description, ok):

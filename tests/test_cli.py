@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,12 @@ def test_json_output_is_byte_stable(capsys):
     assert status == 0
     status, second, _ = run(capsys, argv)
     assert first == second
+    assert first == (
+        '{"certificate": {"basis": ["1"], "cones": [{"restriction": ["1"], '
+        '"verdict": "passed", "weights": ["0", "0"]}], "dimension": 1, '
+        '"family": "nonnegative weight row + lex tie-break", "support": ["1"]}, '
+        '"command": "ugb"}\n'
+    )
     payload = json.loads(first)
     assert payload["certificate"]["basis"] == ["1"]
     assert len(payload["certificate"]["cones"]) == 1
@@ -86,6 +96,30 @@ def test_bad_expression_is_usage_error(capsys):
     status, _, err = run(capsys, ["nf", "--n", "1", "x1 +"])
     assert status == 1
     assert "error" in err
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    status, _, err = run(capsys, ["nf", "--n", "1", "1/0"])
+    assert status == 1
+    assert err == "error: zero denominator (at position 0)\n"
+
+
+def test_closed_stdout_exits_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylgb.cli", "ugb", "--n", "2", "x1+d2", "x2+d1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_out_of_range_variable(capsys):

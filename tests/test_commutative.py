@@ -3,18 +3,20 @@ import random
 import pytest
 
 from weylgb import (
-    CommutativePolynomial,
     Monomial,
     Ordering,
     WeylAlgebra,
     buchberger,
+    reduce_basis,
+)
+from conftest import random_element, random_ordering
+from oracles import (
+    CommutativePolynomial,
     commutative_buchberger,
     induced_ordering,
-    reduce_basis,
     to_commutative,
     to_weyl,
 )
-from conftest import random_element, random_ordering
 
 
 W1 = WeylAlgebra(1)

@@ -16,11 +16,10 @@ from weylgb import (
     divide,
     leading_term,
     term_quotient,
-    to_commutative,
 )
-from weylgb.commutative import poly_leading
 from weylgb.division import DivisionInvariantError
 from conftest import random_element, random_ordering
+from oracles import poly_leading, to_commutative
 
 
 W1 = WeylAlgebra(1)

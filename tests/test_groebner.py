@@ -8,7 +8,6 @@ from weylgb import (
     WeylAlgebra,
     buchberger,
     combined_support,
-    commutative_buchberger,
     divide,
     ideal_member,
     is_groebner,
@@ -16,10 +15,9 @@ from weylgb import (
     reduce_basis,
     restriction_stable,
     s_pair,
-    to_commutative,
 )
-from weylgb.commutative import poly_s_polynomial
 from conftest import agreeing_ordering, random_element, random_ordering
+from oracles import commutative_buchberger, poly_s_polynomial, to_commutative
 
 
 W1 = WeylAlgebra(1)

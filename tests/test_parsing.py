@@ -62,6 +62,10 @@ def test_parse_errors_carry_position():
         parse_element("x1^(1/2)", 1)
     with pytest.raises(ParseError):
         parse_element("", 1)
+    for text, position in [("1/0", 0), ("x1 + 3/00", 5)]:
+        with pytest.raises(ParseError, match="zero denominator") as err:
+            parse_element(text, 1)
+        assert err.value.position == position
 
 
 def test_parse_variable_range_checked():
