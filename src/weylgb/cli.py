@@ -1,7 +1,8 @@
 """Batch command line: parse expressions, run the engine, print results.
 
 Exit codes: 0 success, 1 usage or input error, 2 computation refused
-(support cap), 3 internal invariant violation.
+(support cap or saturation round limit), 3 internal error or invariant
+violation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .division import check_division_contract, divide
 from .groebner import buchberger, reduce_basis
 from .orderings import Ordering
 from .parsing import (
+    ParseError,
     format_element,
     format_monomial,
     format_ordering,
@@ -26,6 +28,7 @@ from .parsing import (
 from .universal import (
     DEFAULT_SUPPORT_CAP,
     CounterexampleOrdering,
+    SaturationLimitExceeded,
     SupportCapExceeded,
     certificate_json,
     certificate_text,
@@ -130,7 +133,10 @@ def _setup(args):
         raise UsageError("dimension must be >= 1")
 
     order_text = args.order if args.order is not None else file_order
-    ordering = parse_ordering(order_text, n) if order_text else Ordering.grlex(n)
+    try:
+        ordering = parse_ordering(order_text, n) if order_text else Ordering.grlex(n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     texts = file_gens + list(args.exprs)
     return n, ordering, texts
@@ -226,7 +232,10 @@ def cmd_ugb(args):
     n, _, texts = _setup(args)
     if not texts:
         raise UsageError("ugb needs at least one generator")
-    cert = universal_groebner(_parse_all(texts, n), max_support=args.max_support)
+    generators = _parse_all(texts, n)
+    if not any(generators):
+        raise UsageError("universal basis of the zero ideal is empty; need a nonzero generator")
+    cert = universal_groebner(generators, max_support=args.max_support)
     lines = certificate_text(cert).rstrip("\n").split("\n")
     payload = {"command": "ugb", "certificate": certificate_json(cert)}
     _emit(args, lines, payload)
@@ -237,7 +246,10 @@ def cmd_cert(args):
     n, _, texts = _setup(args)
     if not texts:
         raise UsageError("cert needs at least one basis element")
-    outcome = certify_universal(_parse_all(texts, n), max_support=args.max_support)
+    elements = _parse_all(texts, n)
+    if not all(elements):
+        raise UsageError("certification needs a nonempty list of nonzero elements")
+    outcome = certify_universal(elements, max_support=args.max_support)
     if isinstance(outcome, CounterexampleOrdering):
         chain = [format_monomial(m) for m in outcome.restriction.monomials]
         weights = [str(w) for w in outcome.witness.weights]
@@ -299,10 +311,10 @@ def main(argv=None):
         status = _COMMANDS[args.command][1](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
-    except (UsageError, ValueError) as exc:  # ParseError is a ValueError
+    except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SupportCapExceeded as exc:
+    except (SupportCapExceeded, SaturationLimitExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except BrokenPipeError:

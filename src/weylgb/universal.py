@@ -5,7 +5,8 @@ at its combined support: whenever two normal orderings agree on Supp(B), the
 Groebner property transfers between them.  So it suffices to enumerate the
 total orders ("restrictions") on Supp(B) that are realizable by an ordering
 of the engine's weight family - one nonnegative weight row plus the lex
-tie-break - and to run the S-pair criterion once per realized cone.
+tie-break - and to run the S-pair criterion once per marking, the tuple of
+leading monomials the basis has under a realized cone.
 
 Realization is exact: the strict inequalities a weight row must satisfy are
 solved by Fourier-Motzkin elimination over the rationals, with a slack of 1
@@ -24,7 +25,6 @@ records this boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .division import divide, monic
@@ -62,6 +62,26 @@ class SupportCapExceeded(Exception):
         return msg
 
 
+class SaturationLimitExceeded(Exception):
+    """Raised when the saturation loop runs past ``max_rounds``.
+
+    ``rounds`` is the number of certification rounds run and
+    ``partial_basis`` the candidate basis they built.
+    """
+
+    def __init__(self, rounds, partial_basis):
+        super().__init__()
+        self.rounds = rounds
+        self.partial_basis = tuple(partial_basis)
+
+    def __str__(self):
+        return (
+            f"saturation did not stabilize after {self.rounds} rounds; "
+            f"current basis has {len(self.partial_basis)} elements; "
+            "raise max_rounds to continue"
+        )
+
+
 @dataclass(frozen=True)
 class Restriction:
     """A total order on finitely many monomials, listed smallest first."""
@@ -95,14 +115,13 @@ def _restriction_rows(restriction):
     encoded with slack 1 (weight rows scale freely).
     """
     monos = restriction.monomials
-    rows = []
-    for low, high in zip(monos, monos[1:]):
-        diff = tuple(
-            Fraction(b - a) for a, b in zip(low.vector, high.vector)
-        )
-        slack = Fraction(0) if lex_compare(low, high) < 0 else Fraction(1)
-        rows.append((diff, slack))
-    return rows
+    return [_below_row(low, high) for low, high in zip(monos, monos[1:])]
+
+
+def _below_row(low, high):
+    """The row putting ``low`` below ``high``; see ``_restriction_rows``."""
+    diff = tuple(b - a for a, b in zip(low.vector, high.vector))
+    return (diff, 0 if lex_compare(low, high) < 0 else 1)
 
 
 def realize_restriction(restriction):
@@ -110,26 +129,36 @@ def realize_restriction(restriction):
 
     The witness is verified before being returned: the chain's sort keys
     under the induced ordering must be strictly increasing, which pins down
-    every pairwise comparison.  Results are cached; restrictions recur
-    heavily across enumeration prefixes and saturation rounds.
+    every pairwise comparison.  Results are cached.
     """
     monos = restriction.monomials
     if not monos:
         raise ValueError("empty restriction")
-    return _realize_cached(monos)
+    return _realize_cached(monos, ())
 
 
 @lru_cache(maxsize=200000)
-def _realize_cached(monos):
+def _realize_cached(monos, rest):
+    """Realize the chain ``monos`` with its last monomial below all of ``rest``.
+
+    With one monomial in ``rest`` the rows are exactly those of the chain
+    ``monos + rest``, in the same order, so the witness is that chain's.  The
+    witness check covers ``rest`` too: the last key of the chain must be
+    below the key of every monomial in it.
+    """
     num_vars = 2 * monos[0].dimension
-    rows = _restriction_rows(Restriction(monos)) + nonneg_rows(num_vars)
-    outcome = solve_inequalities(rows, num_vars)
+    rows = _restriction_rows(Restriction(monos))
+    rows += [_below_row(monos[-1], r) for r in rest]
+    outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):
         return outcome
     witness = WeightWitness(outcome)
     ordering = witness.ordering()
     keys = [ordering.sort_key(m) for m in monos]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    top = keys[-1]
+    if any(a >= b for a, b in zip(keys, keys[1:])) or any(
+        top >= ordering.sort_key(r) for r in rest
+    ):
         raise AssertionError("witness failed to reproduce its restriction; solver bug")
     return witness
 
@@ -137,29 +166,44 @@ def _realize_cached(monos):
 def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP):
     """All realizable total orders on the support, with witnesses.
 
-    Depth-first search over chains in which every prefix is realizable;
-    since a chain's constraints contain its prefix's constraints, pruning an
-    infeasible prefix cannot lose a realizable completion.  The result is
-    identical to filtering all permutations (the naive oracle in the test
-    suite) and is returned in a deterministic order.
+    Depth-first search that keeps only prefixes extending to a realizable
+    chain.  Placing a monomial after a prefix solves the prefix's chain rows
+    plus rows putting the new monomial below every monomial still to be
+    placed (same differences and lex-slack rule); a weight row meeting them
+    orders the whole support with the prefix at the bottom, so every kept
+    prefix leads to at least one cone.  A monomial divisible by one still to
+    be placed is skipped without a solve, since every ordering of the family
+    puts it above its divisors.  When one monomial remains, the prefix's
+    system is that full chain's, row for row, so its solution is the cone's
+    witness and the leaf needs no solve of its own.  Over a support of k >= 2
+    monomials this makes at most (k - 1) feasible solves per cone and at most
+    k * (k - 1) solves per cone in all.
+
+    The result is identical to filtering all permutations (the naive oracle
+    in the test suite), witnesses included, and is returned in a
+    deterministic order.
     """
     support = _sorted_support(support)
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
     out = []
 
-    def extend(prefix, witness, remaining):
-        if not remaining:
-            out.append((Restriction(tuple(prefix)), witness))
-            return
+    def extend(prefix, remaining):
         for idx, mono in enumerate(remaining):
+            rest = remaining[:idx] + remaining[idx + 1 :]
+            # every ordering of the family puts a monomial above its divisors
+            if any(r.divides(mono) for r in rest):
+                continue
             prefix.append(mono)
-            candidate = realize_restriction(Restriction(tuple(prefix)))
+            candidate = _realize_cached(tuple(prefix), rest)
             if isinstance(candidate, WeightWitness):
-                extend(prefix, candidate, remaining[:idx] + remaining[idx + 1 :])
+                if len(rest) <= 1:
+                    out.append((Restriction(tuple(prefix) + rest), candidate))
+                else:
+                    extend(prefix, rest)
             prefix.pop()
 
-    extend([], None, support)
+    extend([], tuple(support))
     return out
 
 
@@ -201,11 +245,15 @@ class CounterexampleOrdering:
 def certify_universal(elements, generators=None, max_support=DEFAULT_SUPPORT_CAP):
     """Certify a basis against every realizable restriction of its support.
 
-    Runs the S-pair criterion once per realized cone and returns either a
-    certificate whose cones all passed, or the first failing cone as a
-    counterexample.  When ``generators`` is given, each cone additionally
-    requires every generator to reduce to zero, so a candidate that fails to
-    generate the intended ideal is rejected.
+    Runs the S-pair criterion once per marking (the tuple of leading
+    monomials of the elements, read under a cone's witness ordering) and
+    returns either a certificate whose cones all passed, or the first
+    failing cone as a counterexample.  For well-orders the standard
+    monomials of the marking span the quotient, so whether the elements form
+    a Groebner basis depends on the marking alone, and every cone sharing a
+    marking shares the verdict.  When ``generators`` is given, a marking
+    additionally requires every generator to reduce to zero, so a candidate
+    that fails to generate the intended ideal is rejected.
     """
     elements = list(elements)
     if not elements or any(not e for e in elements):
@@ -215,13 +263,21 @@ def certify_universal(elements, generators=None, max_support=DEFAULT_SUPPORT_CAP
         raise SupportCapExceeded(len(support), max_support, "certification support")
 
     cones = []
+    verdicts = {}  # marking -> verdict; a marking recurs across many cones
     for restriction, witness in enumerate_restrictions(support, max_support):
-        ordering = witness.ordering()
-        ok = is_groebner(elements, ordering)
-        if ok and generators is not None:
-            ok = all(
-                not divide(g, elements, ordering).remainder for g in generators
-            )
+        # the witness ordering reproduces the chain on the support, so each
+        # element's leading monomial is its support monomial ranked highest
+        rank = {m: i for i, m in enumerate(restriction.monomials)}.__getitem__
+        marking = tuple(max(e.terms, key=rank) for e in elements)
+        ok = verdicts.get(marking)
+        if ok is None:
+            ordering = witness.ordering()
+            ok = is_groebner(elements, ordering)
+            if ok and generators is not None:
+                ok = all(
+                    not divide(g, elements, ordering).remainder for g in generators
+                )
+            verdicts[marking] = ok
         if not ok:
             return CounterexampleOrdering(restriction, witness)
         cones.append(Cone(restriction, witness, "passed"))
@@ -260,10 +316,7 @@ def universal_groebner(
     while True:
         rounds += 1
         if rounds > max_rounds:
-            raise RuntimeError(
-                f"saturation did not stabilize after {max_rounds} rounds; "
-                f"current basis has {len(basis)} elements"
-            )
+            raise SaturationLimitExceeded(max_rounds, basis)
         try:
             result = certify_universal(basis, max_support=max_support)
         except SupportCapExceeded as exc:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from weylgb import cli, universal
 from weylgb.cli import main, parse_problem_file
 
 
@@ -134,6 +136,65 @@ def test_support_cap_refusal(capsys):
     )
     assert status == 2
     assert "refused" in err
+
+
+def test_saturation_limit_is_refusal(capsys, monkeypatch):
+    # the CLI has no round flag; lower the library default instead
+    monkeypatch.setattr(
+        cli, "universal_groebner", functools.partial(universal.universal_groebner, max_rounds=1)
+    )
+    status, out, err = run(capsys, ["ugb", "--n", "2", "x1^2-x2", "x1*x2-1"])
+    assert status == 2
+    assert out == ""
+    assert err == (
+        "refused: saturation did not stabilize after 1 rounds; "
+        "current basis has 4 elements; raise max_rounds to continue\n"
+    )
+
+
+def test_stalled_saturation_is_internal_error(capsys, monkeypatch):
+    # every round returns the grlex basis, so a counterexample adds nothing
+    real = universal.reduce_basis
+    first = []
+
+    def stuck(basis):
+        if not first:
+            first.append(real(basis))
+        return first[0]
+
+    monkeypatch.setattr(universal, "reduce_basis", stuck)
+    status, _, err = run(capsys, ["ugb", "--n", "2", "x1^2-x2", "x1*x2-1"])
+    assert status == 3
+    assert "contributed no new elements" in err
+
+
+def test_engine_value_error_is_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(cli, "buchberger", broken)
+    status, out, err = run(capsys, ["gb", "--n", "1", "x1"])
+    assert status == 3
+    assert out == ""
+    assert err.startswith("internal error; diagnostics follow\n")
+    assert "ValueError: engine bug" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cmp", "--n", "1", "--order", "bogus", "d1", "x1"], "unknown ordering spec"),
+        (["cmp", "--n", "1", "--order", "matrix:[[1,-2]]", "d1", "x1"], "nonnegative"),
+        (["gb", "--n", "1", "--order", "matrix:[[1,2,3]]", "x1"], "even width"),
+        (["ugb", "--n", "1", "0"], "zero ideal"),
+        (["cert", "--n", "1", "x1", "0"], "nonzero elements"),
+    ],
+)
+def test_invalid_input_is_usage_error(capsys, argv, message):
+    status, out, err = run(capsys, argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_unknown_command(capsys):

@@ -10,6 +10,7 @@ from weylgb import (
     Monomial,
     Ordering,
     Restriction,
+    SaturationLimitExceeded,
     SupportCapExceeded,
     UniversalCertificate,
     WeightWitness,
@@ -17,11 +18,16 @@ from weylgb import (
     certificate_json,
     certificate_text,
     certify_universal,
+    combined_support,
     enumerate_restrictions,
     is_groebner,
+    leading_term,
+    monomials_up_to_degree,
+    parse_element,
     realize_restriction,
     universal_groebner,
 )
+from weylgb import universal
 from weylgb.groebner import buchberger, reduce_basis
 from weylgb.universal import _restriction_rows
 from conftest import random_element, random_monomial, random_weight_row
@@ -114,12 +120,90 @@ def _degree_pool(n, max_degree):
     return monomials_up_to_degree(n, max_degree)
 
 
+def _seeded_support(n, k):
+    pool = monomials_up_to_degree(n, 4 if n == 1 else 2)  # 15 monomials
+    return random.Random(100 * n + k).sample(pool, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, cones, feasible, solves",
+    [
+        (1, 9, 6, 35, 60),
+        (1, 10, 8, 58, 130),
+        (2, 7, 52, 108, 124),
+        (2, 8, 116, 286, 418),
+    ],
+)
+def test_enumeration_work_is_output_sensitive(monkeypatch, n, k, cones, feasible, solves):
+    # every kept prefix extends to a cone and the last prefix's solve is the
+    # cone's, so feasible solves are at most (k - 1) per cone; a search that
+    # checks each prefix only against itself takes 6,700, 22,246, 2,027 and
+    # 8,840 solves on these supports
+    real = universal.solve_inequalities
+    outcomes = []
+
+    def counting(rows, num_vars):
+        out = real(rows, num_vars)
+        outcomes.append(isinstance(out, Infeasible))
+        return out
+
+    monkeypatch.setattr(universal, "solve_inequalities", counting)
+    universal._realize_cached.cache_clear()
+    found = enumerate_restrictions(_seeded_support(n, k), max_support=10)
+    assert len(found) == cones
+    assert outcomes.count(False) <= (k - 1) * len(found)
+    assert len(outcomes) <= k * (k - 1) * len(found)
+    assert (outcomes.count(False), len(outcomes)) == (feasible, solves)
+
+
 def test_enumerate_respects_cap():
     support = _degree_pool(1, 3)  # 10 monomials
     with pytest.raises(SupportCapExceeded):
         enumerate_restrictions(support)
     with pytest.raises(SupportCapExceeded):
         enumerate_restrictions(support[:4], max_support=3)
+
+
+@pytest.mark.parametrize(
+    "n, texts",
+    [
+        (2, ("x1+d2", "x2+d1")),
+        (2, ("x1^2-x2", "x1*x2-1", "x2^2-x1")),
+        (2, ("x1^3-1", "x2^3-1", "x1^2-x2", "x1*x2-1", "x2^2-x1")),  # ugb of x1^2-x2, x1*x2-1
+    ],
+)
+def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
+    elements = [parse_element(t, n) for t in texts]
+    support = combined_support(elements)
+    cones = []
+    by_marking = {}
+    for restriction, witness in enumerate_restrictions(support):
+        ordering = witness.ordering()
+        marking = tuple(leading_term(e, ordering).monomial for e in elements)
+        verdict = is_groebner(elements, ordering)  # uncached, once per cone
+        assert by_marking.setdefault(marking, verdict) == verdict
+        cones.append((restriction, witness, marking, verdict))
+    assert len(by_marking) < len(cones)
+
+    calls = []
+
+    def counting(elems, ordering):
+        calls.append(ordering)
+        return is_groebner(elems, ordering)
+
+    monkeypatch.setattr(universal, "is_groebner", counting)
+    outcome = certify_universal(elements)
+    failures = [i for i, cone in enumerate(cones) if not cone[3]]
+    if failures:
+        first = cones[failures[0]]
+        assert isinstance(outcome, CounterexampleOrdering)
+        assert (outcome.restriction, outcome.witness) == first[:2]
+        seen = cones[: failures[0] + 1]
+    else:
+        assert isinstance(outcome, UniversalCertificate)
+        assert len(outcome.cones) == len(cones)
+        seen = cones
+    assert len(calls) == len({cone[2] for cone in seen})
 
 
 def test_certify_binomial_basis():
@@ -216,6 +300,20 @@ def test_saturation_grows_strictly_until_certified():
         pytest.fail("saturation did not stabilize in 10 rounds")
     assert sizes == sorted(set(sizes))
     assert len(sizes) >= 2  # this ideal genuinely needs more than one round
+
+
+def test_saturation_limit_is_a_refusal_with_partial_basis():
+    gens = [W2.xi(1) ** 2 - W2.xi(2), W2.xi(1) * W2.xi(2) - W2.one()]
+    with pytest.raises(SaturationLimitExceeded) as info:
+        universal_groebner(gens, max_rounds=1)
+    assert info.value.rounds == 1
+    assert [str(e) for e in info.value.partial_basis] == [
+        "x2^3 - 1",
+        "x1^2 - x2",
+        "x1*x2 - 1",
+        "x2^2 - x1",
+    ]
+    assert "after 1 rounds" in str(info.value)
 
 
 def test_universal_rejects_zero_ideal():
