@@ -13,15 +13,26 @@ the remainder.  On termination
 
 The loop terminates because the working leading monomial strictly decreases
 and every normal ordering is a well-order.
+
+The working element is one mutable dict from monomial to coefficient, and a
+max-heap of the ordering's sort keys, one entry per monomial that entered the
+dict, picks its leading term.  Cancelling subtracts cofactor * divisor term
+by term straight into the dict and pushes each monomial that enters it.
+Deletion is lazy: an entry whose monomial has since cancelled out is skipped
+when popped.  Quotients and remainder grow by one entry per step.  Every
+leading monomial popped must lie strictly below the previous one, or
+``DivisionInvariantError`` is raised; a leading term that a step failed to
+cancel goes back on the heap, so the next pop raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .weyl import Monomial, WeylElement
+from .weyl import Monomial, WeylElement, multiply_monomials
 
 
 class LeadingTerm(NamedTuple):
@@ -72,38 +83,73 @@ def divide(w, divisors, ordering, trace=None):
     for f in divisors:
         if f.n != n:
             raise ValueError(f"dimension mismatch: {n} vs {f.n}")
-    quotients = [WeylElement.zero(n) for _ in divisors]
-    remainder_terms = {}
+    sort_key = ordering.sort_key
     leads = [
-        (i, leading_term(f, ordering)) for i, f in enumerate(divisors) if f
+        (i, *leading_term(f, ordering), f.terms)
+        for i, f in enumerate(divisors)
+        if f
     ]
-    p = w
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = dict(w.terms)
+    heap = [_Above(sort_key(m), m) for m in work]
+    heapify(heap)
     previous_key = None
-    while p:
-        lt_p = leading_term(p, ordering)
-        key = ordering.sort_key(lt_p.monomial)
-        if previous_key is not None and key >= previous_key:
+    while heap:
+        top = heappop(heap)
+        mono = top.mono
+        coeff = work.get(mono)
+        if coeff is None:
+            continue  # cancelled since it was pushed
+        if previous_key is not None and top.key >= previous_key:
             raise DivisionInvariantError(
-                f"leading monomial {lt_p.monomial!r} did not drop below the "
+                f"leading monomial {mono!r} did not drop below the "
                 "previous one; the ordering is not a normal ordering"
             )
-        previous_key = key
+        previous_key = top.key
         if trace is not None:
-            trace.append(lt_p.monomial)
-        for i, lt_f in leads:
-            if lt_f.monomial.divides(lt_p.monomial):
-                cofactor = WeylElement.from_term(
-                    n,
-                    lt_p.monomial / lt_f.monomial,
-                    lt_p.coefficient / lt_f.coefficient,
-                )
-                quotients[i] = quotients[i] + cofactor
-                p = p - cofactor * divisors[i]
+            trace.append(mono)
+        for i, lead_mono, lead_coeff, f_terms in leads:
+            if lead_mono.divides(mono):
+                cofactor = mono / lead_mono
+                scale = coeff / lead_coeff
+                quotients[i][cofactor] = scale
+                # work -= scale * cofactor * f, term by term
+                for f_mono, f_coeff in f_terms.items():
+                    c = scale * f_coeff
+                    for m, k in multiply_monomials(cofactor, f_mono).terms.items():
+                        ck = c if k == 1 else c * k  # most product coefficients are 1
+                        acc = work.get(m)
+                        if acc is None:
+                            work[m] = -ck
+                            heappush(heap, _Above(sort_key(m), m))
+                        else:
+                            acc -= ck
+                            if acc:
+                                work[m] = acc
+                            else:
+                                del work[m]
+                if mono in work:
+                    heappush(heap, top)  # not cancelled: the next pop fails the descent check
                 break
         else:
-            remainder_terms[lt_p.monomial] = lt_p.coefficient
-            p = p - WeylElement.from_term(n, lt_p.monomial, lt_p.coefficient)
-    return DivisionResult(quotients, WeylElement(n, remainder_terms))
+            remainder[mono] = work.pop(mono)
+    return DivisionResult(
+        [WeylElement._raw(n, q) for q in quotients], WeylElement._raw(n, remainder)
+    )
+
+
+class _Above:
+    """Heap entry ordered by descending key, so heapq pops the greatest first."""
+
+    __slots__ = ("key", "mono")
+
+    def __init__(self, key, mono):
+        self.key = key
+        self.mono = mono
+
+    def __lt__(self, other):
+        return other.key < self.key
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ translation.  ``lex`` is the empty stack; ``grlex`` is the all-ones row.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +19,17 @@ from .weyl import Monomial
 
 
 class Ordering:
-    """Total order on normal monomials, well-founded and translation-compatible."""
+    """Total order on normal monomials, well-founded and translation-compatible.
 
-    __slots__ = ("rows", "_key_cache")
+    ``rows`` keeps the weight rows as given, as Fractions; equality, hashing
+    and ``format_ordering`` read only them.  Sort keys are computed from a
+    scaled copy: each row multiplied by the lcm of its denominators, which
+    makes it a row of ints.  A positive factor per row leaves every row's
+    comparison, and so the lexicographic comparison of whole keys, unchanged,
+    while the keys become tuples of ints instead of tuples of Fractions.
+    """
+
+    __slots__ = ("rows", "_int_rows", "_key_cache")
 
     def __init__(self, rows=()):
         rows = tuple(tuple(Fraction(q) for q in row) for row in rows)
@@ -32,6 +42,7 @@ class Ordering:
             if any(q < 0 for q in row):
                 raise ValueError("weight rows must be componentwise nonnegative")
         self.rows = rows
+        self._int_rows = tuple(_integer_row(row) for row in rows)
         self._key_cache = {}
 
     @classmethod
@@ -58,7 +69,7 @@ class Ordering:
         if key is None:
             self._check_width(mono)
             vec = mono.vector
-            key = tuple(_dot(row, vec) for row in self.rows) + vec
+            key = tuple(sum(map(operator.mul, row, vec)) for row in self._int_rows) + vec
             self._key_cache[mono] = key
         return key
 
@@ -173,5 +184,7 @@ def ordering_distance(ord1, ord2, filtration, depth_cap):
     return DistanceBound(Fraction(1, 2**depth_cap), exact=False)
 
 
-def _dot(row, vec):
-    return sum(q * e for q, e in zip(row, vec))
+def _integer_row(row):
+    """The row times the lcm of its denominators: same comparisons, int entries."""
+    scale = math.lcm(*(q.denominator for q in row))
+    return tuple(q.numerator * (scale // q.denominator) for q in row)

@@ -45,6 +45,16 @@ class Monomial:
         self._hash = hash((xi, d))
 
     @classmethod
+    def _raw(cls, xi, d):
+        # trusted constructor: xi and d are already equal-length tuples of
+        # nonnegative ints, derived from validated monomials
+        self = object.__new__(cls)
+        self.xi = xi
+        self.d = d
+        self._hash = hash((xi, d))
+        return self
+
+    @classmethod
     def unit(cls, n):
         return cls((0,) * n, (0,) * n)
 
@@ -71,30 +81,30 @@ class Monomial:
         is exactly this monomial, with coefficient 1.
         """
         _check_dim(self, other)
-        return Monomial(
-            tuple(a + b for a, b in zip(self.xi, other.xi)),
-            tuple(a + b for a, b in zip(self.d, other.d)),
+        return Monomial._raw(
+            tuple(map(operator.add, self.xi, other.xi)),
+            tuple(map(operator.add, self.d, other.d)),
         )
 
     def divides(self, other):
         _check_dim(self, other)
-        return all(a <= b for a, b in zip(self.xi, other.xi)) and all(
-            a <= b for a, b in zip(self.d, other.d)
+        return all(map(operator.le, self.xi, other.xi)) and all(
+            map(operator.le, self.d, other.d)
         )
 
     def __truediv__(self, other):
         if not other.divides(self):
             raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial(
-            tuple(a - b for a, b in zip(self.xi, other.xi)),
-            tuple(a - b for a, b in zip(self.d, other.d)),
+        return Monomial._raw(
+            tuple(map(operator.sub, self.xi, other.xi)),
+            tuple(map(operator.sub, self.d, other.d)),
         )
 
     def lcm(self, other):
         _check_dim(self, other)
-        return Monomial(
-            tuple(max(a, b) for a, b in zip(self.xi, other.xi)),
-            tuple(max(a, b) for a, b in zip(self.d, other.d)),
+        return Monomial._raw(
+            tuple(map(max, self.xi, other.xi)),
+            tuple(map(max, self.d, other.d)),
         )
 
     def sort_key(self):
@@ -114,7 +124,7 @@ class Monomial:
 
 
 def _check_dim(a, b):
-    if a.dimension != b.dimension:
+    if len(a.xi) != len(b.xi):
         raise ValueError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
         )
@@ -292,7 +302,7 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
         coeff = 1
         for mu, rho, ki in zip(a.d, b.xi, k):
             coeff *= math.comb(mu, ki) * math.comb(rho, ki) * math.factorial(ki)
-        mono = Monomial(
+        mono = Monomial._raw(
             tuple(la + rho - ki for la, rho, ki in zip(a.xi, b.xi, k)),
             tuple(mu + sig - ki for mu, sig, ki in zip(a.d, b.d, k)),
         )

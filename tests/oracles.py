@@ -7,7 +7,9 @@ words letter by letter with the single swap rule
 
 until no d stands left of an x, then counts letters.  Slow and obviously
 correct, which is the point.  The enumeration oracle realizes every
-permutation of a support instead of pruning infeasible prefixes.
+permutation of a support instead of pruning infeasible prefixes, and the
+division oracle rescans and copies the whole working element at every step
+where ``divide`` keeps a heap and updates one dict in place.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -29,8 +31,10 @@ from weylgb import (
     SupportCapExceeded,
     WeightWitness,
     WeylElement,
+    leading_term,
     realize_restriction,
 )
+from weylgb.division import DivisionInvariantError, DivisionResult
 from weylgb.universal import DEFAULT_SUPPORT_CAP, _sorted_support
 
 
@@ -113,6 +117,50 @@ def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):
         if isinstance(witness, WeightWitness):
             out.append((restriction, witness))
     return out
+
+
+def divide_naive(w, divisors, ordering, trace=None):
+    """The rescan-and-copy division loop, the slow twin of ``divide``.
+
+    Each step finds the working leading term by scanning every term, and
+    rebuilds the working element and the quotient with element arithmetic.
+    """
+    n = w.n
+    for f in divisors:
+        if f.n != n:
+            raise ValueError(f"dimension mismatch: {n} vs {f.n}")
+    quotients = [WeylElement.zero(n) for _ in divisors]
+    remainder_terms = {}
+    leads = [
+        (i, leading_term(f, ordering)) for i, f in enumerate(divisors) if f
+    ]
+    p = w
+    previous_key = None
+    while p:
+        lt_p = leading_term(p, ordering)
+        key = ordering.sort_key(lt_p.monomial)
+        if previous_key is not None and key >= previous_key:
+            raise DivisionInvariantError(
+                f"leading monomial {lt_p.monomial!r} did not drop below the "
+                "previous one; the ordering is not a normal ordering"
+            )
+        previous_key = key
+        if trace is not None:
+            trace.append(lt_p.monomial)
+        for i, lt_f in leads:
+            if lt_f.monomial.divides(lt_p.monomial):
+                cofactor = WeylElement.from_term(
+                    n,
+                    lt_p.monomial / lt_f.monomial,
+                    lt_p.coefficient / lt_f.coefficient,
+                )
+                quotients[i] = quotients[i] + cofactor
+                p = p - cofactor * divisors[i]
+                break
+        else:
+            remainder_terms[lt_p.monomial] = lt_p.coefficient
+            p = p - WeylElement.from_term(n, lt_p.monomial, lt_p.coefficient)
+    return DivisionResult(quotients, WeylElement(n, remainder_terms))
 
 
 class CommutativePolynomial:

@@ -12,14 +12,15 @@ from weylgb import (
     Monomial,
     Ordering,
     WeylAlgebra,
+    WeylElement,
     check_division_contract,
     divide,
     leading_term,
     term_quotient,
 )
 from weylgb.division import DivisionInvariantError
-from conftest import random_element, random_ordering
-from oracles import poly_leading, to_commutative
+from conftest import random_coefficient, random_element, random_monomial, random_ordering
+from oracles import divide_naive, poly_leading, to_commutative
 
 
 W1 = WeylAlgebra(1)
@@ -156,6 +157,60 @@ def test_leading_term_commutes_with_relabeling(rng):
         assert weyl_lt == comm_lt
 
 
+def _mixed_ordering(rng, n):
+    """lex, grlex, or 1-3 weight rows with denominators up to 7."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Ordering.lex()
+    if kind == 1:
+        return Ordering.grlex(n)
+    rows = [
+        tuple(Fraction(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(2 * n))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return Ordering.matrix(rows)
+
+
+def _same_leading_monomial(rng, f, ordering):
+    """Another element with f's leading monomial: a new leading coefficient
+    and a fresh tail of monomials below it."""
+    lead = leading_term(f, ordering)
+    terms = {lead.monomial: random_coefficient(rng)}
+    for _ in range(rng.randint(0, 3)):
+        mono = random_monomial(rng, f.n, max_degree=3)
+        if ordering.compare(mono, lead.monomial) < 0:
+            terms[mono] = random_coefficient(rng)
+    return WeylElement(f.n, terms)
+
+
+def test_divide_matches_naive_division():
+    rng = random.Random(20261018)
+    for case in range(400):
+        n = rng.randint(1, 3)
+        ordering = _mixed_ordering(rng, n)
+        divisors = [
+            random_element(rng, n, max_degree=3, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        if case % 2:
+            at = rng.randrange(len(divisors) + 1)
+            divisors.insert(at, _same_leading_monomial(rng, rng.choice(divisors), ordering))
+        if case % 3 == 0:
+            divisors.insert(rng.randrange(len(divisors) + 1), WeylElement.zero(n))
+        # a left combination of the divisors plus noise, so that most steps
+        # cancel against a divisor and some terms reach the remainder
+        w = random_element(rng, n, allow_zero=True)
+        for f in divisors:
+            w = w + random_element(rng, n, max_degree=2, max_terms=2, allow_zero=True) * f
+        trace, naive_trace = [], []
+        result = divide(w, divisors, ordering, trace=trace)
+        expected = divide_naive(w, divisors, ordering, trace=naive_trace)
+        assert result.quotients == expected.quotients
+        assert result.remainder == expected.remainder
+        assert trace == naive_trace
+        assert check_division_contract(w, divisors, ordering, result).all_ok()
+
+
 _NON_NORMAL_DIVISION = """
 from weylgb import Monomial, WeylAlgebra, divide
 from weylgb.division import DivisionInvariantError
@@ -181,6 +236,41 @@ except DivisionInvariantError as exc:
 else:
     raise SystemExit("x^2 - x*(x - d) = x*d rose above x^2 unnoticed")
 """
+
+
+class _TableOrdering:
+    """A total order on finitely many monomials, listed smallest first.  It
+    is not translation-compatible, so division under it must fail."""
+
+    def __init__(self, *chain):
+        self.rank = {m: r for r, m in enumerate(chain)}
+
+    def sort_key(self, mono):
+        return self.rank[mono]
+
+
+_ONE, _D, _X = Monomial((0,), (0,)), Monomial((0,), (1,)), Monomial((1,), (0,))
+_XX, _XD, _XDD = Monomial((2,), (0,)), Monomial((1,), (1,)), Monomial((1,), (2,))
+
+
+@pytest.mark.parametrize(
+    "w, divisor, ordering",
+    [
+        # x^2 - x*(x - d) = x*d rises above x^2
+        (W1.xi(1) ** 2, W1.xi(1) - W1.d(1), _TableOrdering(_ONE, _D, _X, _XX, _XD)),
+        # d - d*(2*x*d + 1) = -2*d - 2*x*d^2 leaves the leading term d in
+        # place; with the x*d term first, d never cancels to zero on the way
+        (W1.d(1), 2 * W1.xi(1) * W1.d(1) + W1.one(), _TableOrdering(_XDD, _XD, _D, _ONE)),
+    ],
+)
+def test_non_normal_ordering_fails_like_naive_division(w, divisor, ordering):
+    failures = []
+    for division in (divide, divide_naive):
+        trace = []
+        with pytest.raises(DivisionInvariantError) as excinfo:
+            division(w, [divisor], ordering, trace=trace)
+        failures.append((str(excinfo.value), trace))
+    assert failures[0] == failures[1]
 
 
 def test_divide_descent_check_survives_optimize():

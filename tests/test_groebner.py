@@ -12,6 +12,8 @@ from weylgb import (
     ideal_member,
     is_groebner,
     leading_term,
+    parse_element,
+    parse_ordering,
     reduce_basis,
     restriction_stable,
     s_pair,
@@ -219,3 +221,63 @@ def test_basis_records_inputs_and_ordering():
     assert basis.generators == tuple(gens)
     assert basis.ordering == LEX
     assert len(reduce_basis(basis)) == 1
+
+
+# Three ideals of the benchmark's gb workload (perfbench/corpus.py), with the
+# operation counts of reduce_basis(buchberger(...)).  They were recorded with
+# the rescan-and-copy division loop that oracles.divide_naive keeps, so equal
+# counts mean the heap kernel makes the same division steps; a change in any
+# of them is a change in the algorithm, not in its speed.
+GB_OPERATION_COUNTS = {
+    "gkz3@grlex": (
+        3,
+        ("d1*d3-d2^2", "x1*d1+x2*d2+x3*d3-1/2", "x2*d2+2*x3*d3-1/3"),
+        "grlex",
+        {"s_pairs": 15, "zero_reductions": 12, "division_calls": 27, "division_steps": 121},
+    ),
+    "airy@lex": (
+        2,
+        ("d2-d1^2", "d1^2+2*x2*d1+x1"),
+        "lex",
+        {"s_pairs": 1, "zero_reductions": 1, "division_calls": 5, "division_steps": 14},
+    ),
+    "bessel@grlex": (
+        2,
+        ("d1^2+d2^2-1", "x1*d2-x2*d1"),
+        "grlex",
+        {"s_pairs": 1, "zero_reductions": 1, "division_calls": 3, "division_steps": 8},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GB_OPERATION_COUNTS))
+def test_gb_operation_counts_are_pinned(monkeypatch, name):
+    import weylgb.groebner as groebner
+
+    n, texts, order, expected = GB_OPERATION_COUNTS[name]
+    counts = dict.fromkeys(expected, 0)
+    phase = ["buchberger"]
+    original_divide, original_s_pair = groebner.divide, groebner.s_pair
+
+    def counted_divide(w, divisors, ordering, trace=None):
+        steps = [] if trace is None else trace
+        before = len(steps)
+        out = original_divide(w, divisors, ordering, trace=steps)
+        counts["division_calls"] += 1
+        counts["division_steps"] += len(steps) - before
+        if phase[0] == "buchberger" and not out.remainder:
+            counts["zero_reductions"] += 1
+        return out
+
+    def counted_s_pair(u, v, ordering):
+        counts["s_pairs"] += 1
+        return original_s_pair(u, v, ordering)
+
+    monkeypatch.setattr(groebner, "divide", counted_divide)
+    monkeypatch.setattr(groebner, "s_pair", counted_s_pair)
+    ordering = parse_ordering(order, n)
+    raw = buchberger([parse_element(t, n) for t in texts], ordering)
+    phase[0] = "reduce_basis"
+    reduced = reduce_basis(raw)
+    assert reduced.elements
+    assert counts == expected

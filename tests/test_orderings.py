@@ -8,8 +8,10 @@ from weylgb import (
     Monomial,
     Ordering,
     agree_on,
+    format_ordering,
     monomials_up_to_degree,
     ordering_distance,
+    parse_ordering,
 )
 from conftest import random_monomial, random_ordering
 
@@ -166,3 +168,32 @@ def test_custom_filtration_rule():
 def test_depth_cap_validation():
     with pytest.raises(ValueError):
         ordering_distance(Ordering.lex(), Ordering.lex(), Filtration(1), 0)
+
+
+def _fraction_key(rows, mono):
+    """Reference key: Fraction dot products row by row, then the lex tail."""
+    return tuple(sum(q * e for q, e in zip(row, mono.vector)) for row in rows) + mono.vector
+
+
+def test_integer_keys_compare_like_fraction_dot_products(rng):
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                rows.append((0,) * (2 * n))
+            else:
+                rows.append(tuple(
+                    Fraction(rng.randint(0, 9), rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 10]))
+                    for _ in range(2 * n)
+                ))
+        ordering = Ordering.matrix(rows)
+        assert ordering.rows == tuple(tuple(Fraction(q) for q in row) for row in rows)
+        spec = format_ordering(ordering)
+        assert parse_ordering(spec, n) == ordering
+        assert format_ordering(parse_ordering(spec, n)) == spec
+        monos = [random_monomial(rng, n) for _ in range(12)]
+        keys = [_fraction_key(ordering.rows, m) for m in monos]
+        for a, ka in zip(monos, keys):
+            for b, kb in zip(monos, keys):
+                assert ordering.compare(a, b) == (ka > kb) - (ka < kb)
