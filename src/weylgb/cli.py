@@ -122,7 +122,7 @@ def _setup(args):
         try:
             with open(args.input) as handle:
                 problem = parse_problem_file(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from None
         file_n, file_order, file_gens = problem.n, problem.order_text, problem.generator_texts
 

@@ -16,8 +16,9 @@ and every normal ordering is a well-order.
 
 The working element is one mutable dict from monomial to coefficient, and a
 max-heap of the ordering's sort keys, one entry per monomial that entered the
-dict, picks its leading term.  Cancelling subtracts cofactor * divisor term
-by term straight into the dict and pushes each monomial that enters it.
+dict, picks its leading term.  Cancelling subtracts cofactor * divisor
+straight into the dict through ``weyl.add_product``, the kernel every Weyl
+product shares, and pushes each monomial that enters it.
 Deletion is lazy: an entry whose monomial has since cancelled out is skipped
 when popped.  Quotients and remainder grow by one entry per step.  Every
 leading monomial popped must lie strictly below the previous one, or
@@ -32,7 +33,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .weyl import Monomial, WeylElement, multiply_monomials
+from .weyl import Monomial, WeylElement, add_product
 
 
 class LeadingTerm(NamedTuple):
@@ -46,11 +47,6 @@ def leading_term(w, ordering):
         raise ValueError("the zero element has no leading term")
     mono = max(w.terms, key=ordering.sort_key)
     return LeadingTerm(mono, w.terms[mono])
-
-
-def term_quotient(num: LeadingTerm, den: LeadingTerm) -> LeadingTerm:
-    """Exponentwise quotient with coefficient division; den must divide num."""
-    return LeadingTerm(num.monomial / den.monomial, num.coefficient / den.coefficient)
 
 
 def monic(w, ordering):
@@ -114,21 +110,8 @@ def divide(w, divisors, ordering, trace=None):
                 cofactor = mono / lead_mono
                 scale = coeff / lead_coeff
                 quotients[i][cofactor] = scale
-                # work -= scale * cofactor * f, term by term
-                for f_mono, f_coeff in f_terms.items():
-                    c = scale * f_coeff
-                    for m, k in multiply_monomials(cofactor, f_mono).terms.items():
-                        ck = c if k == 1 else c * k  # most product coefficients are 1
-                        acc = work.get(m)
-                        if acc is None:
-                            work[m] = -ck
-                            heappush(heap, _Above(sort_key(m), m))
-                        else:
-                            acc -= ck
-                            if acc:
-                                work[m] = acc
-                            else:
-                                del work[m]
+                for m in add_product(work, -scale, cofactor, f_terms):
+                    heappush(heap, _Above(sort_key(m), m))
                 if mono in work:
                     heappush(heap, top)  # not cancelled: the next pop fails the descent check
                 break

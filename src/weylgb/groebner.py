@@ -6,10 +6,11 @@ m = lcm of the leading monomials,
     s_pair(u, v) = (m / ls(u)) * u  -  (m / ls(v)) * v
 
 with each single-term cofactor multiplied on the left.  Leading terms
-multiply through products here, so the two top terms cancel exactly.
-Pairs are processed by increasing lcm (normal strategy); the commutative
-coprime-lcm shortcut is not applied, since its soundness for mixed x/d
-supports has no backing and the pair counts are small anyway.
+multiply through products here, so the two top terms cancel exactly; both
+products accumulate into one dict through ``weyl.add_product``.  Pairs are
+processed by increasing lcm (normal strategy); the commutative coprime-lcm
+shortcut is not applied, since its soundness for mixed x/d supports has no
+backing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .division import divide, leading_term, monic
 from .orderings import Ordering, agree_on
-from .weyl import WeylElement, combined_support
+from .weyl import WeylElement, add_product, combined_support
 
 
 def s_pair(u, v, ordering):
@@ -29,9 +30,10 @@ def s_pair(u, v, ordering):
     lt_u = leading_term(u, ordering)
     lt_v = leading_term(v, ordering)
     m = lt_u.monomial.lcm(lt_v.monomial)
-    cof_u = WeylElement.from_term(u.n, m / lt_u.monomial, 1 / lt_u.coefficient)
-    cof_v = WeylElement.from_term(v.n, m / lt_v.monomial, 1 / lt_v.coefficient)
-    return cof_u * u - cof_v * v
+    out = {}
+    add_product(out, 1 / lt_u.coefficient, m / lt_u.monomial, u.terms)
+    add_product(out, -1 / lt_v.coefficient, m / lt_v.monomial, v.terms)
+    return WeylElement._raw(u.n, out)
 
 
 @dataclass
@@ -110,21 +112,15 @@ def reduce_basis(basis):
             kept.append(e)
             kept_lts.append(lt_e)
 
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            reduced = divide(kept[idx], others, ordering).remainder
-            reduced = monic(reduced, ordering)
-            if reduced != kept[idx]:
-                kept[idx] = reduced
-                changed = True
+    # One pass suffices: no kept leading monomial divides another, so each
+    # element keeps its monic leading term through its reduction, the set of
+    # leading monomials never changes, and a remainder stays irreducible
+    # however the others are reduced after it.
+    for idx in range(len(kept)):
+        others = kept[:idx] + kept[idx + 1 :]
+        kept[idx] = divide(kept[idx], others, ordering).remainder
 
-    kept.sort(
-        key=lambda e: ordering.sort_key(leading_term(e, ordering).monomial),
-        reverse=True,
-    )
+    kept.reverse()  # greatest leading monomial first
     return GroebnerBasis(tuple(kept), ordering, basis.generators)
 
 

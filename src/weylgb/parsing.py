@@ -132,7 +132,10 @@ def parse_element(text, n):
     """Parse an expression into canonical form in dimension n."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return _Parser(text, n).parse()
+    try:
+        return _Parser(text, n).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 def format_monomial(mono):

@@ -106,20 +106,15 @@ class WeightWitness:
         return Ordering((self.weights,))
 
 
-def _restriction_rows(restriction):
-    """Inequality rows a weight row must satisfy to reproduce the chain.
-
-    Adjacent pairs suffice: the induced ordering is total, so transitivity
-    settles the rest.  Pairs the lex tail already orders correctly only need
-    weights . diff >= 0; pairs it orders the wrong way need strict separation,
-    encoded with slack 1 (weight rows scale freely).
-    """
-    monos = restriction.monomials
-    return [_below_row(low, high) for low, high in zip(monos, monos[1:])]
-
-
 def _below_row(low, high):
-    """The row putting ``low`` below ``high``; see ``_restriction_rows``."""
+    """The inequality row a weight row must meet to put ``low`` below ``high``.
+
+    A chain needs only the rows of its adjacent pairs: the induced ordering
+    is total, so transitivity settles the rest.  Pairs the lex tail already
+    orders correctly only need weights . diff >= 0; pairs it orders the wrong
+    way need strict separation, encoded with slack 1 (weight rows scale
+    freely).
+    """
     diff = tuple(b - a for a, b in zip(low.vector, high.vector))
     return (diff, 0 if lex_compare(low, high) < 0 else 1)
 
@@ -151,7 +146,7 @@ def _realize_cached(monos, rest):
     below the key of every monomial in it.
     """
     num_vars = 2 * monos[0].dimension
-    rows = _restriction_rows(Restriction(monos))
+    rows = [_below_row(low, high) for low, high in zip(monos, monos[1:])]
     rows += [_below_row(monos[-1], r) for r in rest]
     outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):

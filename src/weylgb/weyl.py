@@ -16,7 +16,10 @@ Products are normalized with the closed-form expansion
 
 which collapses to the single defining relation when a = b = e_i.  The test
 suite validates this expansion exhaustively against a brute-force rewriter
-that only ever applies the single-swap relation.
+that only ever applies the single-swap relation.  ``add_product`` is the one
+multiply-accumulate kernel built on it: element products, S-pairs and
+division steps all add a term times an element into a coefficient dict
+through it.
 """
 
 from __future__ import annotations
@@ -235,14 +238,7 @@ class WeylElement:
             self._check_compatible(other)
             out = {}
             for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    c = ca * cb
-                    for mono, k in multiply_monomials(ma, mb).terms.items():
-                        acc = out.get(mono, 0) + c * k
-                        if acc:
-                            out[mono] = acc
-                        else:
-                            out.pop(mono, None)
+                add_product(out, ca, ma, other.terms)
             return WeylElement._raw(self.n, out)
         return self._scale(other)
 
@@ -308,6 +304,31 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
         )
         terms[mono] = Fraction(coeff)
     return WeylElement._raw(n, terms)
+
+
+def add_product(acc, coeff, mono, terms):
+    """Add coeff * mono * f into the coefficient dict ``acc``, in place.
+
+    ``terms`` are the terms of f and ``coeff`` is nonzero.  Entries that
+    cancel are deleted.  Returns the monomials that entered ``acc``, in order;
+    one that cancels and enters again is listed twice.
+    """
+    entered = []
+    for f_mono, f_coeff in terms.items():
+        c = coeff * f_coeff
+        for m, k in multiply_monomials(mono, f_mono).terms.items():
+            ck = c if k == 1 else c * k  # most product coefficients are 1
+            old = acc.get(m)
+            if old is None:
+                acc[m] = ck
+                entered.append(m)
+            else:
+                old += ck
+                if old:
+                    acc[m] = old
+                else:
+                    del acc[m]
+    return entered
 
 
 def combined_support(elements):

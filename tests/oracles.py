@@ -7,9 +7,11 @@ words letter by letter with the single swap rule
 
 until no d stands left of an x, then counts letters.  Slow and obviously
 correct, which is the point.  The enumeration oracle realizes every
-permutation of a support instead of pruning infeasible prefixes, and the
+permutation of a support instead of pruning infeasible prefixes, the
 division oracle rescans and copies the whole working element at every step
-where ``divide`` keeps a heap and updates one dict in place.
+where ``divide`` keeps a heap and updates one dict in place, and the S-pair
+oracle forms both cofactor products with the brute-force rewriter where
+``s_pair`` accumulates them into one dict.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -103,6 +105,18 @@ def brute_element_product(u: WeylElement, v: WeylElement) -> WeylElement:
         for mb, cb in v.terms.items():
             out = out + (ca * cb) * brute_monomial_product(ma, mb)
     return out
+
+
+def s_pair_naive(u, v, ordering):
+    """Left S-pair from two brute-force cofactor products and a subtraction."""
+    if not u or not v:
+        raise ValueError("S-pair of a zero element is undefined")
+    lt_u = leading_term(u, ordering)
+    lt_v = leading_term(v, ordering)
+    m = lt_u.monomial.lcm(lt_v.monomial)
+    cof_u = WeylElement.from_term(u.n, m / lt_u.monomial, 1 / lt_u.coefficient)
+    cof_v = WeylElement.from_term(v.n, m / lt_v.monomial, 1 / lt_v.coefficient)
+    return brute_element_product(cof_u, u) - brute_element_product(cof_v, v)
 
 
 def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):

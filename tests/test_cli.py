@@ -188,6 +188,7 @@ def test_engine_value_error_is_internal_error(capsys, monkeypatch):
         (["gb", "--n", "1", "--order", "matrix:[[1,2,3]]", "x1"], "even width"),
         (["ugb", "--n", "1", "0"], "zero ideal"),
         (["cert", "--n", "1", "x1", "0"], "nonzero elements"),
+        (["nf", "--n", "1", "(" * 3000 + "x1" + ")" * 3000], "nested too deeply"),
     ],
 )
 def test_invalid_input_is_usage_error(capsys, argv, message):
@@ -214,6 +215,15 @@ def test_problem_file_input(tmp_path, capsys):
     status, out, _ = run(capsys, ["div", "--input", str(problem)])
     assert status == 0
     assert "r = 0" in out
+
+
+def test_undecodable_problem_file_is_usage_error(tmp_path, capsys):
+    problem = tmp_path / "problem.bin"
+    problem.write_bytes(b"n=1\ngen=x1\x81\xff\n")
+    status, out, err = run(capsys, ["nf", "--input", str(problem)])
+    assert status == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {problem}")
 
 
 def test_problem_file_flag_overrides(tmp_path, capsys):

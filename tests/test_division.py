@@ -16,7 +16,6 @@ from weylgb import (
     check_division_contract,
     divide,
     leading_term,
-    term_quotient,
 )
 from weylgb.division import DivisionInvariantError
 from conftest import random_coefficient, random_element, random_monomial, random_ordering
@@ -48,16 +47,6 @@ def test_monomial_divisibility_examples():
     assert x.divides(xd)
     assert not x.divides(d)
     assert x.divides(x)
-
-
-def test_term_quotient():
-    num = LeadingTerm(Monomial((2,), (1,)), Fraction(2))
-    den = LeadingTerm(Monomial((1,), (0,)), Fraction(1))
-    assert term_quotient(num, den) == LeadingTerm(Monomial((1,), (1,)), Fraction(2))
-    same = LeadingTerm(Monomial((1,), (1,)), Fraction(3))
-    assert term_quotient(same, same) == LeadingTerm(Monomial((0,), (0,)), Fraction(1))
-    with pytest.raises(ValueError):
-        term_quotient(den, num)
 
 
 def test_divide_exact():

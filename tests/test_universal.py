@@ -29,7 +29,7 @@ from weylgb import (
 )
 from weylgb import universal
 from weylgb.groebner import buchberger, reduce_basis
-from weylgb.universal import _restriction_rows
+from weylgb.universal import _below_row
 from conftest import random_element, random_monomial, random_weight_row
 from oracles import commutative_buchberger, enumerate_restrictions_naive, to_commutative
 
@@ -340,7 +340,5 @@ def test_certificate_text_layout():
 
 def test_strictness_slack_encoding():
     # lex-agreeing adjacent pairs relax to >= 0, disagreeing ones demand >= 1
-    rows = _restriction_rows(Restriction((D1, X1)))
-    assert rows == [((Fraction(1), Fraction(-1)), Fraction(0))]
-    rows = _restriction_rows(Restriction((X1, D1)))
-    assert rows == [((Fraction(-1), Fraction(1)), Fraction(1))]
+    assert _below_row(D1, X1) == ((Fraction(1), Fraction(-1)), Fraction(0))
+    assert _below_row(X1, D1) == ((Fraction(-1), Fraction(1)), Fraction(1))
