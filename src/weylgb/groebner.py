@@ -8,9 +8,25 @@ m = lcm of the leading monomials,
 with each single-term cofactor multiplied on the left.  Leading terms
 multiply through products here, so the two top terms cancel exactly; both
 products accumulate into one dict through ``weyl.add_product``.  Pairs are
-processed by increasing lcm (normal strategy); the commutative coprime-lcm
-shortcut is not applied, since its soundness for mixed x/d supports has no
-backing.
+processed by increasing lcm (normal strategy).
+
+When an element joins the basis, the Gebauer-Moeller update (Gebauer and
+Moeller, "On an installation of Buchberger's algorithm", JSC 6, 1988) drops
+pairs by the chain criterion before any of them is reduced:
+
+- B_k: a pending pair whose lcm the new leading monomial divides, unless
+  the lcm of either of its elements with the new one equals that lcm;
+- M/F: a new pair whose lcm another new pair's lcm properly divides, and
+  all but the newest of the new pairs that share one lcm.
+
+The chain criterion holds in G-algebras, the Weyl algebra among them
+(Levandovskyy, PhD thesis, Kaiserslautern 2005).  The product criterion
+(skip a pair with coprime leading monomials) is not applied: it rests on
+the two elements commuting, and it fails for mixed x/d supports, where x1
+and d1 have coprime leading monomials and the S-pair 1.  The raw basis can
+differ from the one a loop reducing every pair builds, since fewer
+remainders join it; the reduced basis cannot, being unique for the
+ordering.
 """
 
 from __future__ import annotations
@@ -49,11 +65,35 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def buchberger(generators, ordering):
+class CompletionLimitExceeded(Exception):
+    """Raised when completion would reduce more than ``max_pairs`` S-pairs.
+
+    ``pairs`` is the number of S-pairs reduced, ``pending`` the number
+    still queued and ``partial_basis`` the raw basis built so far; every
+    element of it lies in the ideal.
+    """
+
+    def __init__(self, pairs, pending, partial_basis):
+        super().__init__()
+        self.pairs = pairs
+        self.pending = pending
+        self.partial_basis = tuple(partial_basis)
+
+    def __str__(self):
+        return (
+            f"completion reduced {self.pairs} S-pairs with {self.pending} still pending; "
+            f"current basis has {len(self.partial_basis)} elements; "
+            "raise max_pairs to continue"
+        )
+
+
+def buchberger(generators, ordering, max_pairs=None):
     """Complete the generators to a Groebner basis of the left ideal they span.
 
     Returns the raw completed basis (monic elements, input order preserved);
-    apply reduce_basis for the canonical inter-reduced form.
+    apply reduce_basis for the canonical inter-reduced form.  With
+    ``max_pairs`` set, raises CompletionLimitExceeded rather than reduce
+    more S-pairs than that.
     """
     generators = list(generators)
     basis = []
@@ -61,30 +101,47 @@ def buchberger(generators, ordering):
         g = monic(g, ordering)
         if g and g not in basis:
             basis.append(g)
-    if not basis:
-        return GroebnerBasis((), ordering, tuple(generators))
+    lts = [leading_term(g, ordering).monomial for g in basis]
 
-    pending = []
-    counter = 0
+    pending = {}  # (i, t) -> lcm of the pair still to be reduced
+    heap = []  # (sort key of lcm, t, i); entries of dropped pairs are stale
 
-    def push_pairs(j):
-        nonlocal counter
-        lt_j = leading_term(basis[j], ordering).monomial
-        for i in range(j):
-            lcm = leading_term(basis[i], ordering).monomial.lcm(lt_j)
-            heapq.heappush(pending, (ordering.sort_key(lcm), counter, i, j))
-            counter += 1
+    def update(t):
+        lt_t = lts[t]
+        # B_k: lt_t divides the lcm of (i, j), and neither (i, t) nor (j, t)
+        # has that same lcm, so the chain i - t - j covers the pair
+        for (i, j), lcm in list(pending.items()):
+            if (
+                lt_t.divides(lcm)
+                and lts[i].lcm(lt_t) != lcm
+                and lts[j].lcm(lt_t) != lcm
+            ):
+                del pending[i, j]
+        # M/F: of the new pairs, keep the newest one per lcm, and only when
+        # no other new lcm properly divides it
+        newest = {lts[i].lcm(lt_t): i for i in range(t)}
+        for lcm, i in newest.items():
+            if not any(other != lcm and other.divides(lcm) for other in newest):
+                pending[i, t] = lcm
+                heapq.heappush(heap, (ordering.sort_key(lcm), t, i))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for t in range(len(basis)):
+        update(t)
 
-    while pending:
-        _, _, i, j = heapq.heappop(pending)
-        s = s_pair(basis[i], basis[j], ordering)
+    reduced = 0
+    while heap:
+        _, t, i = heapq.heappop(heap)
+        if pending.pop((i, t), None) is None:
+            continue
+        if max_pairs is not None and reduced >= max_pairs:
+            raise CompletionLimitExceeded(reduced, len(pending) + 1, basis)
+        reduced += 1
+        s = s_pair(basis[i], basis[t], ordering)
         remainder = divide(s, basis, ordering).remainder
         if remainder:
             basis.append(monic(remainder, ordering))
-            push_pairs(len(basis) - 1)
+            lts.append(leading_term(basis[-1], ordering).monomial)
+            update(len(basis) - 1)
 
     return GroebnerBasis(tuple(basis), ordering, tuple(generators))
 

@@ -9,9 +9,11 @@ until no d stands left of an x, then counts letters.  Slow and obviously
 correct, which is the point.  The enumeration oracle realizes every
 permutation of a support instead of pruning infeasible prefixes, the
 division oracle rescans and copies the whole working element at every step
-where ``divide`` keeps a heap and updates one dict in place, and the S-pair
+where ``divide`` keeps a heap and updates one dict in place, the S-pair
 oracle forms both cofactor products with the brute-force rewriter where
-``s_pair`` accumulates them into one dict.
+``s_pair`` accumulates them into one dict, and the completion oracle
+reduces every pair where ``buchberger`` drops those the chain criterion
+covers.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -24,19 +26,23 @@ disagreement between the two points at the noncommutative product rule and
 nothing else.  Only the monomial exponent type and the orderings are shared.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
 from weylgb import (
+    GroebnerBasis,
     Monomial,
     Restriction,
     SupportCapExceeded,
     WeightWitness,
     WeylElement,
+    divide,
     leading_term,
     realize_restriction,
+    s_pair,
 )
-from weylgb.division import DivisionInvariantError, DivisionResult
+from weylgb.division import DivisionInvariantError, DivisionResult, monic
 from weylgb.universal import DEFAULT_SUPPORT_CAP, _sorted_support
 
 
@@ -117,6 +123,46 @@ def s_pair_naive(u, v, ordering):
     cof_u = WeylElement.from_term(u.n, m / lt_u.monomial, 1 / lt_u.coefficient)
     cof_v = WeylElement.from_term(v.n, m / lt_v.monomial, 1 / lt_v.coefficient)
     return brute_element_product(cof_u, u) - brute_element_product(cof_v, v)
+
+
+def buchberger_naive(generators, ordering):
+    """Completion that reduces every pair, the slow twin of ``buchberger``.
+
+    No pair is skipped, so it reduces len(basis) * (len(basis) - 1) / 2
+    S-pairs for the raw basis it returns.
+    """
+    generators = list(generators)
+    basis = []
+    for g in generators:
+        g = monic(g, ordering)
+        if g and g not in basis:
+            basis.append(g)
+    if not basis:
+        return GroebnerBasis((), ordering, tuple(generators))
+
+    pending = []
+    counter = 0
+
+    def push_pairs(j):
+        nonlocal counter
+        lt_j = leading_term(basis[j], ordering).monomial
+        for i in range(j):
+            lcm = leading_term(basis[i], ordering).monomial.lcm(lt_j)
+            heapq.heappush(pending, (ordering.sort_key(lcm), counter, i, j))
+            counter += 1
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    while pending:
+        _, _, i, j = heapq.heappop(pending)
+        s = s_pair(basis[i], basis[j], ordering)
+        remainder = divide(s, basis, ordering).remainder
+        if remainder:
+            basis.append(monic(remainder, ordering))
+            push_pairs(len(basis) - 1)
+
+    return GroebnerBasis(tuple(basis), ordering, tuple(generators))
 
 
 def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from weylgb import (
+    CompletionLimitExceeded,
     Monomial,
     Ordering,
     WeylAlgebra,
@@ -19,7 +20,13 @@ from weylgb import (
     s_pair,
 )
 from conftest import agreeing_ordering, random_element, random_ordering
-from oracles import commutative_buchberger, poly_s_polynomial, s_pair_naive, to_commutative
+from oracles import (
+    buchberger_naive,
+    commutative_buchberger,
+    poly_s_polynomial,
+    s_pair_naive,
+    to_commutative,
+)
 
 
 W1 = WeylAlgebra(1)
@@ -142,6 +149,71 @@ def test_leading_terms_of_ideal_elements_are_covered():
             assert ideal_member(w, basis)
 
 
+def test_buchberger_matches_naive_completion(monkeypatch):
+    # Degree <= 2, at most 3 terms and at most 3 generators keep every
+    # naive completion small (the largest reduces 55 S-pairs), so no case
+    # needs to be skipped.  The naive loop reduces every pair of the raw
+    # basis it returns.
+    import weylgb.groebner as groebner
+
+    count = [0]
+    original = groebner.s_pair
+
+    def counted_s_pair(u, v, ordering):
+        count[0] += 1
+        return original(u, v, ordering)
+
+    monkeypatch.setattr(groebner, "s_pair", counted_s_pair)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        n = rng.randint(1, 2)
+        ordering = random_ordering(rng, n)
+        gens = [
+            random_element(rng, n, max_degree=2, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        count[0] = 0
+        raw = buchberger(gens, ordering)
+        naive = buchberger_naive(gens, ordering)
+        k = len(naive.elements)
+        assert reduce_basis(raw).elements == reduce_basis(naive).elements
+        assert count[0] <= k * (k - 1) // 2
+        assert is_groebner(raw.elements, ordering)
+
+
+MIX2 = ("x1*d1^2+x2*d2^2-x1", "d1*d2-x1*x2-1")
+
+
+def test_completion_budget_refuses():
+    # mix2 under lex takes seconds to complete; a budget of 20 pairs
+    # refuses it early, with what it has built
+    gens = [parse_element(t, 2) for t in MIX2]
+    with pytest.raises(CompletionLimitExceeded) as info:
+        buchberger(gens, LEX, max_pairs=20)
+    exc = info.value
+    assert exc.pairs == 20 and exc.pending > 0
+    assert len(exc.partial_basis) > len(gens)
+    assert str(exc) == (
+        f"completion reduced 20 S-pairs with {exc.pending} still pending; "
+        f"current basis has {len(exc.partial_basis)} elements; "
+        "raise max_pairs to continue"
+    )
+
+
+def test_partial_basis_lies_in_the_ideal():
+    n, texts, order, expected = GB_OPERATION_COUNTS["gkz3@grlex"]
+    ordering = parse_ordering(order, n)
+    gens = [parse_element(t, n) for t in texts]
+    complete = reduce_basis(buchberger(gens, ordering))
+    pairs = expected["s_pairs"]
+    for budget in range(pairs):
+        with pytest.raises(CompletionLimitExceeded) as info:
+            buchberger(gens, ordering, max_pairs=budget)
+        assert info.value.pairs == budget
+        assert all(ideal_member(e, complete) for e in info.value.partial_basis)
+    assert reduce_basis(buchberger(gens, ordering, max_pairs=pairs)).elements == complete.elements
+
+
 def test_reduce_basis_examples():
     one, x, d = W1.one(), W1.xi(1), W1.d(1)
     reduced = reduce_basis(buchberger([one, x], LEX))
@@ -239,18 +311,26 @@ def test_basis_records_inputs_and_ordering():
     assert len(reduce_basis(basis)) == 1
 
 
-# Three ideals of the benchmark's gb workload (perfbench/corpus.py), with the
+# Four ideals of the benchmark's gb workload (perfbench/corpus.py), with the
 # operation counts of reduce_basis(buchberger(...)).  They were recorded with
 # the rescan-and-copy division loop that oracles.divide_naive keeps, so equal
 # counts mean the heap kernel makes the same division steps; a change in any
 # of them is a change in the algorithm, not in its speed.  The division counts
-# include reduce_basis's single tail-reduction pass.
+# include reduce_basis's single tail-reduction pass.  The S-pair counts are
+# those left by the Gebauer-Moeller update; reducing every pair takes 15
+# (gkz3) and 120 (mix1) S-pairs, as oracles.buchberger_naive does.
 GB_OPERATION_COUNTS = {
     "gkz3@grlex": (
         3,
         ("d1*d3-d2^2", "x1*d1+x2*d2+x3*d3-1/2", "x2*d2+2*x3*d3-1/3"),
         "grlex",
-        {"s_pairs": 15, "zero_reductions": 12, "division_calls": 21, "division_steps": 101},
+        {"s_pairs": 10, "zero_reductions": 7, "division_calls": 16, "division_steps": 68},
+    ),
+    "mix1@grlex": (
+        2,
+        ("x1*d1^2+x2*d2^2-1", "d1*d2-x1-x2"),
+        "grlex",
+        {"s_pairs": 24, "zero_reductions": 10, "division_calls": 25, "division_steps": 140},
     ),
     "airy@lex": (
         2,
