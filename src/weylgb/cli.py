@@ -1,8 +1,8 @@
 """Batch command line: parse expressions, run the engine, print results.
 
 Exit codes: 0 success, 1 usage or input error, 2 computation refused
-(support cap, saturation round limit or completion pair budget), 3 internal
-error or invariant violation.
+(support cap or saturation round limit), 3 internal error or invariant
+violation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import traceback
 from dataclasses import dataclass
 
 from .division import check_division_contract, divide
-from .groebner import CompletionLimitExceeded, buchberger, reduce_basis
+from .groebner import buchberger, reduce_basis
 from .orderings import Ordering
 from .parsing import (
     ParseError,
@@ -87,8 +87,11 @@ _UNRECOGNIZED = "unrecognized arguments: "
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # a single leading '-' is an expression like -x1*d1; '--bogus' is a
+        # misspelled flag, where the hint would mislead
         if message.startswith(_UNRECOGNIZED) and any(
-            arg.startswith("-") for arg in message[len(_UNRECOGNIZED) :].split()
+            arg.startswith("-") and not arg.startswith("--")
+            for arg in message[len(_UNRECOGNIZED) :].split()
         ):
             message += "; put expressions that start with '-' after '--'"
         raise UsageError(message)
@@ -116,15 +119,7 @@ def build_parser():
         p.add_argument("exprs", nargs="*", help="element expressions")
 
     for name, (desc, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=desc)
-        common(p)
-        if name == "gb":
-            p.add_argument(
-                "--max-pairs",
-                type=int,
-                default=None,
-                help="refuse completions that would reduce more S-pairs than this",
-            )
+        common(sub.add_parser(name, help=desc))
     return parser
 
 
@@ -231,7 +226,7 @@ def cmd_gb(args):
     n, ordering, texts = _setup(args)
     if not texts:
         raise UsageError("gb needs at least one generator")
-    basis = reduce_basis(buchberger(_parse_all(texts, n), ordering, max_pairs=args.max_pairs))
+    basis = reduce_basis(buchberger(_parse_all(texts, n), ordering))
     lines = [format_element(e) for e in basis.elements] or ["0"]
     payload = {
         "command": "gb",
@@ -329,7 +324,7 @@ def main(argv=None):
     except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SupportCapExceeded, SaturationLimitExceeded, CompletionLimitExceeded) as exc:
+    except (SupportCapExceeded, SaturationLimitExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except BrokenPipeError:

@@ -65,35 +65,11 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-class CompletionLimitExceeded(Exception):
-    """Raised when completion would reduce more than ``max_pairs`` S-pairs.
-
-    ``pairs`` is the number of S-pairs reduced, ``pending`` the number
-    still queued and ``partial_basis`` the raw basis built so far; every
-    element of it lies in the ideal.
-    """
-
-    def __init__(self, pairs, pending, partial_basis):
-        super().__init__()
-        self.pairs = pairs
-        self.pending = pending
-        self.partial_basis = tuple(partial_basis)
-
-    def __str__(self):
-        return (
-            f"completion reduced {self.pairs} S-pairs with {self.pending} still pending; "
-            f"current basis has {len(self.partial_basis)} elements; "
-            "raise max_pairs to continue"
-        )
-
-
-def buchberger(generators, ordering, max_pairs=None):
+def buchberger(generators, ordering):
     """Complete the generators to a Groebner basis of the left ideal they span.
 
     Returns the raw completed basis (monic elements, input order preserved);
-    apply reduce_basis for the canonical inter-reduced form.  With
-    ``max_pairs`` set, raises CompletionLimitExceeded rather than reduce
-    more S-pairs than that.
+    apply reduce_basis for the canonical inter-reduced form.
     """
     generators = list(generators)
     basis = []
@@ -128,14 +104,10 @@ def buchberger(generators, ordering, max_pairs=None):
     for t in range(len(basis)):
         update(t)
 
-    reduced = 0
     while heap:
         _, t, i = heapq.heappop(heap)
         if pending.pop((i, t), None) is None:
             continue
-        if max_pairs is not None and reduced >= max_pairs:
-            raise CompletionLimitExceeded(reduced, len(pending) + 1, basis)
-        reduced += 1
         s = s_pair(basis[i], basis[t], ordering)
         remainder = divide(s, basis, ordering).remainder
         if remainder:

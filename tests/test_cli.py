@@ -152,24 +152,6 @@ def test_saturation_limit_is_refusal(capsys, monkeypatch):
     )
 
 
-def test_completion_budget_is_refusal(capsys):
-    status, out, err = run(
-        capsys,
-        ["gb", "--n", "2", "--order", "lex", "--max-pairs", "20",
-         "x1*d1^2+x2*d2^2-x1", "d1*d2-x1*x2-1"],
-    )
-    assert status == 2
-    assert out == ""
-    assert err.startswith("refused: completion reduced 20 S-pairs with ")
-    assert err.endswith("raise max_pairs to continue\n")
-
-
-def test_completion_budget_is_inclusive(capsys):
-    # x1, d1: their S-pair 1 joins the basis, then its pairs with x1 and d1
-    assert run(capsys, ["gb", "--n", "1", "--max-pairs", "3", "x1", "d1"])[:2] == (0, "1\n")
-    assert run(capsys, ["gb", "--n", "1", "--max-pairs", "2", "x1", "d1"])[0] == 2
-
-
 def test_leading_minus_needs_separator(capsys):
     status, out, err = run(capsys, ["nf", "--n", "1", "-x1*d1"])
     assert status == 1
@@ -180,6 +162,9 @@ def test_leading_minus_needs_separator(capsys):
     )
     status, out, err = run(capsys, ["nf", "--n", "1", "--", "-x1*d1"])
     assert (status, out, err) == (0, "-x1*d1\n", "")
+    # a misspelled flag is not an expression: no hint
+    status, out, err = run(capsys, ["nf", "--n", "1", "--bogus", "x1"])
+    assert (status, out, err) == (1, "", "error: unrecognized arguments: --bogus\n")
 
 
 def test_stalled_saturation_is_internal_error(capsys, monkeypatch):
