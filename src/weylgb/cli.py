@@ -141,6 +141,8 @@ def _setup(args):
         raise UsageError("dimension required: pass --n or an input file with n=")
     if n < 1:
         raise UsageError("dimension must be >= 1")
+    if args.max_support < 0:
+        raise UsageError("--max-support must be >= 0")
 
     order_text = args.order if args.order is not None else file_order
     try:

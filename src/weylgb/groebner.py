@@ -27,6 +27,11 @@ and d1 have coprime leading monomials and the S-pair 1.  The raw basis can
 differ from the one a loop reducing every pair builds, since fewer
 remainders join it; the reduced basis cannot, being unique for the
 ordering.
+
+Completion and the Groebner test share one pair queue; ``is_groebner``
+stops at its first nonzero remainder.  With none, completion returns its
+input unchanged, so by its correctness the input is a Groebner basis;
+conversely, every S-pair of a Groebner basis reduces to zero.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ def s_pair(u, v, ordering):
     return WeylElement._raw(u.n, out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroebnerBasis:
     elements: tuple
     ordering: Ordering
@@ -65,20 +70,12 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def buchberger(generators, ordering):
-    """Complete the generators to a Groebner basis of the left ideal they span.
+def _completion(basis, ordering):
+    """Reduce the S-pairs of nonzero ``basis`` the pair update leaves, by lcm.
 
-    Returns the raw completed basis (monic elements, input order preserved);
-    apply reduce_basis for the canonical inter-reduced form.
+    Each nonzero remainder joins ``basis``, made monic, and is yielded.
     """
-    generators = list(generators)
-    basis = []
-    for g in generators:
-        g = monic(g, ordering)
-        if g and g not in basis:
-            basis.append(g)
     lts = [leading_term(g, ordering).monomial for g in basis]
-
     pending = {}  # (i, t) -> lcm of the pair still to be reduced
     heap = []  # (sort key of lcm, t, i); entries of dropped pairs are stale
 
@@ -114,7 +111,23 @@ def buchberger(generators, ordering):
             basis.append(monic(remainder, ordering))
             lts.append(leading_term(basis[-1], ordering).monomial)
             update(len(basis) - 1)
+            yield basis[-1]
 
+
+def buchberger(generators, ordering):
+    """Complete the generators to a Groebner basis of the left ideal they span.
+
+    Returns the raw completed basis (monic elements, input order preserved);
+    apply reduce_basis for the canonical inter-reduced form.
+    """
+    generators = list(generators)
+    basis = []
+    for g in generators:
+        g = monic(g, ordering)
+        if g and g not in basis:
+            basis.append(g)
+    for _ in _completion(basis, ordering):
+        pass
     return GroebnerBasis(tuple(basis), ordering, tuple(generators))
 
 
@@ -127,8 +140,6 @@ def reduce_basis(basis):
     """
     ordering = basis.ordering
     elems = [monic(e, ordering) for e in basis.elements if e]
-    if not elems:
-        return GroebnerBasis((), ordering, basis.generators)
 
     # drop every element whose leading monomial another one divides;
     # ascending order means candidate divisors are always seen first
@@ -154,14 +165,8 @@ def reduce_basis(basis):
 
 
 def is_groebner(elements, ordering):
-    """True iff every S-pair of the nonzero elements reduces to zero."""
-    nonzero = [e for e in elements if e]
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            s = s_pair(nonzero[i], nonzero[j], ordering)
-            if divide(s, nonzero, ordering).remainder:
-                return False
-    return True
+    """True iff every S-pair the pair update leaves reduces to zero."""
+    return next(_completion([e for e in elements if e], ordering), None) is None
 
 
 def restriction_stable(elements, ord1, ord2):

@@ -11,9 +11,10 @@ permutation of a support instead of pruning infeasible prefixes, the
 division oracle rescans and copies the whole working element at every step
 where ``divide`` keeps a heap and updates one dict in place, the S-pair
 oracle forms both cofactor products with the brute-force rewriter where
-``s_pair`` accumulates them into one dict, and the completion oracle
+``s_pair`` accumulates them into one dict, the completion oracle
 reduces every pair where ``buchberger`` drops those the chain criterion
-covers.
+covers, and the Groebner-test oracle reduces every pair of its input where
+``is_groebner`` runs ``buchberger``'s pruned pair queue.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -163,6 +164,17 @@ def buchberger_naive(generators, ordering):
             push_pairs(len(basis) - 1)
 
     return GroebnerBasis(tuple(basis), ordering, tuple(generators))
+
+
+def is_groebner_naive(elements, ordering):
+    """True iff every S-pair of the nonzero elements reduces to zero."""
+    nonzero = [e for e in elements if e]
+    for i in range(len(nonzero)):
+        for j in range(i + 1, len(nonzero)):
+            s = s_pair(nonzero[i], nonzero[j], ordering)
+            if divide(s, nonzero, ordering).remainder:
+                return False
+    return True
 
 
 def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):

@@ -138,6 +138,17 @@ def test_support_cap_refusal(capsys):
     assert "refused" in err
 
 
+def test_negative_support_cap_is_usage_error(capsys):
+    status, out, err = run(capsys, ["cert", "--n", "1", "--max-support", "-1", "x1"])
+    assert status == 1
+    assert out == ""
+    assert err == "error: --max-support must be >= 0\n"
+    # a cap of 0 is valid and refuses every support
+    status, _, err = run(capsys, ["cert", "--n", "1", "--max-support", "0", "x1"])
+    assert status == 2
+    assert err.startswith("refused: ")
+
+
 def test_saturation_limit_is_refusal(capsys, monkeypatch):
     # the CLI has no round flag; lower the library default instead
     monkeypatch.setattr(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,10 +19,16 @@ from weylgb import (
     restriction_stable,
     s_pair,
 )
-from conftest import agreeing_ordering, random_element, random_ordering
+from conftest import (
+    agreeing_ordering,
+    random_coefficient,
+    random_element,
+    random_ordering,
+)
 from oracles import (
     buchberger_naive,
     commutative_buchberger,
+    is_groebner_naive,
     poly_s_polynomial,
     s_pair_naive,
     to_commutative,
@@ -215,6 +222,52 @@ def test_is_groebner_examples():
     assert is_groebner([W1.d(1)], LEX)
     assert not is_groebner([W1.xi(1), W1.d(1)], LEX)
     assert is_groebner([], LEX)
+
+
+def test_is_groebner_matches_naive_test():
+    # Same bounds as the completion test above, with n up to 3.  Each
+    # completion gives several inputs: the generators; the raw and reduced
+    # bases, whole and with each element dropped in turn; the raw basis
+    # padded with a duplicate, a scalar multiple and a zero; both bases
+    # under another ordering.
+    rng = random.Random(20261020)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        ordering = random_ordering(rng, n)
+        gens = [
+            random_element(rng, n, max_degree=2, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        completed = buchberger(gens, ordering)
+        raw = list(completed.elements)
+        reduced = list(reduce_basis(completed).elements)
+        cases = [(gens, ordering), (raw, ordering), (reduced, ordering)]
+        for basis in (raw, reduced):
+            for k in range(len(basis)):
+                cases.append((basis[:k] + basis[k + 1 :], ordering))
+        padded = raw + [
+            rng.choice(raw),
+            random_coefficient(rng) * rng.choice(raw),
+            WeylAlgebra(n).zero(),
+        ]
+        rng.shuffle(padded)
+        cases.append((padded, ordering))
+        cases.append((raw, random_ordering(rng, n)))
+        cases.append((reduced, random_ordering(rng, n)))
+        for elements, order in cases:
+            expected = is_groebner_naive(elements, order)
+            assert is_groebner(elements, order) == expected
+            verdicts.append(expected)
+    assert len(verdicts) >= 1000
+    assert verdicts.count(False) >= 100
+
+
+def test_groebner_basis_is_immutable():
+    basis = buchberger([W1.d(1)], LEX)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.elements = ()
+    assert basis.elements == (W1.d(1),)
 
 
 def test_restriction_stable_examples():
