@@ -9,17 +9,23 @@ derived from, so when elimination produces 0 >= rhs with rhs > 0, walking
 those origins back to the input gives a Farkas certificate of infeasibility
 that can be checked independently of this solver.
 
-Internally rows are scaled to integers and GCD-normalized after every
-combination step, which keeps the arithmetic in machine integers; Fractions
-only reappear in the back-substituted solution and in certificates.  On
-feasible systems the solution is read off stage by stage, always picking the
-smallest value allowed by the accumulated lower bounds (or the largest
-allowed by upper bounds when no lower bound exists).
+Elimination runs on integer rows, GCD-normalized after every combination
+step.  Rows whose entries are all ints are used as given; any other input is
+first converted to Fractions and each row scaled by the lcm of its
+denominators.  The Fraction copy of int input is built only when a
+certificate is returned, since a certificate's rows are the input rows as
+Fractions.  On feasible systems the solution is read off stage by stage,
+always picking the smallest value allowed by the accumulated lower bounds
+(or the largest allowed by upper bounds, capped at 0, when no lower bound
+exists).  Back-substitution keeps the partial solution as int numerators
+over one common denominator and compares bounds by cross-multiplication, so
+a Fraction is built only once per output value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +50,8 @@ def certifies_infeasibility(rows, multipliers):
     if any(m < 0 for m in multipliers):
         return False
     width = len(rows[0][0]) if rows else 0
+    if any(len(coeffs) != width for coeffs, _ in rows):
+        return False
     combined = [Fraction(0)] * width
     rhs = Fraction(0)
     for (coeffs, b), m in zip(rows, multipliers):
@@ -65,28 +73,42 @@ def nonneg_rows(num_vars):
 def solve_inequalities(rows, num_vars):
     """Find w with coeffs . w >= rhs for every row, or an Infeasible certificate.
 
-    ``rows`` is a sequence of (coeffs, rhs) pairs with len(coeffs) == num_vars.
-    Nonnegativity of the variables is NOT implied; append nonneg_rows() when
-    wanted, so the certificate covers those constraints too.
+    ``rows`` is an iterable of (coeffs, rhs) pairs with len(coeffs) ==
+    num_vars.  Nonnegativity of the variables is NOT implied; append
+    nonneg_rows() when wanted, so the certificate covers those constraints
+    too.  The solution is a tuple of Fractions; a certificate's rows are the
+    input rows as Fractions.
     """
-    original = tuple(
-        (tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in rows
-    )
-    for coeffs, _ in original:
+    rows = tuple(rows)
+    if all(type(rhs) is int and all(type(c) is int for c in coeffs) for coeffs, rhs in rows):
+        original = None
+        scales = [1] * len(rows)
+        scaled = [(tuple(coeffs), rhs) for coeffs, rhs in rows]
+    else:
+        original = _fraction_rows(rows)
+        scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
+        scaled = [
+            (tuple(int(c * s) for c in coeffs), int(rhs * s))
+            for (coeffs, rhs), s in zip(original, scales)
+        ]
+    for coeffs, _ in scaled:
         if len(coeffs) != num_vars:
             raise ValueError("row width does not match num_vars")
 
-    # origin[row] is (i, g) when g * row == scales[i] * original[i], and
+    def infeasible(row):
+        certified = _fraction_rows(rows) if original is None else original
+        return Infeasible(certified, _multipliers(row, origin, scales))
+
+    # origin[row] is (i, g) when g * row == scales[i] * input row i, and
     # (p, q, b, a, g) when g * row == b * p + a * q: the first derivation of
     # each distinct row, inserted after the rows it came from.
-    scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
     stage, origin = [], {}
-    for i, ((coeffs, rhs), s) in enumerate(zip(original, scales)):
-        row, g = _normalize(tuple(int(c * s) for c in coeffs), int(rhs * s))
+    for i, (coeffs, rhs) in enumerate(scaled):
+        row, g = _normalize(coeffs, rhs)
         if row not in origin:
             origin[row] = (i, g)
             if _contradicts(row):
-                return Infeasible(original, _multipliers(row, origin, scales))
+                return infeasible(row)
             stage.append(row)
 
     # stages[k] still involves variables 0 .. num_vars-1-k
@@ -105,30 +127,52 @@ def solve_inequalities(rows, num_vars):
                 if row not in seen:
                     origin.setdefault(row, (p, q, b, a, g))
                     if _contradicts(row):
-                        return Infeasible(original, _multipliers(row, origin, scales))
+                        return infeasible(row)
                     seen.add(row)
                     stage.append(row)
         stages.append(stage)
 
-    solution = [Fraction(0)] * num_vars
+    # solution[k] == num[k] / den; a bound on variable var is a pair (r, c)
+    # with c > 0 and value r / (den * c)
+    num, den = [0] * num_vars, 1
     for var in range(num_vars):
-        stage = stages[num_vars - 1 - var]
-        lowers, uppers = [], []
-        for coeffs, rhs in stage:
+        lower = upper = None
+        for coeffs, rhs in stages[num_vars - 1 - var]:
             c = coeffs[var]
             if c == 0:
                 continue
-            residual = Fraction(rhs) - sum(
-                coeffs[k] * solution[k] for k in range(var)
-            )
-            (lowers if c > 0 else uppers).append(residual / c)
-        if lowers:
-            solution[var] = max(lowers)
-        elif uppers:
-            solution[var] = min(min(uppers), Fraction(0))
+            # coeffs[k] == 0 for k > var, and num[k] == 0 for k >= var
+            r = rhs * den - sum(map(operator.mul, coeffs, num))
+            if c > 0:
+                if lower is None or r * lower[1] > lower[0] * c:
+                    lower = (r, c)
+            else:
+                r, c = -r, -c
+                if upper is None or r * upper[1] < upper[0] * c:
+                    upper = (r, c)
+        if lower is not None:
+            r, c = lower
+        elif upper is not None and upper[0] < 0:
+            r, c = upper
         else:
-            solution[var] = Fraction(0)
-    return tuple(Fraction(v) for v in solution)
+            continue
+        if c == 1:
+            num[var] = r
+        else:
+            num = [x * c for x in num]
+            num[var] = r
+            den *= c
+            g = math.gcd(den, *num)
+            if g > 1:
+                num = [x // g for x in num]
+                den //= g
+    return tuple(Fraction(x, den) for x in num)
+
+
+def _fraction_rows(rows):
+    return tuple(
+        (tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in rows
+    )
 
 
 def _normalize(coeffs, rhs):

@@ -24,6 +24,7 @@ records this boundary.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from functools import lru_cache
 from .division import divide, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities
 from .groebner import buchberger, is_groebner, reduce_basis
-from .orderings import Ordering, lex_compare
+from .orderings import Ordering, _integer_row, lex_compare
 from .weyl import Monomial, combined_support
 
 COVERAGE_FAMILY = "nonnegative weight row + lex tie-break"
@@ -143,8 +144,11 @@ def _realize_cached(monos, rest):
 
     With one monomial in ``rest`` the rows are exactly those of the chain
     ``monos + rest``, in the same order, so the witness is that chain's.  The
-    witness check covers ``rest`` too: the last key of the chain must be
-    below the key of every monomial in it.
+    witness is checked without building its ``Ordering``: with the weights
+    scaled to an int row w, the keys (w . m, m) compare exactly as the
+    ordering's sort keys do.  The chain's keys must increase, the last must
+    be below the key of every monomial in ``rest``, and every weight must be
+    nonnegative, which ``Ordering`` requires of a weight row.
     """
     num_vars = 2 * monos[0].dimension
     rows = [_below_row(low, high) for low, high in zip(monos, monos[1:])]
@@ -152,15 +156,18 @@ def _realize_cached(monos, rest):
     outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):
         return outcome
-    witness = WeightWitness(outcome)
-    ordering = witness.ordering()
-    keys = [ordering.sort_key(m) for m in monos]
+    row = _integer_row(outcome)
+    if any(w < 0 for w in row):
+        raise AssertionError("witness has a negative weight; solver bug")
+
+    def key(m):
+        return (sum(map(operator.mul, row, m.vector)), m.vector)
+
+    keys = [key(m) for m in monos]
     top = keys[-1]
-    if any(a >= b for a, b in zip(keys, keys[1:])) or any(
-        top >= ordering.sort_key(r) for r in rest
-    ):
+    if any(a >= b for a, b in zip(keys, keys[1:])) or any(top >= key(r) for r in rest):
         raise AssertionError("witness failed to reproduce its restriction; solver bug")
-    return witness
+    return WeightWitness(outcome)
 
 
 def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP):

@@ -13,8 +13,11 @@ where ``divide`` keeps a heap and updates one dict in place, the S-pair
 oracle forms both cofactor products with the brute-force rewriter where
 ``s_pair`` accumulates them into one dict, the completion oracle
 reduces every pair where ``buchberger`` drops those the chain criterion
-covers, and the Groebner-test oracle reduces every pair of its input where
-``is_groebner`` runs ``buchberger``'s pruned pair queue.
+covers, the Groebner-test oracle reduces every pair of its input where
+``is_groebner`` runs ``buchberger``'s pruned pair queue, and
+``solve_inequalities_naive`` runs Fourier-Motzkin on Fraction copies of its
+rows and back-substitutes with Fraction sums where ``solve_inequalities``
+stays in ints until the output.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -29,6 +32,7 @@ nothing else.  Only the monomial exponent type and the orderings are shared.
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from weylgb import (
@@ -44,6 +48,7 @@ from weylgb import (
     s_pair,
 )
 from weylgb.division import DivisionInvariantError, DivisionResult, monic
+from weylgb.feasibility import Infeasible, _contradicts, _multipliers, _normalize
 from weylgb.universal import DEFAULT_SUPPORT_CAP, _sorted_support
 
 
@@ -189,6 +194,77 @@ def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):
         if isinstance(witness, WeightWitness):
             out.append((restriction, witness))
     return out
+
+
+def solve_inequalities_naive(rows, num_vars):
+    """The all-Fraction solver, the slow twin of ``solve_inequalities``.
+
+    Find w with coeffs . w >= rhs for every row, or an Infeasible certificate.
+
+    ``rows`` is a sequence of (coeffs, rhs) pairs with len(coeffs) == num_vars.
+    Nonnegativity of the variables is NOT implied; append nonneg_rows() when
+    wanted, so the certificate covers those constraints too.
+    """
+    original = tuple(
+        (tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in rows
+    )
+    for coeffs, _ in original:
+        if len(coeffs) != num_vars:
+            raise ValueError("row width does not match num_vars")
+
+    # origin[row] is (i, g) when g * row == scales[i] * original[i], and
+    # (p, q, b, a, g) when g * row == b * p + a * q: the first derivation of
+    # each distinct row, inserted after the rows it came from.
+    scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
+    stage, origin = [], {}
+    for i, ((coeffs, rhs), s) in enumerate(zip(original, scales)):
+        row, g = _normalize(tuple(int(c * s) for c in coeffs), int(rhs * s))
+        if row not in origin:
+            origin[row] = (i, g)
+            if _contradicts(row):
+                return Infeasible(original, _multipliers(row, origin, scales))
+            stage.append(row)
+
+    # stages[k] still involves variables 0 .. num_vars-1-k
+    stages = [stage]
+    for var in range(num_vars - 1, -1, -1):
+        pos = [r for r in stage if r[0][var] > 0]
+        neg = [r for r in stage if r[0][var] < 0]
+        stage = [r for r in stage if r[0][var] == 0]
+        seen = set(stage)
+        for p in pos:
+            for q in neg:
+                a, b = p[0][var], -q[0][var]
+                row, g = _normalize(
+                    tuple(b * x + a * y for x, y in zip(p[0], q[0])), b * p[1] + a * q[1]
+                )
+                if row not in seen:
+                    origin.setdefault(row, (p, q, b, a, g))
+                    if _contradicts(row):
+                        return Infeasible(original, _multipliers(row, origin, scales))
+                    seen.add(row)
+                    stage.append(row)
+        stages.append(stage)
+
+    solution = [Fraction(0)] * num_vars
+    for var in range(num_vars):
+        stage = stages[num_vars - 1 - var]
+        lowers, uppers = [], []
+        for coeffs, rhs in stage:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            residual = Fraction(rhs) - sum(
+                coeffs[k] * solution[k] for k in range(var)
+            )
+            (lowers if c > 0 else uppers).append(residual / c)
+        if lowers:
+            solution[var] = max(lowers)
+        elif uppers:
+            solution[var] = min(min(uppers), Fraction(0))
+        else:
+            solution[var] = Fraction(0)
+    return tuple(Fraction(v) for v in solution)
 
 
 def divide_naive(w, divisors, ordering, trace=None):

@@ -1,10 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylgb import Infeasible, certifies_infeasibility, solve_inequalities
+from weylgb import (
+    Infeasible,
+    certifies_infeasibility,
+    combined_support,
+    enumerate_restrictions,
+    parse_element,
+    solve_inequalities,
+    universal,
+)
 from weylgb.feasibility import nonneg_rows
+from oracles import enumerate_restrictions_naive, solve_inequalities_naive
 
 
 def F(x):
@@ -34,6 +44,12 @@ def test_certificate_must_be_nonneg_combination():
     assert not certifies_infeasibility(rows, (F(1),))
     # 1*(w >= 1) + 1*(-w >= 0) gives 0 >= 1
     assert certifies_infeasibility(rows, (F(1), F(1)))
+
+
+def test_certificate_rows_must_share_one_width():
+    # read as zero-padded, the narrower row would make this certify
+    assert not certifies_infeasibility([((0,), 1), ((), 0)], [1, 1])
+    assert not certifies_infeasibility([((0,), 1), ((0, 0), 0)], [1, 1])
 
 
 def test_upper_and_lower_bounds_interact():
@@ -149,3 +165,98 @@ def test_solve_inequalities_property(rng):
             assert _satisfies(rows, outcome), rows
             outcomes["feasible"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def _integral(row):
+    """The row times the lcm of its denominators, with int entries."""
+    coeffs, rhs = row
+    scale = math.lcm(*(Fraction(x).denominator for x in (*coeffs, rhs)))
+    return tuple(int(c * scale) for c in coeffs), int(rhs * scale)
+
+
+def _as_fractions(row):
+    coeffs, rhs = row
+    return tuple(F(c) for c in coeffs), F(rhs)
+
+
+def test_solve_inequalities_matches_naive(rng):
+    # the int rows take the fast path, the Fraction rows the scaling path;
+    # both must give the slow twin's solution or certificate, down to types
+    counts = {"int": 0, "fraction": 0, "infeasible": 0}
+    for case in range(2000):
+        num_vars = rng.randint(1, 4)
+        rows = [_random_row(rng, num_vars) for _ in range(rng.randint(0, 6))]
+        if num_vars >= 2 and rng.random() < 0.4:
+            variables = rng.sample(range(num_vars), rng.randint(2, num_vars))
+            rhs = [Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in variables]
+            rows += _cycle(rng, variables, num_vars, rhs)
+        if rng.random() < 0.5:
+            rows += nonneg_rows(num_vars)
+        rng.shuffle(rows)
+        kind = "int" if case % 2 else "fraction"
+        rows = [(_integral if kind == "int" else _as_fractions)(row) for row in rows]
+
+        outcome = solve_inequalities(rows, num_vars)
+        assert repr(outcome) == repr(solve_inequalities_naive(rows, num_vars)), rows
+        counts[kind] += 1
+        if isinstance(outcome, Infeasible):
+            assert outcome.verify(), rows
+            counts["infeasible"] += 1
+    assert counts["int"] >= 1000 and counts["fraction"] >= 1000, counts
+    assert counts["infeasible"] >= 300, counts
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("x1-d1^2", "x2-d2^2"),
+        ("x1^2-x2", "x1*x2-1", "x2^2-x1"),  # reduced grlex basis of x1^2-x2, x1*x2-1
+    ],
+)
+def test_realization_systems_match_naive(monkeypatch, texts):
+    systems = []
+    real = universal.solve_inequalities
+
+    def capturing(rows, num_vars):
+        systems.append((rows, num_vars))
+        return real(rows, num_vars)
+
+    monkeypatch.setattr(universal, "solve_inequalities", capturing)
+    support = combined_support(parse_element(t, 2) for t in texts)
+    try:
+        universal._realize_cached.cache_clear()
+        enumerate_restrictions(support)
+        universal._realize_cached.cache_clear()
+        enumerate_restrictions_naive(support)
+    finally:
+        universal._realize_cached.cache_clear()
+    assert len(systems) > 20
+    for rows, num_vars in systems:
+        assert repr(solve_inequalities(rows, num_vars)) == repr(
+            solve_inequalities_naive(rows, num_vars)
+        ), rows
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "bool", "generator"])
+def test_outcomes_are_fraction_typed(kind):
+    feasible = [((-1, 1), 1)] + nonneg_rows(2)
+    infeasible = [((0, -1), 1)] + nonneg_rows(2)
+    for rows, solvable in ((feasible, True), (infeasible, False)):
+        if kind == "fraction":
+            rows = [_as_fractions(row) for row in rows]
+        elif kind == "bool":
+            rows = [(tuple(bool(c) if c >= 0 else c for c in coeffs), rhs) for coeffs, rhs in rows]
+        given = (row for row in rows) if kind == "generator" else rows
+        outcome = solve_inequalities(given, 2)
+        assert repr(outcome) == repr(solve_inequalities_naive(rows, 2))
+        if solvable:
+            assert all(type(w) is Fraction for w in outcome)
+            continue
+        assert isinstance(outcome, Infeasible) and outcome.verify()
+        assert outcome.rows == tuple(rows)
+        for coeffs, rhs in outcome.rows:
+            assert all(type(c) is Fraction for c in (*coeffs, rhs))
+        assert all(type(m) is Fraction for m in outcome.multipliers)
+
+    outcome = solve_inequalities([((), 1)], 0)
+    assert isinstance(outcome, Infeasible) and outcome.verify()

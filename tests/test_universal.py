@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,46 @@ def test_realize_translation_conflict_is_infeasible():
     outcome = realize_restriction(chain)
     assert isinstance(outcome, Infeasible)
     assert outcome.verify()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (Fraction(1), Fraction(0)),  # puts x1 above d1
+        (Fraction(-1), Fraction(0)),  # orders the chain, but is negative
+    ],
+)
+def test_bad_witness_is_a_solver_bug(monkeypatch, weights):
+    monkeypatch.setattr(universal, "solve_inequalities", lambda rows, num_vars: weights)
+    universal._realize_cached.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="solver bug"):
+            realize_restriction(Restriction((X1, D1)))
+    finally:
+        universal._realize_cached.cache_clear()
+
+
+_BAD_WITNESS = """
+from fractions import Fraction
+from weylgb import Monomial, Restriction, realize_restriction, universal
+
+universal.solve_inequalities = lambda rows, num_vars: (Fraction(1), Fraction(0))
+try:
+    realize_restriction(Restriction((Monomial((1,), (0,)), Monomial((0,), (1,)))))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_witness_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_WITNESS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.startswith("raised:")
 
 
 def test_witnesses_reproduce_their_restriction(rng):
