@@ -14,20 +14,33 @@ the remainder.  On termination
 The loop terminates because the working leading monomial strictly decreases
 and every normal ordering is a well-order.
 
-The working element is one mutable dict from monomial to coefficient, and a
-max-heap of the ordering's sort keys, one entry per monomial that entered the
-dict, picks its leading term.  Cancelling subtracts cofactor * divisor
-straight into the dict through ``weyl.add_product``, the kernel every Weyl
-product shares, and pushes each monomial that enters it.
-Deletion is lazy: an entry whose monomial has since cancelled out is skipped
-when popped.  Quotients and remainder grow by one entry per step.  Every
-leading monomial popped must lie strictly below the previous one, or
-``DivisionInvariantError`` is raised; a leading term that a step failed to
-cancel goes back on the heap, so the next pop raises.
+The working element is one mutable dict from monomial to int numerator over
+one common int denominator, and a max-heap of the ordering's sort keys, one
+entry per monomial that entered the dict, picks its leading term.  Each
+divisor f is taken as (a / b) * F, with F of int coefficients, content 1
+and leading coefficient L > 0.  Cancelling subtracts (N / L) * cofactor * F
+from the numerators straight into the dict through ``weyl.add_product``, the
+kernel every Weyl product shares, and pushes each monomial that enters it.
+When L does not divide the leading numerator N, every numerator and the
+denominator are first multiplied by L / gcd(N, L), and afterwards divided by
+their common content.  Fractions are built only for quotient entries and
+remainder terms.  Deletion is lazy: an entry whose monomial has since
+cancelled out is skipped when popped.  Quotients and remainder grow by one
+entry per step.  Every leading monomial popped must lie strictly below the
+previous one, or ``DivisionInvariantError`` is raised; a leading term that a
+step failed to cancel goes back on the heap, so the next pop raises.
+
+An element's leading term under an ordering, and its integer form F once it
+serves as a divisor, are computed once and kept in a private memo on the
+element, keyed by the ordering object's identity.  The memo is freed with
+the element, does not keep the ordering alive, and plays no part in ``==``,
+``hash`` or ``repr``.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -41,12 +54,51 @@ class LeadingTerm(NamedTuple):
     coefficient: Fraction
 
 
-def leading_term(w, ordering):
-    """Greatest support monomial of w with its coefficient; w must be nonzero."""
+def _prepared(w, ordering):
+    """w's memo entry for the ordering: [weak reference to the ordering,
+    leading term, None or the divisor form].
+
+    Entries are keyed by the ordering's identity.  The weak reference tells
+    a live ordering from a dead one whose id was reused, and does not keep
+    the ordering, or its key cache, alive; dead entries are dropped when a
+    new one is stored.
+    """
     if not w:
         raise ValueError("the zero element has no leading term")
-    mono = max(w.terms, key=ordering.sort_key)
-    return LeadingTerm(mono, w.terms[mono])
+    memo = w._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(w, "_memo", memo)
+    entry = memo.get(id(ordering))
+    if entry is None or entry[0]() is not ordering:
+        for key, old in list(memo.items()):
+            if old[0]() is None:
+                memo.pop(key, None)
+        mono = max(w.terms, key=ordering.sort_key)
+        entry = [weakref.ref(ordering), LeadingTerm(mono, w.terms[mono]), None]
+        memo[id(ordering)] = entry
+    return entry
+
+
+def leading_term(w, ordering):
+    """Greatest support monomial of w with its coefficient; w must be nonzero."""
+    return _prepared(w, ordering)[1]
+
+
+def _divisor_form(f, ordering):
+    """(leading monomial, L, a, b, F) with f == (a / b) * F, where F maps
+    monomials to ints with gcd 1 and L > 0 is its leading coefficient."""
+    entry = _prepared(f, ordering)
+    if entry[2] is None:
+        lead = entry[1]
+        coeffs = f.terms.values()
+        b = math.lcm(*(c.denominator for c in coeffs))
+        a = math.gcd(*(c.numerator for c in coeffs))
+        if lead.coefficient < 0:
+            a = -a
+        ints = {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
+        entry[2] = (lead.monomial, ints[lead.monomial], a, b, ints)
+    return entry[2]
 
 
 def monic(w, ordering):
@@ -80,14 +132,12 @@ def divide(w, divisors, ordering, trace=None):
         if f.n != n:
             raise ValueError(f"dimension mismatch: {n} vs {f.n}")
     sort_key = ordering.sort_key
-    leads = [
-        (i, *leading_term(f, ordering), f.terms)
-        for i, f in enumerate(divisors)
-        if f
-    ]
+    leads = [(i, *_divisor_form(f, ordering)) for i, f in enumerate(divisors) if f]
     quotients = [{} for _ in divisors]
     remainder = {}
-    work = dict(w.terms)
+    # w == (1 / den) * work, with int values in work
+    den = math.lcm(*(c.denominator for c in w.terms.values()))
+    work = {m: c.numerator * (den // c.denominator) for m, c in w.terms.items()}
     heap = [_Above(sort_key(m), m) for m in work]
     heapify(heap)
     previous_key = None
@@ -105,18 +155,32 @@ def divide(w, divisors, ordering, trace=None):
         previous_key = top.key
         if trace is not None:
             trace.append(mono)
-        for i, lead_mono, lead_coeff, f_terms in leads:
+        for i, lead_mono, lead, a, b, f_ints in leads:
             if lead_mono.divides(mono):
                 cofactor = mono / lead_mono
-                scale = coeff / lead_coeff
-                quotients[i][cofactor] = scale
-                for m in add_product(work, -scale, cofactor, f_terms):
+                # (coeff / den) / ((a / b) * lead)
+                quotients[i][cofactor] = Fraction(coeff * b, den * a * lead)
+                # work -= (coeff / lead) * cofactor * F, in ints: first scale
+                # work and den by the part of lead that coeff lacks
+                g = math.gcd(coeff, lead)
+                scale = lead // g
+                if scale > 1:
+                    for m in work:
+                        work[m] *= scale
+                    den *= scale
+                for m in add_product(work, -(coeff // g), cofactor, f_ints):
                     heappush(heap, _Above(sort_key(m), m))
+                if scale > 1:
+                    content = math.gcd(den, *work.values())
+                    if content > 1:
+                        for m in work:
+                            work[m] //= content
+                        den //= content
                 if mono in work:
                     heappush(heap, top)  # not cancelled: the next pop fails the descent check
                 break
         else:
-            remainder[mono] = work.pop(mono)
+            remainder[mono] = Fraction(work.pop(mono), den)
     return DivisionResult(
         [WeylElement._raw(n, q) for q in quotients], WeylElement._raw(n, remainder)
     )
@@ -149,9 +213,10 @@ class ContractReport:
 
 def check_division_contract(w, divisors, ordering, result):
     """Re-verify clauses (a), (b), (c) for a computed DivisionResult."""
+    products = [q * f for q, f in zip(result.quotients, divisors)]
     combo = result.remainder
-    for q, f in zip(result.quotients, divisors):
-        combo = combo + q * f
+    for prod in products:
+        combo = combo + prod
     reconstruction = combo == w
 
     remainder_irreducible = True
@@ -166,8 +231,7 @@ def check_division_contract(w, divisors, ordering, result):
     quotient_bound = True
     if w:
         lt_w = leading_term(w, ordering).monomial
-        for q, f in zip(result.quotients, divisors):
-            prod = q * f
+        for prod in products:
             if prod and ordering.compare(leading_term(prod, ordering).monomial, lt_w) > 0:
                 quotient_bound = False
                 break

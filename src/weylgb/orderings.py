@@ -29,7 +29,7 @@ class Ordering:
     while the keys become tuples of ints instead of tuples of Fractions.
     """
 
-    __slots__ = ("rows", "_int_rows", "_key_cache")
+    __slots__ = ("rows", "_int_rows", "_key_cache", "__weakref__")
 
     def __init__(self, rows=()):
         rows = tuple(tuple(Fraction(q) for q in row) for row in rows)

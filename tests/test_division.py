@@ -1,7 +1,10 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import threading
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +19,8 @@ from weylgb import (
     check_division_contract,
     divide,
     leading_term,
+    multiply_monomials,
+    s_pair,
 )
 from weylgb.division import DivisionInvariantError
 from conftest import random_coefficient, random_element, random_monomial, random_ordering
@@ -172,6 +177,30 @@ def _same_leading_monomial(rng, f, ordering):
     return WeylElement(f.n, terms)
 
 
+def _fresh(w):
+    """An equal element with an empty memo."""
+    return WeylElement(w.n, w.terms)
+
+
+def _assert_matches_naive(w, divisors, ordering):
+    trace, naive_trace = [], []
+    result = divide(w, divisors, ordering, trace=trace)
+    # the twin gets fresh copies, so a wrong memo entry cannot fool both
+    expected = divide_naive(
+        _fresh(w), [_fresh(f) for f in divisors], ordering, trace=naive_trace
+    )
+    assert result.quotients == expected.quotients
+    assert result.remainder == expected.remainder
+    assert trace == naive_trace
+    assert check_division_contract(w, divisors, ordering, result).all_ok()
+
+
+def _awkward_scalar(rng):
+    """A nonzero rational that is rarely a unit: either sign, numerator up to
+    97, denominator up to 60."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 97), rng.randint(1, 60))
+
+
 def test_divide_matches_naive_division():
     rng = random.Random(20261018)
     for case in range(400):
@@ -191,13 +220,94 @@ def test_divide_matches_naive_division():
         w = random_element(rng, n, allow_zero=True)
         for f in divisors:
             w = w + random_element(rng, n, max_degree=2, max_terms=2, allow_zero=True) * f
-        trace, naive_trace = [], []
-        result = divide(w, divisors, ordering, trace=trace)
-        expected = divide_naive(w, divisors, ordering, trace=naive_trace)
-        assert result.quotients == expected.quotients
-        assert result.remainder == expected.remainder
-        assert trace == naive_trace
-        assert check_division_contract(w, divisors, ordering, result).all_ok()
+        _assert_matches_naive(w, divisors, ordering)
+
+    # Leading coefficients that are non-units, negative or fractional, and
+    # dividends with large denominators: the integer kernel rescales its
+    # numerators, flips divisor signs and removes content on these.
+    rng = random.Random(20261019)
+    for case in range(300):
+        n = rng.randint(1, 3)
+        ordering = _mixed_ordering(rng, n)
+        divisors = [
+            _awkward_scalar(rng) * random_element(rng, n, max_degree=3, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        if case % 2:
+            twin = _same_leading_monomial(rng, rng.choice(divisors), ordering)
+            divisors.insert(rng.randrange(len(divisors) + 1), _awkward_scalar(rng) * twin)
+        if case % 5 == 0:
+            divisors.insert(rng.randrange(len(divisors) + 1), WeylElement.zero(n))
+        w = random_element(rng, n, allow_zero=True) * Fraction(1, rng.randint(1, 10**12))
+        for f in divisors:
+            cofactor = random_element(rng, n, max_degree=2, max_terms=2, allow_zero=True)
+            w = w + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9)) * cofactor * f
+        _assert_matches_naive(w, divisors, ordering)
+
+
+def test_leading_term_memo_follows_the_ordering():
+    rng = random.Random(20261020)
+    n = 2
+    lex, grlex = Ordering.lex(), Ordering.grlex(n)
+    lex_again = Ordering.lex()  # equal to lex, a distinct object
+    assert lex_again == lex and lex_again is not lex
+    for _ in range(40):
+        w = random_element(rng, n, max_terms=5)
+        divisors = [
+            _awkward_scalar(rng) * random_element(rng, n, max_degree=3, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        w = w + random_element(rng, n, max_degree=2, max_terms=2) * divisors[0]
+        plain = _fresh(w)
+        hash_before, repr_before = hash(w), repr(w)
+        for ordering in (lex, grlex, lex_again, lex):
+            assert leading_term(w, ordering) == leading_term(_fresh(w), ordering)
+            mono = max(w.terms, key=ordering.sort_key)
+            assert leading_term(w, ordering) == (mono, w.terms[mono])
+        assert w._memo and plain._memo is None
+        assert w == plain and hash(w) == hash(plain) == hash_before
+        assert repr(w) == repr(plain) == repr_before
+        # one divisor list under two orderings, and back
+        for ordering in (grlex, lex, grlex):
+            _assert_matches_naive(w, divisors, ordering)
+        assert all(f == _fresh(f) and hash(f) == hash(_fresh(f)) for f in divisors)
+
+
+def test_leading_term_memo_releases_orderings():
+    # an ordering whose id is reused after it dies must not see the dead
+    # one's entry, and the memo must not keep orderings alive
+    w = W1.xi(1) + W1.d(1) ** 2
+    for step in range(50):
+        # weight 0 on d1 puts x1 first, weight 1 or 2 puts d1^2 first
+        ordering = Ordering.matrix([(1, step % 3)])
+        expected = Monomial((1,), (0,)) if step % 3 == 0 else Monomial((0,), (2,))
+        assert leading_term(w, ordering).monomial == expected
+        ref = weakref.ref(ordering)
+        del ordering
+        gc.collect()
+        assert ref() is None
+    assert len(w._memo) == 1
+
+
+def test_returned_coefficients_are_fractions():
+    rng = random.Random(20261021)
+
+    def all_fractions(w):
+        return all(type(c) is Fraction for c in w.terms.values())
+
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        a, b = random_monomial(rng, n), random_monomial(rng, n)
+        assert all_fractions(multiply_monomials(a, b))
+        # integer-valued coefficients, so an int could slip through
+        u = WeylElement(n, {m: c.numerator for m, c in random_element(rng, n).terms.items()})
+        v = WeylElement(n, {m: c.numerator for m, c in random_element(rng, n).terms.items()})
+        ordering = random_ordering(rng, n)
+        assert all_fractions(s_pair(u, v, ordering))
+        for w in (u * v + v, WeylElement.zero(n)):
+            result = divide(w, [WeylElement.zero(n), v, 3 * u], ordering)
+            assert all(all_fractions(q) for q in result.quotients)
+            assert all_fractions(result.remainder)
 
 
 _NON_NORMAL_DIVISION = """
@@ -282,3 +392,52 @@ def test_division_invariant_error_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "divide", broken)
     assert cli.main(["div", "--n", "1", "x1*d1", "d1"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_memo_is_safe_to_share_across_threads():
+    # threads filling the memos of shared elements under several orderings
+    # must each get what a fresh element gives
+    rng = random.Random(20261023)
+    n = 2
+    orderings = [Ordering.lex(), Ordering.grlex(n)] + [
+        Ordering.matrix([(1, k, 2, 0)]) for k in range(3)
+    ]
+    cases = []
+    for _ in range(6):
+        divisors = [
+            _awkward_scalar(rng) * random_element(rng, n, max_degree=3, max_terms=3)
+            for _ in range(2)
+        ]
+        w = random_element(rng, n) + random_element(rng, n, max_degree=2) * divisors[0]
+        cases.append((w, divisors))
+    expected = {
+        (c, k): divide(_fresh(w), [_fresh(f) for f in fs], o)
+        for c, (w, fs) in enumerate(cases)
+        for k, o in enumerate(orderings)
+    }
+    failures = []
+
+    def work(seed):
+        order = random.Random(seed)
+        for _ in range(40):
+            c, k = order.randrange(len(cases)), order.randrange(len(orderings))
+            w, divisors = cases[c]
+            ordering = orderings[k]
+            result = divide(w, divisors, ordering)
+            if result != expected[c, k] or leading_term(w, ordering) != leading_term(
+                _fresh(w), ordering
+            ):
+                failures.append((c, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures

@@ -185,3 +185,32 @@ def test_multiply_monomials_leading_term_is_exponent_sum(rng):
         top = max(product.terms, key=ordering.sort_key)
         assert top == a * b
         assert product.terms[top] == 1
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(20261022)
+    for _ in range(30):
+        n = rng.randint(1, 2)
+        w = random_element(rng, n, max_degree=2, max_terms=3)
+        expected = WeylElement.one(n)
+        for exponent in range(9):
+            assert w**exponent == expected
+            expected = expected * w
+
+
+def test_large_power_takes_logarithmically_many_products(monkeypatch):
+    import weylgb.weyl as weyl
+
+    calls = []
+    original = weyl.add_product
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(weyl, "add_product", spy)
+    exponent = 10**6
+    power = W1.xi(1) ** exponent
+    assert power == W1.element({Monomial((exponent,), (0,)): 1})
+    # one product per squaring and per set bit, each of one-term elements
+    assert len(calls) <= 2 * exponent.bit_length()
