@@ -99,12 +99,6 @@ class Ordering:
         return f"Ordering({format_ordering(self)!r})"
 
 
-def lex_compare(a, b):
-    """Pure lex comparison (x block first), independent of any weight rows."""
-    va, vb = a.vector, b.vector
-    return (va > vb) - (va < vb)
-
-
 def agree_on(ord1, ord2, monomials):
     """True iff the two orderings compare every pair from the set identically."""
     monomials = list(monomials)

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .orderings import Ordering
-from .weyl import Monomial, WeylElement
+from .weyl import Monomial, WeylAlgebra, WeylElement
 
 
 class ParseError(ValueError):
@@ -115,10 +115,8 @@ class _Parser:
                 raise ParseError(
                     f"variable {text!r} out of range for dimension {self.n}", pos
                 )
-            exps = tuple(int(j == index - 1) for j in range(self.n))
-            zero = (0,) * self.n
-            mono = Monomial(exps, zero) if text[0] == "x" else Monomial(zero, exps)
-            return WeylElement.from_term(self.n, mono)
+            algebra = WeylAlgebra(self.n)
+            return (algebra.xi if text[0] == "x" else algebra.d)(index)
         if (kind, text) == ("op", "("):
             value = self.expr()
             kind, text, pos = self.advance()

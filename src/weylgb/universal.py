@@ -32,7 +32,7 @@ from functools import lru_cache
 from .division import divide, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities
 from .groebner import buchberger, is_groebner, reduce_basis
-from .orderings import Ordering, _integer_row, lex_compare
+from .orderings import Ordering, _integer_row
 from .weyl import Monomial, combined_support
 
 COVERAGE_FAMILY = "nonnegative weight row + lex tie-break"
@@ -118,7 +118,7 @@ def _below_row(low, high):
     freely).
     """
     diff = tuple(b - a for a, b in zip(low.vector, high.vector))
-    return (diff, 0 if lex_compare(low, high) < 0 else 1)
+    return (diff, 0 if low.vector < high.vector else 1)
 
 
 def realize_restriction(restriction):

@@ -5,9 +5,10 @@ The algebra is generated by x1..xn and d1..dn subject to
     xi*xj = xj*xi,   di*dj = dj*di,   di*xj = xj*di + (1 if i == j else 0).
 
 Every element has a unique canonical form: a finite rational combination of
-normal monomials x^a * d^b (all x factors to the left of all d factors).
-Elements are stored as a mapping from exponent data to nonzero coefficients,
-so structural equality is exactly mathematical equality.
+normal monomials x^a * d^b (all x factors to the left of all d factors).  A
+monomial is one exponent vector, a followed by b; the blocks a and b are views,
+read by the product formula and the text format.  Elements map monomials to
+nonzero coefficients, so structural equality is exactly mathematical equality.
 
 Products are normalized with the closed-form expansion
 
@@ -35,50 +36,61 @@ from functools import lru_cache
 
 
 class Monomial:
-    """Exponent data (x exponents, d exponents) of one normal monomial."""
+    """One normal monomial x^a * d^b, stored as one exponent vector.
 
-    __slots__ = ("xi", "d", "_hash")
+    ``vector`` is a followed by b.  Sort keys, divisibility, lcm and the rows
+    of realization read it; the blocks ``xi`` and ``d`` are read-only views
+    for the product formula and the text format.  Instances are immutable.
+    """
 
-    def __init__(self, xi, d):
+    __slots__ = ("vector", "_hash")
+
+    def __new__(cls, xi, d):
         xi = tuple(xi)
         d = tuple(d)
         if len(xi) != len(d):
             raise ValueError("x and d exponent tuples must have equal length")
         if any(e < 0 for e in xi) or any(e < 0 for e in d):
             raise ValueError("exponents must be nonnegative")
-        self.xi = xi
-        self.d = d
-        self._hash = hash((xi, d))
+        return cls._raw(xi + d)
 
     @classmethod
-    def _raw(cls, xi, d):
-        # trusted constructor: xi and d are already equal-length tuples of
-        # nonnegative ints, derived from validated monomials
+    def _raw(cls, vector):
+        # trusted constructor: vector is a tuple of nonnegative ints of even
+        # length, derived from validated monomials
         self = object.__new__(cls)
-        self.xi = xi
-        self.d = d
-        self._hash = hash((xi, d))
+        _set_vector(self, vector)
+        _set_hash(self, hash(vector))
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Monomial is immutable")
+
+    def __reduce__(self):
+        return (Monomial, (self.xi, self.d))
 
     @classmethod
     def unit(cls, n):
         return cls((0,) * n, (0,) * n)
 
     @property
+    def xi(self):
+        return self.vector[: len(self.vector) // 2]
+
+    @property
+    def d(self):
+        return self.vector[len(self.vector) // 2 :]
+
+    @property
     def dimension(self):
-        return len(self.xi)
+        return len(self.vector) // 2
 
     @property
     def degree(self):
-        return sum(self.xi) + sum(self.d)
-
-    @property
-    def vector(self):
-        """Concatenated exponent vector (x block, then d block)."""
-        return self.xi + self.d
+        return sum(self.vector)
 
     def is_unit(self):
-        return not any(self.xi) and not any(self.d)
+        return not any(self.vector)
 
     def __mul__(self, other):
         """Exponentwise sum: the commutative image of the product.
@@ -87,40 +99,27 @@ class Monomial:
         is exactly this monomial, with coefficient 1.
         """
         _check_dim(self, other)
-        return Monomial._raw(
-            tuple(map(operator.add, self.xi, other.xi)),
-            tuple(map(operator.add, self.d, other.d)),
-        )
+        return Monomial._raw(tuple(map(operator.add, self.vector, other.vector)))
 
     def divides(self, other):
         _check_dim(self, other)
-        return all(map(operator.le, self.xi, other.xi)) and all(
-            map(operator.le, self.d, other.d)
-        )
+        return all(map(operator.le, self.vector, other.vector))
 
     def __truediv__(self, other):
         if not other.divides(self):
             raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial._raw(
-            tuple(map(operator.sub, self.xi, other.xi)),
-            tuple(map(operator.sub, self.d, other.d)),
-        )
+        return Monomial._raw(tuple(map(operator.sub, self.vector, other.vector)))
 
     def lcm(self, other):
         _check_dim(self, other)
-        return Monomial._raw(
-            tuple(map(max, self.xi, other.xi)),
-            tuple(map(max, self.d, other.d)),
-        )
+        return Monomial._raw(tuple(map(max, self.vector, other.vector)))
 
     def sort_key(self):
         """Graded-lex key; fixes the deterministic iteration order."""
-        return (self.degree, self.vector)
+        return (sum(self.vector), self.vector)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Monomial) and self.xi == other.xi and self.d == other.d
-        )
+        return isinstance(other, Monomial) and self.vector == other.vector
 
     def __hash__(self):
         return self._hash
@@ -129,8 +128,13 @@ class Monomial:
         return f"Monomial({self.xi}, {self.d})"
 
 
+# slot writers that bypass the immutability guard, for ``_raw`` only
+_set_vector = Monomial.vector.__set__
+_set_hash = Monomial._hash.__set__
+
+
 def _check_dim(a, b):
-    if len(a.xi) != len(b.xi):
+    if len(a.vector) != len(b.vector):
         raise ValueError(
             f"dimension mismatch: {a.dimension} vs {b.dimension}"
         )
@@ -176,6 +180,10 @@ class WeylElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
+
+    def __reduce__(self):
+        # the memo is left behind: it holds weak references to orderings
+        return (WeylElement._raw, (self.n, self.terms))
 
     @classmethod
     def zero(cls, n):
@@ -318,18 +326,18 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
     """
     _check_dim(a, b)
     n = a.dimension
-    if not any(map(min, a.d, b.xi)):
-        return WeylElement._raw(n, {a * b: _ONE})
-    caps = [min(mu, rho) for mu, rho in zip(a.d, b.xi)]
+    a_d, b_x = a.d, b.xi
+    top = a * b
+    if not any(map(min, a_d, b_x)):
+        return WeylElement._raw(n, {top: _ONE})
+    caps = [min(mu, rho) for mu, rho in zip(a_d, b_x)]
     terms = {}
     for k in itertools.product(*(range(c + 1) for c in caps)):
         coeff = 1
-        for mu, rho, ki in zip(a.d, b.xi, k):
+        for mu, rho, ki in zip(a_d, b_x, k):
             coeff *= math.comb(mu, ki) * math.comb(rho, ki) * math.factorial(ki)
-        mono = Monomial._raw(
-            tuple(la + rho - ki for la, rho, ki in zip(a.xi, b.xi, k)),
-            tuple(mu + sig - ki for mu, sig, ki in zip(a.d, b.d, k)),
-        )
+        # x^(a.xi + b.xi - k) * d^(a.d + b.d - k)
+        mono = Monomial._raw(tuple(map(operator.sub, top.vector, k + k)))
         terms[mono] = _ONE if coeff == 1 else Fraction(coeff)
     return WeylElement._raw(n, terms)
 
@@ -379,15 +387,11 @@ class WeylAlgebra:
 
     def xi(self, i):
         """The generator x_i, 1-based."""
-        self._check_index(i)
-        exps = tuple(1 if j == i - 1 else 0 for j in range(self.n))
-        return WeylElement.from_term(self.n, Monomial(exps, (0,) * self.n))
+        return self._generator(i, 0)
 
     def d(self, i):
         """The generator d_i, 1-based."""
-        self._check_index(i)
-        exps = tuple(1 if j == i - 1 else 0 for j in range(self.n))
-        return WeylElement.from_term(self.n, Monomial((0,) * self.n, exps))
+        return self._generator(i, self.n)
 
     def one(self):
         return WeylElement.one(self.n)
@@ -398,9 +402,12 @@ class WeylAlgebra:
     def element(self, mapping):
         return WeylElement(self.n, mapping)
 
-    def _check_index(self, i):
+    def _generator(self, i, offset):
+        # the unit vector at x_i (offset 0) or d_i (offset n)
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
+        vector = tuple(int(j == offset + i - 1) for j in range(2 * self.n))
+        return WeylElement.from_term(self.n, Monomial._raw(vector))
 
     def __repr__(self):
         return f"WeylAlgebra(n={self.n})"

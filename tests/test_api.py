@@ -20,18 +20,34 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-def test_trace_patch_points_resolve():
-    # perfbench's trace run wraps these module attributes; a name dropped
-    # from a module would make that run fail with AttributeError
-    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    tree = ast.parse(spans.read_text(), filename=str(spans))
-    points = next(
+def _perfbench_constant(filename, name):
+    """A literal module constant of perfbench, read without importing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / filename
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "PATCH_POINTS" for t in node.targets)
+        and any(getattr(t, "id", None) == name for t in node.targets)
     )
+
+
+def test_trace_patch_points_resolve():
+    # perfbench's trace run wraps these module attributes; a name dropped
+    # from a module would make that run fail with AttributeError
+    points = _perfbench_constant("spans.py", "PATCH_POINTS")
     assert points
     for module, attr in points:
         mod = importlib.import_module(f"weylgb.{module}")
         assert callable(getattr(mod, attr, None)), f"weylgb.{module}.{attr}"
+
+
+def test_bench_cold_caches_resolve():
+    # perfbench clears these caches before every solve; one that is dropped
+    # or is no longer an lru_cache would make every benchmark run exit 2
+    caches = _perfbench_constant("run.py", "COLD_CACHES")
+    assert caches
+    for module, attr in caches:
+        fn = getattr(importlib.import_module(f"weylgb.{module}"), attr, None)
+        assert callable(getattr(fn, "cache_clear", None)), f"weylgb.{module}.{attr}"
+        assert callable(getattr(fn, "cache_info", None)), f"weylgb.{module}.{attr}"

@@ -1,10 +1,20 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylgb import Monomial, WeylAlgebra, WeylElement, combined_support, multiply_monomials
-from conftest import random_element
+from weylgb import (
+    Monomial,
+    Ordering,
+    WeylAlgebra,
+    WeylElement,
+    combined_support,
+    leading_term,
+    multiply_monomials,
+)
+from conftest import random_element, random_monomial
 from oracles import brute_element_product, brute_monomial_product
 
 
@@ -165,6 +175,81 @@ def test_elements_are_immutable():
         w.n = 2
 
 
+def test_monomials_are_immutable():
+    m = Monomial((1,), (0,))
+    for name in ("vector", "xi", "d", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, (5,))
+    # a write that went through would leave == and hash disagreeing
+    assert m.vector == (1, 0)
+    assert m != Monomial((5,), (0,))
+    assert hash(m) == hash(Monomial((1,), (0,)))
+
+
+def _pickle_round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, _pickle_round_trip], ids=["copy", "deepcopy", "pickle"]
+)
+def test_values_copy_and_pickle(clone):
+    m = Monomial((1, 0), (2, 3))
+    m2 = clone(m)
+    assert m2 == m and hash(m2) == hash(m)
+    w = W2.xi(1) * W2.d(2) + Fraction(3, 2) * W2.d(1) ** 2
+    lex = Ordering.lex()
+    lead = leading_term(w, lex)
+    assert w._memo is not None
+    w2 = clone(w)
+    assert w2 == w and hash(w2) == hash(w) and repr(w2) == repr(w)
+    assert w2._memo is None
+    assert leading_term(w2, lex) == lead
+
+
+def test_monomial_vector_matches_blockwise_definitions():
+    # each operation on the stored vector equals its definition on the x and
+    # d blocks, written out here
+    rng = random.Random(20261101)
+
+    def blocks(op, a, b):
+        return Monomial(tuple(map(op, a.xi, b.xi)), tuple(map(op, a.d, b.d)))
+
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        a = random_monomial(rng, n)
+        b = random_monomial(rng, n)
+        for m in (a, b):
+            assert m.vector == m.xi + m.d
+            assert len(m.xi) == len(m.d) == m.dimension == n
+            raw = Monomial._raw(m.vector)
+            assert Monomial(m.xi, m.d) == raw and hash(Monomial(m.xi, m.d)) == hash(raw)
+            assert m.degree == sum(m.xi) + sum(m.d)
+            assert m.sort_key() == (sum(m.xi) + sum(m.d), m.xi + m.d)
+            assert m.is_unit() == (not any(m.xi) and not any(m.d))
+        assert a * b == blocks(lambda u, v: u + v, a, b)
+        assert a.lcm(b) == blocks(max, a, b)
+        divides = all(u <= v for u, v in zip(b.xi, a.xi)) and all(
+            u <= v for u, v in zip(b.d, a.d)
+        )
+        assert b.divides(a) == divides
+        if divides:
+            assert a / b == blocks(lambda u, v: u - v, a, b)
+        else:
+            with pytest.raises(ValueError):
+                a / b
+
+
+def test_product_matches_brute_force_at_three_variables():
+    # acceptance criterion 01 covers n <= 2; at degree <= 6, about a third
+    # of these pairs need the expansion, some in two variables at once
+    rng = random.Random(20261102)
+    for _ in range(300):
+        a = random_monomial(rng, 3, max_degree=6)
+        b = random_monomial(rng, 3, max_degree=6)
+        assert multiply_monomials(a, b) == brute_monomial_product(a, b)
+
+
 def test_scalar_arithmetic():
     x = W1.xi(1)
     assert Fraction(1, 2) * x == x * Fraction(1, 2)
@@ -174,7 +259,7 @@ def test_scalar_arithmetic():
 
 def test_multiply_monomials_leading_term_is_exponent_sum(rng):
     # top term of a monomial product is the exponent sum with coefficient 1
-    from conftest import random_monomial, random_ordering
+    from conftest import random_ordering
 
     for _ in range(60):
         n = rng.randint(1, 3)
