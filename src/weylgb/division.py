@@ -30,11 +30,11 @@ entry per step.  Every leading monomial popped must lie strictly below the
 previous one, or ``DivisionInvariantError`` is raised; a leading term that a
 step failed to cancel goes back on the heap, so the next pop raises.
 
-An element's leading term under an ordering, and its integer form F once it
-serves as a divisor, are computed once and kept in a private memo on the
-element, keyed by the ordering object's identity.  The memo is freed with
-the element, does not keep the ordering alive, and plays no part in ``==``,
-``hash`` or ``repr``.
+An element's leading term under the ordering it was last asked about, and
+its integer form F once it serves as a divisor, are kept in a private
+one-entry memo on the element; a call under another ordering replaces the
+entry.  The memo is freed with the element, does not keep the ordering
+alive, and plays no part in ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -58,25 +58,18 @@ def _prepared(w, ordering):
     """w's memo entry for the ordering: [weak reference to the ordering,
     leading term, None or the divisor form].
 
-    Entries are keyed by the ordering's identity.  The weak reference tells
-    a live ordering from a dead one whose id was reused, and does not keep
-    the ordering, or its key cache, alive; dead entries are dropped when a
-    new one is stored.
+    An element keeps one entry, for the ordering it was last asked about; a
+    call under another ordering replaces it.  The weak reference tells a
+    live ordering from a dead one whose id was reused, and does not keep the
+    ordering, or its key cache, alive.
     """
     if not w:
         raise ValueError("the zero element has no leading term")
-    memo = w._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(w, "_memo", memo)
-    entry = memo.get(id(ordering))
+    entry = w._memo
     if entry is None or entry[0]() is not ordering:
-        for key, old in list(memo.items()):
-            if old[0]() is None:
-                memo.pop(key, None)
         mono = max(w.terms, key=ordering.sort_key)
         entry = [weakref.ref(ordering), LeadingTerm(mono, w.terms[mono]), None]
-        memo[id(ordering)] = entry
+        object.__setattr__(w, "_memo", entry)
     return entry
 
 

@@ -48,7 +48,7 @@ class SupportCapExceeded(Exception):
     """
 
     def __init__(self, size, cap, context=""):
-        super().__init__()
+        super().__init__(size, cap, context)
         self.size = size
         self.cap = cap
         self.context = context
@@ -72,7 +72,7 @@ class SaturationLimitExceeded(Exception):
     """
 
     def __init__(self, rounds, partial_basis):
-        super().__init__()
+        super().__init__(rounds, partial_basis)
         self.rounds = rounds
         self.partial_basis = tuple(partial_basis)
 
@@ -126,7 +126,7 @@ def realize_restriction(restriction):
 
     The witness is verified before being returned: the chain's sort keys
     under the induced ordering must be strictly increasing, which pins down
-    every pairwise comparison.  Results are cached.
+    every pairwise comparison.
     """
     monos = restriction.monomials
     if not monos:
@@ -134,11 +134,9 @@ def realize_restriction(restriction):
     return _realize_cached(monos, ())
 
 
-# Sized by measurement: over the benchmark's ugb and cert passes, with the
-# cache cleared before each solve, one solve holds at most 1,236 entries (cert
-# on the xd3 and cyc3 bases); enumeration asks for each (prefix, rest) once,
-# so those passes make no hits and a larger bound would only hold memory.
-@lru_cache(maxsize=2048)
+# No memo: enumeration asks for each (prefix, rest) once.  The lru_cache
+# wrapper stays because perfbench clears this function by name.
+@lru_cache(maxsize=0)
 def _realize_cached(monos, rest):
     """Realize the chain ``monos`` with its last monomial below all of ``rest``.
 

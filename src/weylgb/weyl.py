@@ -66,6 +66,9 @@ class Monomial:
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Monomial is immutable")
+
     def __reduce__(self):
         return (Monomial, (self.xi, self.d))
 
@@ -146,9 +149,9 @@ class WeylElement:
     ``terms`` maps Monomial to nonzero Fraction; the zero element is the
     empty map.  Instances are never mutated after construction; all
     arithmetic returns fresh objects, so values are safe to share.  The one
-    exception is ``_memo``, where ``division`` keeps leading terms per
-    ordering: it only caches what the terms determine, and ``==``, ``hash``
-    and ``repr`` ignore it.
+    exception is ``_memo``, where ``division`` keeps the leading term under
+    the ordering it was last asked about: it only caches what the terms
+    determine, and ``==``, ``hash`` and ``repr`` ignore it.
     """
 
     __slots__ = ("n", "terms", "_memo")
@@ -181,8 +184,11 @@ class WeylElement:
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("WeylElement is immutable")
+
     def __reduce__(self):
-        # the memo is left behind: it holds weak references to orderings
+        # the memo is left behind: it holds a weak reference to an ordering
         return (WeylElement._raw, (self.n, self.terms))
 
     @classmethod

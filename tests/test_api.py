@@ -51,3 +51,21 @@ def test_bench_cold_caches_resolve():
         fn = getattr(importlib.import_module(f"weylgb.{module}"), attr, None)
         assert callable(getattr(fn, "cache_clear", None)), f"weylgb.{module}.{attr}"
         assert callable(getattr(fn, "cache_info", None)), f"weylgb.{module}.{attr}"
+
+
+def test_every_cache_is_cleared_by_the_bench():
+    # a cache missing from COLD_CACHES would stay warm across the bench's
+    # solves, so its timings would not be cold
+    cold = set(_perfbench_constant("run.py", "COLD_CACHES"))
+    cached = set()
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name in ("lru_cache", "cache"):
+                        cached.add((path.stem, node.name))
+    assert cached, "no cache found; the search is broken"
+    assert cached <= cold, sorted(cached - cold)

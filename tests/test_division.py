@@ -286,7 +286,9 @@ def test_leading_term_memo_releases_orderings():
         del ordering
         gc.collect()
         assert ref() is None
-    assert len(w._memo) == 1
+    assert w._memo[0]() is None
+    fresh = Ordering.matrix([(1, 0)])
+    assert leading_term(w, fresh).monomial == Monomial((1,), (0,))
 
 
 def test_returned_coefficients_are_fractions():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -200,6 +202,13 @@ def test_enumeration_work_is_output_sensitive(monkeypatch, n, k, cones, feasible
     assert (outcomes.count(False), len(outcomes)) == (feasible, solves)
 
 
+def test_realization_keeps_no_memo():
+    # each (prefix, rest) is realized once per enumeration, so a memo would
+    # only hold memory
+    assert len(enumerate_restrictions(_seeded_support(2, 7), max_support=10)) == 52
+    assert universal._realize_cached.cache_info().currsize == 0
+
+
 def test_enumerate_respects_cap():
     support = _degree_pool(1, 3)  # 10 monomials
     with pytest.raises(SupportCapExceeded):
@@ -353,6 +362,33 @@ def test_saturation_limit_is_a_refusal_with_partial_basis():
         "x2^2 - x1",
     ]
     assert "after 1 rounds" in str(info.value)
+
+
+def _refusals():
+    gens = [W2.xi(1) ** 2 - W2.xi(2), W2.xi(1) * W2.xi(2) - W2.one()]
+    out = [SupportCapExceeded(12, 9)]
+    # raised mid-run, with context and partial_basis set after construction
+    for kwargs, kind in (({"max_support": 3}, SupportCapExceeded), ({"max_rounds": 1}, SaturationLimitExceeded)):
+        with pytest.raises(kind) as info:
+            universal_groebner(gens, **kwargs)
+        out.append(info.value)
+    return out
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_refusals_survive_copy_and_pickle(clone):
+    refusals = _refusals()
+    assert refusals[1].context.startswith("saturation round 1")
+    assert refusals[1].partial_basis and refusals[2].partial_basis
+    for exc in refusals:
+        twin = clone(exc)
+        assert type(twin) is type(exc) and str(twin) == str(exc)
+        for name in ("size", "cap", "context", "partial_basis", "rounds"):
+            assert getattr(twin, name, None) == getattr(exc, name, None), name
 
 
 def test_universal_rejects_zero_ideal():

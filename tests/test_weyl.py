@@ -173,6 +173,12 @@ def test_elements_are_immutable():
     w = W1.xi(1)
     with pytest.raises(AttributeError):
         w.n = 2
+    leading_term(w, Ordering.lex())
+    for name in ("n", "terms", "_memo"):
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    # a deletion that went through would break ==, hash and bool
+    assert w == W1.xi(1) and hash(w) == hash(W1.xi(1)) and w
 
 
 def test_monomials_are_immutable():
@@ -180,6 +186,8 @@ def test_monomials_are_immutable():
     for name in ("vector", "xi", "d", "_hash"):
         with pytest.raises(AttributeError):
             setattr(m, name, (5,))
+        with pytest.raises(AttributeError):
+            delattr(m, name)
     # a write that went through would leave == and hash disagreeing
     assert m.vector == (1, 0)
     assert m != Monomial((5,), (0,))
@@ -286,6 +294,8 @@ def test_power_matches_repeated_products():
 def test_large_power_takes_logarithmically_many_products(monkeypatch):
     import weylgb.weyl as weyl
 
+    # a small power first, so a wrong product formula fails here quickly
+    assert W1.xi(1) ** 64 == W1.element({Monomial((64,), (0,)): 1})
     calls = []
     original = weyl.add_product
 
