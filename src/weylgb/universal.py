@@ -6,12 +6,17 @@ Groebner property transfers between them.  So it suffices to enumerate the
 total orders ("restrictions") on Supp(B) that are realizable by an ordering
 of the engine's weight family - one nonnegative weight row plus the lex
 tie-break - and to run the S-pair criterion once per marking, the tuple of
-leading monomials the basis has under a realized cone.
+leading monomials the basis has under a realized cone.  Cones are decided as
+the search finds them, and certification stops at the first failing one, so
+a counterexample costs only the cones before it.
 
 Realization is exact: the strict inequalities a weight row must satisfy are
 solved by Fourier-Motzkin elimination over the rationals, with a slack of 1
 standing in for strictness.  Unrealizable chains come back with a Farkas
-certificate.  The saturation loop grows a candidate basis with Groebner
+certificate.  The search solves only where it must: a feasible prefix's
+weight row orders the whole support, so the next monomial it puts lowest is
+placed without a solve, and only a cone's own chain is always solved, since
+its solution is the witness that is printed.  The saturation loop grows a candidate basis with Groebner
 bases recomputed under every counterexample ordering until certification
 succeeds; each round strictly enlarges the basis, and finitely many support
 behaviors exist, so the loop terminates.
@@ -55,8 +60,9 @@ class SupportCapExceeded(Exception):
         self.partial_basis = None
 
     def __str__(self):
+        noun = "monomial" if self.size == 1 else "monomials"
         msg = (
-            f"support has {self.size} monomials, above the enumeration cap "
+            f"support has {self.size} {noun}, above the enumeration cap "
             f"{self.cap}; raise max_support to force the computation"
         )
         if self.context:
@@ -131,44 +137,47 @@ def realize_restriction(restriction):
     monos = restriction.monomials
     if not monos:
         raise ValueError("empty restriction")
-    return _realize_cached(monos, ())
+    return _realize_cached(monos)
 
 
-# No memo: enumeration asks for each (prefix, rest) once.  The lru_cache
-# wrapper stays because perfbench clears this function by name.
+# No memo: nothing asks for the same chain twice.  The lru_cache wrapper
+# stays because perfbench clears this function by name.
 @lru_cache(maxsize=0)
-def _realize_cached(monos, rest):
-    """Realize the chain ``monos`` with its last monomial below all of ``rest``.
-
-    With one monomial in ``rest`` the rows are exactly those of the chain
-    ``monos + rest``, in the same order, so the witness is that chain's.  The
-    witness is checked without building its ``Ordering``: with the weights
-    scaled to an int row w, the keys (w . m, m) compare exactly as the
-    ordering's sort keys do.  The chain's keys must increase, the last must
-    be below the key of every monomial in ``rest``, and every weight must be
-    nonnegative, which ``Ordering`` requires of a weight row.
-    """
+def _realize_cached(monos):
+    """Realize the chain ``monos``; its rows are those of its adjacent pairs."""
     num_vars = 2 * monos[0].dimension
     rows = [_below_row(low, high) for low, high in zip(monos, monos[1:])]
-    rows += [_below_row(monos[-1], r) for r in rest]
     outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):
         return outcome
-    row = _integer_row(outcome)
-    if any(w < 0 for w in row):
-        raise AssertionError("witness has a negative weight; solver bug")
-
-    def key(m):
-        return (sum(map(operator.mul, row, m.vector)), m.vector)
-
-    keys = [key(m) for m in monos]
-    top = keys[-1]
-    if any(a >= b for a, b in zip(keys, keys[1:])) or any(top >= key(r) for r in rest):
-        raise AssertionError("witness failed to reproduce its restriction; solver bug")
+    _witness_keys(outcome, [m.vector for m in monos], range(len(monos)), ())
     return WeightWitness(outcome)
 
 
-def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP):
+def _witness_keys(weights, vectors, chain, rest):
+    """Sort keys of ``vectors`` under a solver's weights, checked against its system.
+
+    ``chain`` and ``rest`` index into ``vectors``.  With the weights scaled to
+    an int row w, the keys (w . v, v) compare exactly as the ordering's sort
+    keys do, so the witness is checked without building its ``Ordering``:
+    every weight must be nonnegative, which ``Ordering`` requires of a weight
+    row, the chain's keys must increase, and its last key must be below the
+    key of every index in ``rest``.  The checks raise AssertionError
+    themselves, so they run under ``python -O`` too.
+    """
+    row = _integer_row(weights)
+    if any(w < 0 for w in row):
+        raise AssertionError("witness has a negative weight; solver bug")
+    keys = [(sum(map(operator.mul, row, v)), v) for v in vectors]
+    top = keys[chain[-1]]
+    if any(keys[a] >= keys[b] for a, b in zip(chain, chain[1:])) or any(
+        top >= keys[r] for r in rest
+    ):
+        raise AssertionError("witness failed to reproduce its restriction; solver bug")
+    return keys
+
+
+def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=None):
     """All realizable total orders on the support, with witnesses.
 
     Depth-first search that keeps only prefixes extending to a realizable
@@ -180,35 +189,73 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP):
     be placed is skipped without a solve, since every ordering of the family
     puts it above its divisors.  When one monomial remains, the prefix's
     system is that full chain's, row for row, so its solution is the cone's
-    witness and the leaf needs no solve of its own.  Over a support of k >= 2
+    witness and the leaf needs no solve of its own.
+
+    A kept prefix's witness also orders the monomials still to be placed, and
+    placing the smallest of them next keeps every row it met, so that child
+    is feasible without a solve and inherits the witness, at every depth.
+    Only the last placement (one or no monomial left) always solves, since
+    its solution is the witness that is returned.  Over a support of k >= 2
     monomials this makes at most (k - 1) feasible solves per cone and at most
     k * (k - 1) solves per cone in all.
 
-    The result is identical to filtering all permutations (the naive oracle
-    in the test suite), witnesses included, and is returned in a
-    deterministic order.
+    The support is sorted and indexed once; the search runs on indices, a
+    bitmask of the monomials still to be placed, a table of the pairwise rows
+    and one divisor bitmask per monomial.  Each system holds the same rows in
+    the same order as the chain it stands for, so the result is identical to
+    filtering all permutations (the naive oracle in the test suite),
+    witnesses included, and is returned in a deterministic order.
+
+    ``_until`` is called on each cone as it is found; the search stops, and
+    the list ends, at the first cone for which it returns true.
     """
     support = _sorted_support(support)
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
+    vectors = [m.vector for m in support]
+    num_vars = len(vectors[0])
+    nonneg = nonneg_rows(num_vars)
+    below = [[_below_row(low, high) for high in support] for low in support]
+    divisors = [
+        sum(1 << j for j, d in enumerate(support) if j != i and d.divides(m))
+        for i, m in enumerate(support)
+    ]
     out = []
 
-    def extend(prefix, remaining):
-        for idx, mono in enumerate(remaining):
-            rest = remaining[:idx] + remaining[idx + 1 :]
+    def extend(prefix, chain, free, keys):
+        # prefix: indices placed so far; chain: their adjacent-pair rows;
+        # free: indices still to be placed, ascending; keys: a witness's
+        # sort keys of the whole support, or None
+        inherited = None if keys is None else min(free, key=keys.__getitem__)
+        mask = sum(1 << i for i in free)
+        for i in free:
             # every ordering of the family puts a monomial above its divisors
-            if any(r.divides(mono) for r in rest):
+            if divisors[i] & mask:
                 continue
-            prefix.append(mono)
-            candidate = _realize_cached(tuple(prefix), rest)
-            if isinstance(candidate, WeightWitness):
-                if len(rest) <= 1:
-                    out.append((Restriction(tuple(prefix) + rest), candidate))
-                else:
-                    extend(prefix, rest)
+            rest = [j for j in free if j != i]
+            link = chain + [below[prefix[-1]][i]] if prefix else chain
+            prefix.append(i)
+            if i == inherited and len(rest) > 1:
+                if extend(prefix, link, rest, keys):
+                    return True
+            else:
+                outcome = solve_inequalities(
+                    link + [below[i][j] for j in rest] + nonneg, num_vars
+                )
+                if not isinstance(outcome, Infeasible):
+                    child_keys = _witness_keys(outcome, vectors, prefix, rest)
+                    if len(rest) <= 1:
+                        chain_monos = tuple(support[j] for j in prefix + rest)
+                        cone = (Restriction(chain_monos), WeightWitness(outcome))
+                        out.append(cone)
+                        if _until is not None and _until(*cone):
+                            return True
+                    elif extend(prefix, link, rest, child_keys):
+                        return True
             prefix.pop()
+        return False
 
-    extend([], tuple(support))
+    extend([], [], list(range(len(support))), None)
     return out
 
 
@@ -257,7 +304,9 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP):
     monomials of the marking span the quotient, so whether the elements form
     a Groebner basis depends on the marking alone, and every cone sharing a
     marking shares the verdict.  Cones come out in the sort-key order of
-    their chains, the order in which the search visits them.
+    their chains, the order in which the search visits them.  Each cone is
+    decided as the search finds it, and the search stops at the first
+    failing one, so the cones after a counterexample are never realized.
     """
     elements = list(elements)
     if not elements or any(not e for e in elements):
@@ -266,9 +315,9 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP):
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support, "certification support")
 
-    cones = []
     verdicts = {}  # marking -> verdict; a marking recurs across many cones
-    for restriction, witness in enumerate_restrictions(support, max_support):
+
+    def fails(restriction, witness):
         # the witness ordering reproduces the chain on the support, so each
         # element's leading monomial is its support monomial ranked highest
         rank = {m: i for i, m in enumerate(restriction.monomials)}.__getitem__
@@ -276,12 +325,16 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP):
         ok = verdicts.get(marking)
         if ok is None:
             ok = verdicts[marking] = is_groebner(elements, witness.ordering())
-        if not ok:
-            return CounterexampleOrdering(restriction, witness)
-        cones.append(Cone(restriction, witness, "passed"))
+        return not ok
 
+    found = enumerate_restrictions(support, max_support, _until=fails)
+    # the search stops at the first failing cone, so only the last can fail;
+    # asking again reads its verdict back from the memo
+    if fails(*found[-1]):
+        return CounterexampleOrdering(*found[-1])
+    cones = tuple(Cone(restriction, witness, "passed") for restriction, witness in found)
     basis = tuple(sorted(elements, key=_element_key, reverse=True))
-    return UniversalCertificate(basis, tuple(cones), support)
+    return UniversalCertificate(basis, cones, support)
 
 
 def universal_groebner(

@@ -149,6 +149,18 @@ def test_negative_support_cap_is_usage_error(capsys):
     assert err.startswith("refused: ")
 
 
+def test_refusal_counts_one_monomial_in_the_singular(capsys):
+    status, out, err = run(capsys, ["ugb", "--n", "1", "--max-support", "0", "x1"])
+    assert (status, out) == (2, "")
+    assert err == (
+        "refused: support has 1 monomial, above the enumeration cap 0; raise "
+        "max_support to force the computation (saturation round 1, basis size 1)\n"
+    )
+    status, _, err = run(capsys, ["cert", "--n", "1", "--max-support", "1", "x1 + d1"])
+    assert status == 2
+    assert err.startswith("refused: support has 2 monomials, above the enumeration cap 1;")
+
+
 def test_saturation_limit_is_refusal(capsys, monkeypatch):
     # the CLI has no round flag; lower the library default instead
     monkeypatch.setattr(

@@ -82,17 +82,23 @@ def test_bad_witness_is_a_solver_bug(monkeypatch, weights):
     try:
         with pytest.raises(AssertionError, match="solver bug"):
             realize_restriction(Restriction((X1, D1)))
+        with pytest.raises(AssertionError, match="solver bug"):
+            enumerate_restrictions([X1, D1])
     finally:
         universal._realize_cached.cache_clear()
 
 
 _BAD_WITNESS = """
 from fractions import Fraction
-from weylgb import Monomial, Restriction, realize_restriction, universal
+from weylgb import Monomial, Restriction, enumerate_restrictions, realize_restriction, universal
 
 universal.solve_inequalities = lambda rows, num_vars: (Fraction(1), Fraction(0))
 try:
     realize_restriction(Restriction((Monomial((1,), (0,)), Monomial((0,), (1,)))))
+except AssertionError as exc:
+    print("raised:", exc)
+try:
+    enumerate_restrictions([Monomial((1,), (0,)), Monomial((0,), (1,))])
 except AssertionError as exc:
     print("raised:", exc)
 """
@@ -106,7 +112,9 @@ def test_witness_check_survives_optimize():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.startswith("raised:")
+    assert result.stdout.splitlines() == [
+        "raised: witness failed to reproduce its restriction; solver bug"
+    ] * 2
 
 
 def test_witnesses_reproduce_their_restriction(rng):
@@ -160,6 +168,22 @@ def test_enumerate_pruned_equals_naive(rng):
         assert [w for _, w in pruned] == [w for _, w in naive]
 
 
+@pytest.mark.parametrize("n, max_degree", [(1, 6), (2, 3), (3, 2)])
+def test_enumerate_matches_naive_across_sizes(n, max_degree):
+    # two supports of every size 1..7; from size 4 on, witnesses are
+    # inherited below the first level, and every leaf witness must still be
+    # the one its chain's own solve gives
+    pool = _degree_pool(n, max_degree)
+    rng = random.Random(f"naive-{n}")
+    for size in range(1, 8):
+        for _ in range(2):
+            support = rng.sample(pool, size)
+            pruned = enumerate_restrictions(support)
+            naive = enumerate_restrictions_naive(support)
+            assert [r.monomials for r, _ in pruned] == [r.monomials for r, _ in naive]
+            assert [w for _, w in pruned] == [w for _, w in naive]
+
+
 def _degree_pool(n, max_degree):
     from weylgb import monomials_up_to_degree
 
@@ -174,17 +198,21 @@ def _seeded_support(n, k):
 @pytest.mark.parametrize(
     "n, k, cones, feasible, solves",
     [
-        (1, 9, 6, 35, 60),
-        (1, 10, 8, 58, 130),
-        (2, 7, 52, 108, 124),
-        (2, 8, 116, 286, 418),
+        (1, 9, 6, 12, 37),
+        (1, 10, 8, 16, 88),
+        (2, 7, 52, 85, 101),
+        (2, 8, 116, 195, 327),
     ],
 )
 def test_enumeration_work_is_output_sensitive(monkeypatch, n, k, cones, feasible, solves):
     # every kept prefix extends to a cone and the last prefix's solve is the
-    # cone's, so feasible solves are at most (k - 1) per cone; a search that
-    # checks each prefix only against itself takes 6,700, 22,246, 2,027 and
-    # 8,840 solves on these supports
+    # cone's, so feasible solves are at most (k - 1) per cone.  A kept
+    # prefix's witness orders the whole support, so the smallest monomial
+    # still to be placed under it is placed next without a solve, at every
+    # depth but the last; solving every kept prefix takes (35, 60), (58, 130),
+    # (108, 124) and (286, 418) on these supports, the same infeasible solves
+    # and more feasible ones.  A search that checks each prefix only against
+    # itself takes 6,700, 22,246, 2,027 and 8,840 solves
     real = universal.solve_inequalities
     outcomes = []
 
@@ -203,9 +231,10 @@ def test_enumeration_work_is_output_sensitive(monkeypatch, n, k, cones, feasible
 
 
 def test_realization_keeps_no_memo():
-    # each (prefix, rest) is realized once per enumeration, so a memo would
-    # only hold memory
-    assert len(enumerate_restrictions(_seeded_support(2, 7), max_support=10)) == 52
+    # nothing asks for the same chain twice, so a memo would only hold memory
+    found = enumerate_restrictions(_seeded_support(2, 7), max_support=10)
+    assert len(found) == 52
+    assert [realize_restriction(r) for r, _ in found] == [w for _, w in found]
     assert universal._realize_cached.cache_info().currsize == 0
 
 
@@ -257,6 +286,64 @@ def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
         assert len(outcome.cones) == len(cones)
         seen = cones
     assert len(calls) == len({cone[2] for cone in seen})
+
+
+# The literal bases of the cert benchmark, with the cones the lazy search
+# enumerates and the cones of the whole support.
+CERT_BASES = [
+    ("xd3", 3, ("x1-d1^2", "x2-d2^2", "x3-d3^2"), 720, 720),
+    ("ugb_sat1", 2, ("x1^3-1", "x2^3-1", "x1^2-x2", "x1*x2-1", "x2^2-x1"), 8, 8),
+    ("ugb_sat2", 2, ("x1^3-1", "d2^3-1", "x1^2-d2", "x1*d2-1", "d2^2-x1"), 8, 8),
+    (
+        "ugb_sat3",
+        2,
+        ("x1^3-x1-1", "x2^3-2*x2^2+x2-1", "x1^2-x2", "x1*x2-x1-1", "x2^2-x1-x2"),
+        8,
+        8,
+    ),
+    ("cyc3", 3, ("x1+d2", "x2+d3", "x3+d1"), 1, 720),
+    ("grlex_sat1", 2, ("x1^2-x2", "x1*x2-1", "x2^2-x1"), 2, 4),
+    ("grlex_sat2", 2, ("x1^2-d2", "x1*d2-1", "d2^2-x1"), 2, 4),
+    ("grlex_sat3", 2, ("x1^2-x2", "x1*x2-x1-1", "x2^2-x1-x2"), 2, 4),
+    ("bessel", 2, ("d1^2+d2^2-1", "x1*d2-x2*d1"), 2, 24),
+    ("grlex_sat4", 2, ("x1^2-x2", "x2^2-x1"), 2, 4),
+    ("grlex_sat5", 2, ("x2^2+1", "x1+x2"), 3, 3),
+    ("ugb_sat6", 2, ("x1+d2", "x2+d1"), 24, 24),
+    ("xd2", 2, ("x1-d1^2", "x2-d2^2"), 24, 24),
+    ("ugb_sat5", 2, ("x1^2+1", "x2^2+1", "x1+x2"), 4, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "n, texts, lazy, eager", [case[1:] for case in CERT_BASES], ids=[case[0] for case in CERT_BASES]
+)
+def test_lazy_certification_matches_eager(monkeypatch, n, texts, lazy, eager):
+    elements = [parse_element(t, n) for t in texts]
+    cones = enumerate_restrictions(combined_support(elements))
+    assert len(cones) == eager
+    verdicts = [is_groebner(elements, witness.ordering()) for _, witness in cones]
+
+    # the search is reached through the module global, as perfbench's trace
+    # run counts rounds and cones by wrapping it
+    searched = []
+    real = universal.enumerate_restrictions
+
+    def counting(*args, **kwargs):
+        searched.append(real(*args, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(universal, "enumerate_restrictions", counting)
+    outcome = certify_universal(elements)
+    assert [len(found) for found in searched] == [lazy]
+    assert searched[0] == cones[:lazy]
+    if all(verdicts):
+        assert isinstance(outcome, UniversalCertificate)
+        assert [(c.restriction, c.witness) for c in outcome.cones] == cones
+    else:
+        first = cones[verdicts.index(False)]
+        assert isinstance(outcome, CounterexampleOrdering)
+        assert (outcome.restriction, outcome.witness) == first
+        assert first == searched[0][-1]
 
 
 def test_certify_binomial_basis():
