@@ -290,7 +290,7 @@ def cmd_cmp(args):
     monos = []
     for text in texts:
         element = parse_element(text, n)
-        if len(element.terms) != 1:
+        if len(element.terms) != 1 or 1 not in element.terms.values():
             raise UsageError(f"cmp expects single monomials, got {text!r}")
         monos.append(next(iter(element.terms)))
     sign = ordering.compare(monos[0], monos[1])

@@ -13,13 +13,19 @@ a counterexample costs only the cones before it.
 Realization is exact: the strict inequalities a weight row must satisfy are
 solved by Fourier-Motzkin elimination over the rationals, with a slack of 1
 standing in for strictness.  Unrealizable chains come back with a Farkas
-certificate.  The search solves only where it must: a feasible prefix's
-weight row orders the whole support, so the next monomial it puts lowest is
-placed without a solve, and only a cone's own chain is always solved, since
-its solution is the witness that is printed.  The saturation loop grows a candidate basis with Groebner
-bases recomputed under every counterexample ordering until certification
-succeeds; each round strictly enlarges the basis, and finitely many support
-behaviors exist, so the loop terminates.
+certificate.  The search solves only where it must.  Every system it poses
+includes the nonnegativity rows, so the solver returns the system's
+lexicographic minimum, and a child's system narrows its parent's; a child
+whose new rows the parent's witness meets takes that witness as its own
+without a solve, cones included, and every witness is still the one a solve
+of its own chain gives.
+
+The saturation loop grows a candidate basis with Groebner bases recomputed
+under every counterexample ordering until certification succeeds; each
+round strictly enlarges the basis, and finitely many support behaviors
+exist, so the loop terminates.  The reduced bases it computes are Groebner
+cones it already knows: a cone whose witness marks one of them as its own
+ordering does passes without the S-pair criterion.
 
 Scope note: certificates quantify over the weight-row-plus-lex family.  Any
 normal ordering whose restriction to the certified support is realized by
@@ -29,12 +35,14 @@ records this boundary.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-# unused here, but perfbench's trace run wraps universal.divide
-from .division import divide, monic
+# divide is unused here, but perfbench's trace run wraps universal.divide
+from .division import divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities
 from .groebner import buchberger, is_groebner, reduce_basis
 from .orderings import Ordering, _integer_row
@@ -155,56 +163,65 @@ def _realize_cached(monos):
 
 
 def _witness_keys(weights, vectors, chain, rest):
-    """Sort keys of ``vectors`` under a solver's weights, checked against its system.
+    """A solver's weights checked against its system, as ints: (dots, scale).
 
-    ``chain`` and ``rest`` index into ``vectors``.  With the weights scaled to
-    an int row w, the keys (w . v, v) compare exactly as the ordering's sort
-    keys do, so the witness is checked without building its ``Ordering``:
-    every weight must be nonnegative, which ``Ordering`` requires of a weight
-    row, the chain's keys must increase, and its last key must be below the
-    key of every index in ``rest``.  The checks raise AssertionError
-    themselves, so they run under ``python -O`` too.
+    ``chain`` and ``rest`` index into ``vectors``.  With ``scale`` the lcm of
+    the weights' denominators and w == scale * weights the int row,
+    ``dots[j]`` is w . vectors[j]; the keys (w . v, v) compare exactly as the
+    ordering's sort keys do, so the witness is checked without building its
+    ``Ordering``: every weight must be nonnegative, which ``Ordering``
+    requires of a weight row, the chain's keys must increase, and its last
+    key must be below the key of every index in ``rest``.  The checks raise
+    AssertionError themselves, so they run under ``python -O`` too.
     """
     row = _integer_row(weights)
+    scale = math.lcm(*(q.denominator for q in weights))
     if any(w < 0 for w in row):
         raise AssertionError("witness has a negative weight; solver bug")
-    keys = [(sum(map(operator.mul, row, v)), v) for v in vectors]
+    dots = [sum(map(operator.mul, row, v)) for v in vectors]
+    keys = list(zip(dots, vectors))
     top = keys[chain[-1]]
     if any(keys[a] >= keys[b] for a, b in zip(chain, chain[1:])) or any(
         top >= keys[r] for r in rest
     ):
         raise AssertionError("witness failed to reproduce its restriction; solver bug")
-    return keys
+    return dots, scale
 
 
 def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=None):
     """All realizable total orders on the support, with witnesses.
 
     Depth-first search that keeps only prefixes extending to a realizable
-    chain.  Placing a monomial after a prefix solves the prefix's chain rows
-    plus rows putting the new monomial below every monomial still to be
-    placed (same differences and lex-slack rule); a weight row meeting them
-    orders the whole support with the prefix at the bottom, so every kept
-    prefix leads to at least one cone.  A monomial divisible by one still to
-    be placed is skipped without a solve, since every ordering of the family
-    puts it above its divisors.  When one monomial remains, the prefix's
-    system is that full chain's, row for row, so its solution is the cone's
-    witness and the leaf needs no solve of its own.
+    chain.  Placing a monomial after a prefix asks for the prefix's chain
+    rows plus rows putting the new monomial below every monomial still to be
+    placed (same differences and lex-slack rule), then the nonnegativity
+    rows; a weight row meeting them orders the whole support with the prefix
+    at the bottom, so every kept prefix leads to at least one cone.  A
+    monomial divisible by one still to be placed is skipped without a
+    system, since every ordering of the family puts it above its divisors.
+    When one monomial remains, the system is that full chain's, row for row,
+    so its solution is the cone's witness.
 
-    A kept prefix's witness also orders the monomials still to be placed, and
-    placing the smallest of them next keeps every row it met, so that child
-    is feasible without a solve and inherits the witness, at every depth.
-    Only the last placement (one or no monomial left) always solves, since
-    its solution is the witness that is returned.  Over a support of k >= 2
-    monomials this makes at most (k - 1) feasible solves per cone and at most
-    k * (k - 1) solves per cone in all.
+    Every system includes the nonnegativity rows, so ``solve_inequalities``
+    returns its lexicographic minimum, which depends only on the polyhedron.
+    A child's polyhedron lies inside its parent's: the parent's rows putting
+    the last placed monomial p below each j still to be placed follow from
+    p below i and i below j, slacks included.  So when the parent's witness
+    meets the child's new rows it is the child's lexicographic minimum too,
+    and the child reuses it without a solve, at every depth, cones included;
+    otherwise the child solves.  The root starts from the zero row, the
+    minimum of the nonnegativity rows alone.  Every witness in the search is
+    therefore exactly the one a solve of its own system returns.  Over a
+    support of k >= 2 monomials this makes at most (k - 1) feasible solves
+    per cone and at most k * (k - 1) solves per cone in all.
 
     The support is sorted and indexed once; the search runs on indices, a
     bitmask of the monomials still to be placed, a table of the pairwise rows
     and one divisor bitmask per monomial.  Each system holds the same rows in
     the same order as the chain it stands for, so the result is identical to
     filtering all permutations (the naive oracle in the test suite),
-    witnesses included, and is returned in a deterministic order.
+    witnesses included, and is returned in a deterministic order.  Every
+    solved witness, and every cone's, passes ``_witness_keys``.
 
     ``_until`` is called on each cone as it is found; the search stops, and
     the list ends, at the first cone for which it returns true.
@@ -222,11 +239,12 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     ]
     out = []
 
-    def extend(prefix, chain, free, keys):
+    def extend(prefix, chain, free, witness):
         # prefix: indices placed so far; chain: their adjacent-pair rows;
-        # free: indices still to be placed, ascending; keys: a witness's
-        # sort keys of the whole support, or None
-        inherited = None if keys is None else min(free, key=keys.__getitem__)
+        # free: indices still to be placed, ascending; witness: (weights,
+        # dots, scale), the lexicographic minimum of this node's system with
+        # its _witness_keys ints
+        weights, dots, scale = witness
         mask = sum(1 << i for i in free)
         for i in free:
             # every ordering of the family puts a monomial above its divisors
@@ -234,28 +252,33 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
                 continue
             rest = [j for j in free if j != i]
             link = chain + [below[prefix[-1]][i]] if prefix else chain
+            rows = [below[i][j] for j in rest]
             prefix.append(i)
-            if i == inherited and len(rest) > 1:
-                if extend(prefix, link, rest, keys):
-                    return True
+            # the parent's witness is the child's when it meets the new rows
+            if all(dots[j] - dots[i] >= row[1] * scale for j, row in zip(rest, rows)):
+                child = witness
+                if len(rest) <= 1:
+                    _witness_keys(weights, vectors, prefix, rest)
             else:
-                outcome = solve_inequalities(
-                    link + [below[i][j] for j in rest] + nonneg, num_vars
-                )
+                outcome = solve_inequalities(link + rows + nonneg, num_vars)
+                child = None
                 if not isinstance(outcome, Infeasible):
-                    child_keys = _witness_keys(outcome, vectors, prefix, rest)
-                    if len(rest) <= 1:
-                        chain_monos = tuple(support[j] for j in prefix + rest)
-                        cone = (Restriction(chain_monos), WeightWitness(outcome))
-                        out.append(cone)
-                        if _until is not None and _until(*cone):
-                            return True
-                    elif extend(prefix, link, rest, child_keys):
+                    child = (outcome, *_witness_keys(outcome, vectors, prefix, rest))
+            if child is not None:
+                if len(rest) <= 1:
+                    chain_monos = tuple(support[j] for j in prefix + rest)
+                    cone = (Restriction(chain_monos), WeightWitness(child[0]))
+                    out.append(cone)
+                    if _until is not None and _until(*cone):
                         return True
+                elif extend(prefix, link, rest, child):
+                    return True
             prefix.pop()
         return False
 
-    extend([], [], list(range(len(support))), None)
+    # the zero row is the lexicographic minimum of the nonnegativity rows
+    root = ((Fraction(0),) * num_vars, [0] * len(support), 1)
+    extend([], [], list(range(len(support))), root)
     return out
 
 
@@ -294,7 +317,7 @@ class CounterexampleOrdering:
         return self.witness.ordering()
 
 
-def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP):
+def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     """Certify a basis against every realizable restriction of its support.
 
     Runs the S-pair criterion once per marking (the tuple of leading
@@ -307,6 +330,17 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP):
     their chains, the order in which the search visits them.  Each cone is
     decided as the search finds it, and the search stops at the first
     failing one, so the cones after a counterexample are never realized.
+
+    ``_known`` holds pairs (G, lead): G a reduced Groebner basis of the ideal
+    I under some ordering s, contained (up to scalars) in ``elements``, and
+    lead its leading monomials under s.  When a cone's witness w gives G
+    the same leading monomials, G is a Groebner basis under w too (the
+    Groebner-cone argument of Mora and Robbiano): every monomial standard
+    under w is divisible by no element of lead, so it is standard under s;
+    both sets of standard monomials are bases of the quotient by I, so they
+    coincide.  The elements contain G, so the cone passes without the
+    S-pair criterion.  Only passes are decided this way, so the first
+    failing cone is the one found without ``_known``.
     """
     elements = list(elements)
     if not elements or any(not e for e in elements):
@@ -324,7 +358,10 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP):
         marking = tuple(max(e.terms, key=rank) for e in elements)
         ok = verdicts.get(marking)
         if ok is None:
-            ok = verdicts[marking] = is_groebner(elements, witness.ordering())
+            ok = verdicts[marking] = any(
+                tuple(max(g.terms, key=rank) for g in basis) == lead
+                for basis, lead in _known
+            ) or is_groebner(elements, witness.ordering())
         return not ok
 
     found = enumerate_restrictions(support, max_support, _until=fails)
@@ -349,6 +386,12 @@ def universal_groebner(
     already has, and a counterexample ordering always contributes at least
     one new element, so the candidate grows strictly until it covers every
     realizable cone.
+
+    Every reduced basis computed on the way is kept with its leading
+    monomials under the ordering that produced it, and certification passes
+    any cone whose witness marks one of them the same way without running
+    the S-pair criterion (see ``certify_universal``).  Certificates and
+    counterexamples are those of certifying each candidate on its own.
     """
     generators = list(generators)
     nonzero = [g for g in generators if g]
@@ -360,28 +403,37 @@ def universal_groebner(
     # leading monomials and S-pair reductions are invariant.
     grlex = Ordering.grlex(nonzero[0].n)
     basis = list(reduce_basis(buchberger(generators, grlex)).elements)
+    known = [(tuple(basis), _leads(basis, grlex))]
     rounds = 0
     while True:
         rounds += 1
         if rounds > max_rounds:
             raise SaturationLimitExceeded(max_rounds, basis)
         try:
-            result = certify_universal(basis, max_support=max_support)
+            result = certify_universal(basis, max_support=max_support, _known=known)
         except SupportCapExceeded as exc:
             exc.context = f"saturation round {rounds}, basis size {len(basis)}"
             exc.partial_basis = tuple(basis)
             raise
         if isinstance(result, UniversalCertificate):
             return result
-        fix = reduce_basis(buchberger(generators, result.ordering()))
-        added = [e for e in (monic(f, grlex) for f in fix.elements) if e not in basis]
+        ordering = result.ordering()
+        fix = reduce_basis(buchberger(generators, ordering)).elements
+        lead = _leads(fix, ordering)
+        fix = tuple(monic(f, grlex) for f in fix)
+        added = [e for e in fix if e not in basis]
         if not added:
             raise RuntimeError(
                 "counterexample ordering contributed no new elements; "
                 "certification cannot make progress"
             )
+        known.append((fix, lead))
         basis.extend(added)
         basis = sorted(set(basis), key=_element_key, reverse=True)
+
+
+def _leads(elements, ordering):
+    return tuple(leading_term(e, ordering).monomial for e in elements)
 
 
 def _element_key(e):

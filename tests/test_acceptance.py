@@ -25,9 +25,11 @@ from weylgb import (
     monomials_up_to_degree,
     multiply_monomials,
     ordering_distance,
+    parse_element,
     reduce_basis,
     universal_groebner,
 )
+from weylgb import universal
 from conftest import (
     agreeing_ordering,
     random_element,
@@ -303,6 +305,75 @@ def test_criterion_09_saturation_terminates_and_is_stable():
         if first != second:
             ok = False
     _verdict(9, f"saturation finished within 10 rounds on {len(ideals)} ideals, byte-stable", ok)
+
+
+# The binomial pairs whose saturation takes the most rounds.
+SATURATING_PAIRS = [
+    ("x1^2-x2", "x1*x2-1"),
+    ("x1^2-d2", "x1*d2-1"),
+    ("x1^2-x2", "x1*x2-x1-1"),
+    ("x1^2-x2", "x2^2-x1"),
+    ("x1*x2-1", "x1+x2"),
+    ("x1+d2", "x2+d1"),
+]
+
+
+def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
+    # universal_groebner passes a cone without the S-pair criterion when its
+    # witness marks a reduced basis the saturation already computed as that
+    # basis's own ordering does; each such verdict must be the one
+    # is_groebner gives under the witness, and the certificates must be
+    # those of certifying every candidate on its own
+    ideals = [gens for _, gens in _suite_ideals()]
+    ideals += [[parse_element(t, 2) for t in texts] for texts in SATURATING_PAIRS]
+    real_certify = universal.certify_universal
+    real_enumerate = universal.enumerate_restrictions
+    calls = []
+    candidate = []
+    shortcut = 0
+
+    def counting(elements, ordering):
+        calls.append(ordering)
+        return is_groebner(elements, ordering)
+
+    def certify(elements, max_support, *, _known):
+        candidate[:] = elements
+        return real_certify(elements, max_support, _known=_known)
+
+    def enumerate_checked(support, max_support, *, _until):
+        nonlocal shortcut
+        decided = set()
+
+        def until(restriction, witness):
+            nonlocal shortcut
+            before = len(calls)
+            fails = _until(restriction, witness)
+            ordering = witness.ordering()
+            marking = tuple(leading_term(e, ordering).monomial for e in candidate)
+            # a marking is decided at its first cone, from then on read back
+            if marking not in decided and len(calls) == before:
+                shortcut += 1
+                assert not fails and is_groebner(candidate, ordering), restriction
+            decided.add(marking)
+            return fails
+
+        return real_enumerate(support, max_support, _until=until)
+
+    monkeypatch.setattr(universal, "is_groebner", counting)
+    monkeypatch.setattr(universal, "enumerate_restrictions", enumerate_checked)
+    monkeypatch.setattr(universal, "certify_universal", certify)
+    certified = [certificate_text(universal_groebner(gens)) for gens in ideals]
+    # more markings are decided from known bases than by is_groebner
+    assert shortcut > len(calls), (shortcut, len(calls))
+
+    # the same saturation, certifying each candidate on its own
+    monkeypatch.setattr(universal, "enumerate_restrictions", real_enumerate)
+    monkeypatch.setattr(
+        universal,
+        "certify_universal",
+        lambda elements, max_support, *, _known: real_certify(elements, max_support),
+    )
+    assert [certificate_text(universal_groebner(gens)) for gens in ideals] == certified
 
 
 def test_criterion_10_topology_at_finite_depth():

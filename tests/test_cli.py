@@ -71,6 +71,14 @@ def test_cmp(capsys):
     assert out == "x1 = x1\n"
 
 
+@pytest.mark.parametrize("term", ["2*x1", "-x1", "1/2*x1*d1", "x1 + d1"])
+def test_cmp_rejects_terms_that_are_not_monomials(capsys, term):
+    status, out, err = run(capsys, ["cmp", "--n", "1", "--", term, "x1"])
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and "cmp expects single monomials" in err
+
+
 def test_json_output_is_byte_stable(capsys):
     argv = ["ugb", "--n", "1", "--json", "x1", "d1"]
     status, first, _ = run(capsys, argv)

@@ -167,6 +167,34 @@ def test_solve_inequalities_property(rng):
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def test_solution_is_kept_by_rows_it_meets(rng):
+    # with the nonnegativity rows in the system the solution is its
+    # lexicographic minimum, so a row the solution meets narrows the
+    # polyhedron around it and the solution stays; the restriction search
+    # reuses a parent's witness on exactly this ground
+    added = {"loose": 0, "tight": 0}
+    for _ in range(200):
+        num_vars = rng.randint(1, 4)
+        rows = [_random_row(rng, num_vars) for _ in range(rng.randint(0, 4))]
+        rows += nonneg_rows(num_vars)
+        rng.shuffle(rows)
+        solution = solve_inequalities(rows, num_vars)
+        if isinstance(solution, Infeasible):
+            continue
+        for _ in range(4):
+            coeffs, rhs = _random_row(rng, num_vars)
+            value = sum(c * s for c, s in zip(coeffs, solution))
+            if rng.random() < 0.5:
+                rhs = value  # a row the solution meets with equality
+            if value < rhs:
+                continue
+            added["tight" if value == rhs else "loose"] += 1
+            narrowed = list(rows)
+            narrowed.insert(rng.randint(0, len(rows)), (coeffs, rhs))
+            assert solve_inequalities(narrowed, num_vars) == solution, narrowed
+    assert min(added.values()) >= 100, added
+
+
 def _integral(row):
     """The row times the lcm of its denominators, with int entries."""
     coeffs, rhs = row

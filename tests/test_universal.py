@@ -34,6 +34,7 @@ from weylgb import (
     universal_groebner,
 )
 from weylgb import universal
+from weylgb.feasibility import nonneg_rows
 from weylgb.groebner import buchberger, reduce_basis
 from weylgb.universal import _below_row
 from conftest import random_element, random_monomial, random_weight_row
@@ -169,19 +170,37 @@ def test_enumerate_pruned_equals_naive(rng):
 
 
 @pytest.mark.parametrize("n, max_degree", [(1, 6), (2, 3), (3, 2)])
-def test_enumerate_matches_naive_across_sizes(n, max_degree):
-    # two supports of every size 1..7; from size 4 on, witnesses are
-    # inherited below the first level, and every leaf witness must still be
-    # the one its chain's own solve gives
+def test_enumerate_matches_naive_across_sizes(monkeypatch, n, max_degree):
+    # two supports of every size 1..7; the oracle solves every chain on its
+    # own, so a witness the search passed down without a solve must be the
+    # one its chain's own solve gives
+    real = universal.solve_inequalities
+    solved = set()
+
+    def recording(rows, num_vars):
+        solved.add(tuple(rows))
+        return real(rows, num_vars)
+
     pool = _degree_pool(n, max_degree)
     rng = random.Random(f"naive-{n}")
+    cones = reused = 0
     for size in range(1, 8):
         for _ in range(2):
             support = rng.sample(pool, size)
-            pruned = enumerate_restrictions(support)
+            solved.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(universal, "solve_inequalities", recording)
+                pruned = enumerate_restrictions(support)
             naive = enumerate_restrictions_naive(support)
             assert [r.monomials for r, _ in pruned] == [r.monomials for r, _ in naive]
             assert [w for _, w in pruned] == [w for _, w in naive]
+            for restriction, _ in pruned:
+                monos = restriction.monomials
+                system = [_below_row(a, b) for a, b in zip(monos, monos[1:])]
+                reused += tuple(system + nonneg_rows(2 * n)) not in solved
+            cones += len(pruned)
+    # most cones take their witness from an ancestor
+    assert reused > cones // 2, (reused, cones)
 
 
 def _degree_pool(n, max_degree):
@@ -198,21 +217,24 @@ def _seeded_support(n, k):
 @pytest.mark.parametrize(
     "n, k, cones, feasible, solves",
     [
-        (1, 9, 6, 12, 37),
-        (1, 10, 8, 16, 88),
-        (2, 7, 52, 85, 101),
-        (2, 8, 116, 195, 327),
+        (1, 9, 6, 6, 31),
+        (1, 10, 8, 7, 79),
+        (2, 7, 52, 51, 67),
+        (2, 8, 116, 118, 250),
     ],
 )
 def test_enumeration_work_is_output_sensitive(monkeypatch, n, k, cones, feasible, solves):
     # every kept prefix extends to a cone and the last prefix's solve is the
-    # cone's, so feasible solves are at most (k - 1) per cone.  A kept
-    # prefix's witness orders the whole support, so the smallest monomial
-    # still to be placed under it is placed next without a solve, at every
-    # depth but the last; solving every kept prefix takes (35, 60), (58, 130),
-    # (108, 124) and (286, 418) on these supports, the same infeasible solves
-    # and more feasible ones.  A search that checks each prefix only against
-    # itself takes 6,700, 22,246, 2,027 and 8,840 solves
+    # cone's, so feasible solves are at most (k - 1) per cone.  A solved
+    # witness is the lexicographic minimum of its system, and a child's
+    # system only narrows its parent's, so a child whose new rows the
+    # parent's witness meets reuses it without a solve, at every depth,
+    # cones included.  Inheriting only the lowest remaining monomial's
+    # witness and solving every cone's chain takes (12, 37), (16, 88),
+    # (85, 101) and (195, 327) on these supports; solving every kept prefix
+    # takes (35, 60), (58, 130), (108, 124) and (286, 418), the same
+    # infeasible solves in each case.  A search that checks each prefix only
+    # against itself takes 6,700, 22,246, 2,027 and 8,840 solves
     real = universal.solve_inequalities
     outcomes = []
 
