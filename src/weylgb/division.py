@@ -44,9 +44,10 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import le, sub
 from typing import NamedTuple
 
-from .weyl import Monomial, WeylElement, add_product
+from .weyl import Monomial, WeylElement, _set_memo, add_product
 
 
 class LeadingTerm(NamedTuple):
@@ -69,7 +70,7 @@ def _prepared(w, ordering):
     if entry is None or entry[0]() is not ordering:
         mono = max(w.terms, key=ordering.sort_key)
         entry = [weakref.ref(ordering), LeadingTerm(mono, w.terms[mono]), None]
-        object.__setattr__(w, "_memo", entry)
+        _set_memo(w, entry)
     return entry
 
 
@@ -79,8 +80,9 @@ def leading_term(w, ordering):
 
 
 def _divisor_form(f, ordering):
-    """(leading monomial, L, a, b, F) with f == (a / b) * F, where F maps
-    monomials to ints with gcd 1 and L > 0 is its leading coefficient."""
+    """(exponent vector of the leading monomial, L, a, b, F) with
+    f == (a / b) * F, where F maps monomials to ints with gcd 1 and L > 0 is
+    its leading coefficient."""
     entry = _prepared(f, ordering)
     if entry[2] is None:
         lead = entry[1]
@@ -90,7 +92,7 @@ def _divisor_form(f, ordering):
         if lead.coefficient < 0:
             a = -a
         ints = {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
-        entry[2] = (lead.monomial, ints[lead.monomial], a, b, ints)
+        entry[2] = (lead.monomial.vector, ints[lead.monomial], a, b, ints)
     return entry[2]
 
 
@@ -148,9 +150,10 @@ def divide(w, divisors, ordering, trace=None):
         previous_key = top.key
         if trace is not None:
             trace.append(mono)
-        for i, lead_mono, lead, a, b, f_ints in leads:
-            if lead_mono.divides(mono):
-                cofactor = mono / lead_mono
+        vector = mono.vector
+        for i, lead_vector, lead, a, b, f_ints in leads:
+            if all(map(le, lead_vector, vector)):
+                cofactor = _cofactor(vector, lead_vector)
                 # (coeff / den) / ((a / b) * lead)
                 quotients[i][cofactor] = Fraction(coeff * b, den * a * lead)
                 # work -= (coeff / lead) * cofactor * F, in ints: first scale
@@ -177,6 +180,11 @@ def divide(w, divisors, ordering, trace=None):
     return DivisionResult(
         [WeylElement._raw(n, q) for q in quotients], WeylElement._raw(n, remainder)
     )
+
+
+def _cofactor(vector, lead):
+    """The monomial x^vector / lead for exponent vectors ``lead`` <= ``vector``."""
+    return Monomial._raw(tuple(map(sub, vector, lead)))
 
 
 class _Above:

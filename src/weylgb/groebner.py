@@ -38,23 +38,36 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .division import divide, leading_term, monic
+from .division import _cofactor, _divisor_form, divide, leading_term, monic
 from .orderings import Ordering, agree_on
 from .weyl import WeylElement, add_product, combined_support
 
 
 def s_pair(u, v, ordering):
-    """Left S-pair of two nonzero elements; leading terms cancel."""
+    """Left S-pair of two nonzero elements; leading terms cancel.
+
+    Each element is taken in its divisor form (a / b) * F, with F of int
+    coefficients and leading coefficient L > 0, so that u / lc(u) = F_u / L_u.
+    The S-pair is then
+
+        (L_v * (m / lm u) * F_u  -  L_u * (m / lm v) * F_v) / (L_u * L_v),
+
+    accumulated in ints through ``weyl.add_product`` and divided once.
+    """
     if not u or not v:
         raise ValueError("S-pair of a zero element is undefined")
-    lt_u = leading_term(u, ordering)
-    lt_v = leading_term(v, ordering)
-    m = lt_u.monomial.lcm(lt_v.monomial)
+    if u.n != v.n:
+        raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
+    lead_u, l_u, _, _, f_u = _divisor_form(u, ordering)
+    lead_v, l_v, _, _, f_v = _divisor_form(v, ordering)
+    lcm = tuple(map(max, lead_u, lead_v))
     out = {}
-    add_product(out, 1 / lt_u.coefficient, m / lt_u.monomial, u.terms)
-    add_product(out, -1 / lt_v.coefficient, m / lt_v.monomial, v.terms)
-    return WeylElement._raw(u.n, out)
+    add_product(out, l_v, _cofactor(lcm, lead_u), f_u)
+    add_product(out, -l_u, _cofactor(lcm, lead_v), f_v)
+    den = l_u * l_v
+    return WeylElement._raw(u.n, {mono: Fraction(c, den) for mono, c in out.items()})
 
 
 @dataclass(frozen=True)

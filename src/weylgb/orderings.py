@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import Monomial
+from .weyl import CACHE_SIZE, Monomial
 
 
 class Ordering:
@@ -27,6 +27,9 @@ class Ordering:
     makes it a row of ints.  A positive factor per row leaves every row's
     comparison, and so the lexicographic comparison of whole keys, unchanged,
     while the keys become tuples of ints instead of tuples of Fractions.
+    Keys are cached per monomial; the cache is emptied whenever it reaches
+    ``weyl.CACHE_SIZE`` entries, so a long-lived ordering holds a bounded
+    number of them.
     """
 
     __slots__ = ("rows", "_int_rows", "_key_cache", "__weakref__")
@@ -65,12 +68,15 @@ class Ordering:
 
     def sort_key(self, mono):
         """Key whose natural tuple comparison realizes this ordering."""
-        key = self._key_cache.get(mono)
+        cache = self._key_cache
+        key = cache.get(mono)
         if key is None:
             self._check_width(mono)
             vec = mono.vector
             key = tuple(sum(map(operator.mul, row, vec)) for row in self._int_rows) + vec
-            self._key_cache[mono] = key
+            if len(cache) >= CACHE_SIZE:
+                cache.clear()
+            cache[mono] = key
         return key
 
     def compare(self, a, b):

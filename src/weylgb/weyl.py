@@ -15,15 +15,19 @@ Products are normalized with the closed-form expansion
     d^b * x^a = sum over k <= min(a, b) componentwise of
                 [prod_i C(b_i, k_i) * C(a_i, k_i) * k_i!] * x^(a-k) * d^(b-k)
 
-which collapses to the single defining relation when a = b = e_i.  When no
-variable occurs in both b and a, only k = 0 remains: the factors commute and
-the product is x^a * d^b with coefficient 1, returned without the expansion.
-Coefficient 1 is one shared Fraction object throughout, so callers test for
-it by identity.  The test suite validates this expansion exhaustively against
-a brute-force rewriter that only ever applies the single-swap relation.
+which collapses to the single defining relation when a = b = e_i.  Only the
+variables with min(a_i, b_i) > 0 contribute a factor to the sum; when there
+are none, only k = 0 remains: the factors commute and the product is
+x^a * d^b with coefficient 1.  Coefficient 1 is one shared Fraction object,
+``_ONE``, in every product, so callers test for it by identity.  The test
+suite validates this expansion exhaustively against a brute-force rewriter
+that only ever applies the single-swap relation.
+
 ``add_product`` is the one multiply-accumulate kernel built on it: element
-products and S-pairs add a term times an element into a dict of Fraction
-coefficients through it, and division steps into a dict of int numerators.
+products add a term times an element into a dict of Fraction coefficients
+through it, and S-pairs and division steps into a dict of int numerators.
+A pair of factors that commute enters as the exponent sum with coefficient
+1 directly; only the other pairs reach ``multiply_monomials`` and its cache.
 """
 
 from __future__ import annotations
@@ -168,17 +172,17 @@ class WeylElement:
             coeff = Fraction(coeff)
             if coeff:
                 clean[mono] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_memo", None)
+        _set_n(self, n)
+        _set_terms(self, clean)
+        _set_memo(self, None)
 
     @classmethod
     def _raw(cls, n, terms):
         # trusted constructor: terms already clean (no zeros, right dims)
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_memo", None)
+        _set_n(self, n)
+        _set_terms(self, terms)
+        _set_memo(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -312,39 +316,60 @@ class WeylElement:
         return f"WeylElement(n={self.n}, {{{items}}})"
 
 
-_ONE = Fraction(1)  # the coefficient of every commuting product, shared
+# slot writers that bypass the immutability guard, for ``_raw`` and the
+# leading-term memo of ``division`` only
+_set_n = WeylElement.n.__set__
+_set_terms = WeylElement.terms.__set__
+_set_memo = WeylElement._memo.__set__
+
+_ONE = Fraction(1)  # coefficient 1 of every product, shared
+
+# Bound of the product cache and of each ordering's sort-key cache.  Sized by
+# measurement: over the benchmark's passes (seeds 1-3), with the product cache
+# cleared before each solve, one solve holds at most 2 products on ugb (sat6),
+# 3 on cert (bessel) and 552 on gb (gkz4 under lex), and a gb solve's ordering
+# at most 875 sort keys (gkz4 under lex).  The largest computation measured,
+# mix2 under lex, holds 442 products and 1,460 sort keys, so this bound never
+# evicts on the measured inputs and caps memory on larger ones.
+CACHE_SIZE = 65536
 
 
-# Sized by measurement: over the benchmark's passes (seeds 1-3), with the
-# cache cleared before each solve, one solve holds at most 47 entries on ugb
-# (sat3), 40 on cert (ugb_sat3) and 2,352 on gb (gkz4 under lex).  The
-# largest computation measured, mix2 under lex, holds 19,407, so this bound
-# never evicts on the measured inputs and caps memory on larger ones.
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_SIZE)
 def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
     """Canonical form of the product (x^a.xi d^a.d) * (x^b.xi d^b.d).
 
     Only the inner d^a.d * x^b.xi pair needs reordering; the outer factors
-    shift exponents.  When no variable occurs in both a.d and b.xi, the
-    factors commute and the product is the single term x^(a+b) with
-    coefficient ``_ONE``.  Results are cached, so callers must not mutate
-    them.
+    shift exponents.  The expansion runs over the variables i with
+    min(a.d[i], b.xi[i]) > 0 only; when there are none the factors commute,
+    and the product is the single term x^(a+b) with coefficient ``_ONE``.
+    Every coefficient is a Fraction, and every coefficient 1 is ``_ONE``.
+    ``add_product`` calls this only for factors that do not commute.
+    Results are cached, so callers must not mutate them.
     """
-    _check_dim(a, b)
-    n = a.dimension
-    a_d, b_x = a.d, b.xi
-    top = a * b
-    if not any(map(min, a_d, b_x)):
-        return WeylElement._raw(n, {top: _ONE})
-    caps = [min(mu, rho) for mu, rho in zip(a_d, b_x)]
+    av, bv = a.vector, b.vector
+    if len(av) != len(bv):
+        _check_dim(a, b)  # raises
+    n = len(av) // 2
+    top = tuple(map(operator.add, av, bv))
+    # (i, [coefficient of k_i = 0, 1, ..., cap]) for each variable whose
+    # d^mu * x^rho needs reordering
+    factors = []
+    for i, mu, rho in zip(range(n), av[n:], bv):
+        cap = min(mu, rho)
+        if cap:
+            factors.append(
+                (i, [math.comb(mu, k) * math.comb(rho, k) * math.factorial(k) for k in range(cap + 1)])
+            )
     terms = {}
-    for k in itertools.product(*(range(c + 1) for c in caps)):
+    for k in itertools.product(*(range(len(c)) for _, c in factors)):
         coeff = 1
-        for mu, rho, ki in zip(a_d, b_x, k):
-            coeff *= math.comb(mu, ki) * math.comb(rho, ki) * math.factorial(ki)
-        # x^(a.xi + b.xi - k) * d^(a.d + b.d - k)
-        mono = Monomial._raw(tuple(map(operator.sub, top.vector, k + k)))
-        terms[mono] = _ONE if coeff == 1 else Fraction(coeff)
+        vector = list(top)
+        for (i, coeffs), ki in zip(factors, k):
+            coeff *= coeffs[ki]
+            # x^(a.xi + b.xi - k) * d^(a.d + b.d - k)
+            vector[i] -= ki
+            vector[n + i] -= ki
+        terms[Monomial._raw(tuple(vector))] = _ONE if coeff == 1 else Fraction(coeff)
     return WeylElement._raw(n, terms)
 
 
@@ -353,14 +378,31 @@ def add_product(acc, coeff, mono, terms):
 
     ``terms`` are the terms of f and ``coeff`` is nonzero.  The values of
     ``acc``, ``coeff`` and ``terms`` are all Fractions or all ints; product
-    coefficients are positive integers, so ints stay ints.  Entries that
+    coefficients are positive integers, so ints stay ints.  A term of f whose
+    x block shares no variable with the d block of ``mono`` commutes with it,
+    and enters as the exponent sum with coefficient ``coeff`` times its own;
+    only the other terms go through ``multiply_monomials``.  Entries that
     cancel are deleted.  Returns the monomials that entered ``acc``, in order;
     one that cancels and enters again is listed twice.
     """
     entered = []
+    vector = mono.vector
+    size = len(vector)
+    # f_mono commutes with mono unless some variable has a nonzero exponent
+    # in both the d block of mono and the x block of f_mono; map(min, ...)
+    # stops at the end of d_block, so it reads only that x block
+    d_block = vector[size // 2 :]
+    mixed = any(d_block)
     for f_mono, f_coeff in terms.items():
         c = coeff * f_coeff
-        for m, k in multiply_monomials(mono, f_mono).terms.items():
+        f_vector = f_mono.vector
+        if len(f_vector) != size:
+            _check_dim(mono, f_mono)  # raises
+        if mixed and any(map(min, d_block, f_vector)):
+            products = multiply_monomials(mono, f_mono).terms.items()
+        else:
+            products = ((Monomial._raw(tuple(map(operator.add, vector, f_vector))), _ONE),)
+        for m, k in products:
             ck = c if k is _ONE else c * k.numerator
             old = acc.get(m)
             if old is None:

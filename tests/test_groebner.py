@@ -1,5 +1,8 @@
 import dataclasses
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -79,9 +82,13 @@ def test_s_pair_leading_terms_cancel(rng):
 
 def test_s_pair_matches_naive_s_pair():
     # the two cofactor products share one dict, so the leading terms and any
-    # other coinciding terms cancel and are deleted in place
+    # other coinciding terms cancel and are deleted in place; s_pair reads
+    # each element as (a / b) * F with F of int coefficients and content 1,
+    # so scaled elements, with negative and non-unit leading coefficients and
+    # a common denominator or content other than 1, are counted
     rng = random.Random(20261018)
-    for _ in range(200):
+    cases = Counter()
+    for _ in range(300):
         n = rng.randint(1, 3)
         ordering = random_ordering(rng, n)
         u = random_element(rng, n, max_degree=3)
@@ -90,7 +97,19 @@ def test_s_pair_matches_naive_s_pair():
             v = v + u  # shares terms with u beyond the leading one
         if not v:
             continue
+        if rng.random() < 0.5:
+            u = u * Fraction(rng.choice([-6, -3, -2, 2, 4, 9]), rng.choice([1, 5, 7]))
+        for w in (u, v):
+            lc = leading_term(w, ordering).coefficient
+            cases["negative non-unit leading coefficient"] += lc < 0 and lc != -1
+            coeffs = w.terms.values()
+            scale = Fraction(
+                math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
+            )
+            cases["content or denominator other than 1"] += scale != 1
+            cases["integral with content 1"] += scale == 1
         assert s_pair(u, v, ordering) == s_pair_naive(u, v, ordering)
+    assert min(cases.values()) >= 100, cases
 
 
 def test_buchberger_whole_algebra():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -197,3 +198,17 @@ def test_integer_keys_compare_like_fraction_dot_products(rng):
         for a, ka in zip(monos, keys):
             for b, kb in zip(monos, keys):
                 assert ordering.compare(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_long_lived_ordering_keeps_a_bounded_key_cache():
+    from weylgb.weyl import CACHE_SIZE
+
+    # the row (3/2, 1/3) scaled to ints is (9, 2)
+    ordering = Ordering.matrix([(Fraction(3, 2), Fraction(1, 3))])
+    side = math.isqrt(CACHE_SIZE) + 16  # more monomials than the bound
+    pairs = [(i, j) for i in range(side) for j in range(side)]
+    largest = 0
+    for i, j in pairs + pairs[:1000]:  # the first ones again, after eviction
+        assert ordering.sort_key(Monomial((i,), (j,))) == (9 * i + 2 * j, i, j)
+        largest = max(largest, len(ordering._key_cache))
+    assert largest == CACHE_SIZE

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from weylgb import (
     leading_term,
     multiply_monomials,
 )
-from conftest import random_element, random_monomial
+from weylgb.weyl import _ONE, add_product
+from conftest import random_coefficient, random_element, random_monomial
 from oracles import brute_element_product, brute_monomial_product
 
 
@@ -309,3 +311,120 @@ def test_large_power_takes_logarithmically_many_products(monkeypatch):
     assert power == W1.element({Monomial((exponent,), (0,)): 1})
     # one product per squaring and per set bit, each of one-term elements
     assert len(calls) <= 2 * exponent.bit_length()
+
+
+def _commute(a, b):
+    # d^a.d * x^b.xi needs no reordering: no variable occurs in both
+    return not any(min(mu, rho) for mu, rho in zip(a.d, b.xi))
+
+
+def _reference_add_product(acc, coeff, mono, terms, brute):
+    """add_product spelled out over brute-force products.
+
+    The monomials of one product are distinct, so which of them enter the
+    accumulator does not depend on the order they are added in.
+    """
+    value_type = type(coeff)
+    acc = dict(acc)
+    entered = []
+    cancelled = 0
+    for f_mono, f_coeff in terms.items():
+        for m, k in brute(mono, f_mono).terms.items():
+            ck = value_type(coeff * f_coeff * k)
+            if m not in acc:
+                acc[m] = ck
+                entered.append(m)
+            else:
+                acc[m] += ck
+                if not acc[m]:
+                    del acc[m]
+                    cancelled += 1
+    return acc, entered, cancelled
+
+
+def test_add_product_matches_brute_force_and_commuting_factors_skip_the_cache(monkeypatch):
+    # the kernel against the single-swap rewriter, at n = 1, 2, 3, with int
+    # and Fraction accumulators, prefilled entries that the products cancel,
+    # and a spy showing that only factors that do not commute reach
+    # multiply_monomials
+    import weylgb.weyl as weyl
+
+    reached = []
+    original = weyl.multiply_monomials
+
+    def spy(a, b):
+        reached.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(weyl, "multiply_monomials", spy)
+    products = {}
+
+    def brute(a, b):
+        if (a, b) not in products:
+            products[a, b] = brute_monomial_product(a, b)
+        return products[a, b]
+
+    rng = random.Random(20261018)
+    pairs = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        mono = random_monomial(rng, n, max_degree=3)
+        f = random_element(rng, n, max_degree=3)
+        if rng.random() < 0.2:
+            # mono = x^a d_i and f = c x^g d^h (x_i d_i - 1) with g_i = 0:
+            # the products of both terms of f hold x^(a+g) d^(h+e_i), with
+            # coefficients c and -c
+            i = rng.randrange(n)
+            e_i = tuple(int(j == i) for j in range(n))
+            mono = Monomial(random_monomial(rng, n).xi, e_i)
+            m = random_monomial(rng, n)
+            g = tuple(0 if j == i else e for j, e in enumerate(m.xi))
+            c = random_coefficient(rng)
+            f = WeylElement(n, {Monomial(g, m.d) * Monomial(e_i, e_i): c, Monomial(g, m.d): -c})
+        if rng.random() < 0.5:
+            coeff = random_coefficient(rng)
+            terms = f.terms
+        else:
+            coeff = rng.choice([-6, -2, -1, 1, 3, 4])
+            den = 1
+            for c in f.terms.values():
+                den = den * c.denominator
+            terms = {m: int(c * den) for m, c in f.terms.items()}
+        value_type = type(coeff)
+        first = next(iter(terms))
+        acc = {}
+        for m, k in brute(mono, first).terms.items():
+            if rng.random() < 0.5:
+                # an entry the product cancels
+                acc[m] = value_type(-coeff * terms[first] * k)
+        if rng.random() < 0.5:
+            acc[random_monomial(rng, n)] = coeff
+        expected, expected_entered, cancelled = _reference_add_product(acc, coeff, mono, terms, brute)
+        reached.clear()
+        entered = add_product(acc, coeff, mono, terms)
+        assert acc == expected
+        assert Counter(entered) == Counter(expected_entered)
+        assert all(type(c) is value_type for c in acc.values())
+        noncommuting = [(mono, f_mono) for f_mono in terms if not _commute(mono, f_mono)]
+        assert reached == noncommuting
+        pairs["commuting"] += len(terms) - len(noncommuting)
+        pairs["noncommuting"] += len(noncommuting)
+        pairs["cancelled"] += cancelled > 0
+        pairs[value_type.__name__] += 1
+    assert min(pairs.values()) >= 50, pairs
+
+
+def test_multiply_monomials_coefficients_are_fractions_and_one_is_shared():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        a = random_monomial(rng, n)
+        b = random_monomial(rng, n)
+        # the uncached function too, so the computation itself is checked
+        for product in (multiply_monomials(a, b), multiply_monomials.__wrapped__(a, b)):
+            assert product == brute_monomial_product(a, b)
+            assert all(type(c) is Fraction for c in product.terms.values())
+            assert all(c is _ONE for c in product.terms.values() if c == 1)
+        kinds["commuting" if _commute(a, b) else "noncommuting"] += 1
+    assert min(kinds.values()) >= 50, kinds
