@@ -30,6 +30,12 @@ entry per step.  Every leading monomial popped must lie strictly below the
 previous one, or ``DivisionInvariantError`` is raised; a leading term that a
 step failed to cancel goes back on the heap, so the next pop raises.
 
+``regular_remainder`` runs the same loop (``_reduce``) for the signature-based
+completion in ``groebner``.  Each divisor comes with a limit, and is usable
+only at a working monomial whose sort key lies below it, so that only
+regular reductions happen; no quotients are kept.  ``divide`` passes no
+limits.
+
 An element's leading term under the ordering it was last asked about, and
 its integer form F once it serves as a divisor, are kept in a private
 one-entry memo on the element; a call under another ordering replaces the
@@ -126,13 +132,45 @@ def divide(w, divisors, ordering, trace=None):
     for f in divisors:
         if f.n != n:
             raise ValueError(f"dimension mismatch: {n} vs {f.n}")
-    sort_key = ordering.sort_key
-    leads = [(i, *_divisor_form(f, ordering)) for i, f in enumerate(divisors) if f]
+    leads = [(i, *_divisor_form(f, ordering), None) for i, f in enumerate(divisors) if f]
     quotients = [{} for _ in divisors]
-    remainder = {}
     # w == (1 / den) * work, with int values in work
     den = math.lcm(*(c.denominator for c in w.terms.values()))
     work = {m: c.numerator * (den // c.denominator) for m, c in w.terms.items()}
+    remainder = _reduce(work, den, leads, ordering.sort_key, trace, quotients)
+    return DivisionResult(
+        [WeylElement._raw(n, q) for q in quotients], WeylElement._raw(n, remainder)
+    )
+
+
+def regular_remainder(mono, f, divisors, limits, ordering, trace=None):
+    """Remainder of mono * f under regular reduction by the divisors.
+
+    divisors[j] is usable only at a working monomial whose sort key lies
+    below ``limits[j]``; the signature-based completion in ``groebner`` sets
+    the limits so that exactly the multiples with a signature below that of
+    mono * f are subtracted.  The product is formed from f's integer form,
+    so the remainder is a nonzero rational multiple of the true one.  All
+    divisors must be nonzero; ``trace`` is as for ``divide``.
+    """
+    leads = [
+        (i, *_divisor_form(g, ordering), limit)
+        for i, (g, limit) in enumerate(zip(divisors, limits))
+    ]
+    work = {}
+    add_product(work, 1, mono, _divisor_form(f, ordering)[4])
+    return WeylElement._raw(f.n, _reduce(work, 1, leads, ordering.sort_key, trace, None))
+
+
+def _reduce(work, den, leads, sort_key, trace, quotients):
+    """The heap-reduction loop of ``divide`` and ``regular_remainder``.
+
+    Reduces (1 / den) * work, an int dict it consumes, by the divisors in
+    ``leads``, entries (index, lead vector, L, a, b, F, limit) with a limit
+    of None where the divisor is usable everywhere.  Fills ``quotients``
+    unless it is None, and returns the remainder as a dict of Fractions.
+    """
+    remainder = {}
     heap = [_Above(sort_key(m), m) for m in work]
     heapify(heap)
     previous_key = None
@@ -142,20 +180,22 @@ def divide(w, divisors, ordering, trace=None):
         coeff = work.get(mono)
         if coeff is None:
             continue  # cancelled since it was pushed
-        if previous_key is not None and top.key >= previous_key:
+        key = top.key
+        if previous_key is not None and key >= previous_key:
             raise DivisionInvariantError(
                 f"leading monomial {mono!r} did not drop below the "
                 "previous one; the ordering is not a normal ordering"
             )
-        previous_key = top.key
+        previous_key = key
         if trace is not None:
             trace.append(mono)
         vector = mono.vector
-        for i, lead_vector, lead, a, b, f_ints in leads:
-            if all(map(le, lead_vector, vector)):
+        for i, lead_vector, lead, a, b, f_ints, limit in leads:
+            if all(map(le, lead_vector, vector)) and (limit is None or key < limit):
                 cofactor = _cofactor(vector, lead_vector)
-                # (coeff / den) / ((a / b) * lead)
-                quotients[i][cofactor] = Fraction(coeff * b, den * a * lead)
+                if quotients is not None:
+                    # (coeff / den) / ((a / b) * lead)
+                    quotients[i][cofactor] = Fraction(coeff * b, den * a * lead)
                 # work -= (coeff / lead) * cofactor * F, in ints: first scale
                 # work and den by the part of lead that coeff lacks
                 g = math.gcd(coeff, lead)
@@ -177,9 +217,7 @@ def divide(w, divisors, ordering, trace=None):
                 break
         else:
             remainder[mono] = Fraction(work.pop(mono), den)
-    return DivisionResult(
-        [WeylElement._raw(n, q) for q in quotients], WeylElement._raw(n, remainder)
-    )
+    return remainder
 
 
 def _cofactor(vector, lead):

@@ -1,18 +1,62 @@
 """Groebner bases of left ideals for a fixed normal ordering.
 
-Completion is Buchberger-style with left S-pairs: for nonzero u, v and
-m = lcm of the leading monomials,
+Completion (``buchberger``) is signature-based: the GVW framework (Gao,
+Volny and Wang, "A new framework for computing Groebner bases", Math. Comp.
+85, 2016) with the criteria that Sun, Wang, Ma and Zhang prove for left
+ideals of solvable polynomial algebras, the Weyl algebra among them ("A
+signature-based algorithm for computing Groebner bases in solvable
+polynomial algebras", ISSAC 2012).
+
+Each element g of the left ideal of the inputs f_1..f_m carries the
+signature s * e_i of a module element u with g = sum_j u_j * f_j; only the
+signature is kept.  The top term of a product of normal monomials is their
+exponent sum with coefficient 1, so left multiplication by a monomial t
+adds t to the leading monomial of g and to s alike.  Signatures are
+compared in the Schreyer order, by (sort key of s + lm f_i, i), so lm g is
+at most s + lm f_i.  Sort keys are linear in the exponent vector (weight
+rows, then the vector), so an element's gap, the key of s + lm f_i minus
+the key of lm g, is the same for all its multiples, and every signature
+comparison below is one of keys plus gaps.
+
+Signatures are processed in increasing order, one J-pair per signature.
+The J-pair of two elements is t * g, with t = lcm(lm g, lm h) / lm g,
+formed as a Weyl product, when its signature exceeds that of the other
+multiple (lcm / lm h) * h; equal signatures give none.  Input i enters as
+e_i.  A J-pair is skipped when
+
+- a signature of an earlier reduction to zero divides its signature
+  (syzygy criterion), or
+- an element whose signature divides it has a multiple of that signature
+  with a smaller leading monomial (GVW's cover criterion).
+
+Otherwise it is reduced regularly (``division.regular_remainder``): a
+multiple c * h is subtracted only when its signature lies strictly below
+the J-pair's.  A remainder of zero adds its signature to the syzygy
+signatures; a nonzero one is made monic and joins the basis.  GVW also
+discard a remainder that is singular top-reducible, one with the signature
+and the leading monomial of a multiple of some element.  None can be here:
+the remainder's leading monomial lies below the J-pair's, so that element
+would have a larger gap than the J-pair and a signature dividing it, and
+the cover criterion, checked against the whole basis when the J-pair is
+taken, would have skipped the J-pair.  An input joins as it is when no
+regular divisor divides its leading monomial, since tail reduction is
+optional.  A constant ends completion at once with the basis (1,).
+Koszul syzygies and the product criterion are not used: both rest on
+commuting leading terms, and x1 and d1 have coprime leading monomials but
+the S-pair 1.  The raw basis differs from the one a loop reducing every
+S-pair builds; the reduced basis cannot, being unique for the ordering.
+
+``is_groebner`` tests a given set, without signatures, by left S-pairs: for
+nonzero u, v and m = lcm of the leading monomials,
 
     s_pair(u, v) = (m / ls(u)) * u  -  (m / ls(v)) * v
 
-with each single-term cofactor multiplied on the left.  Leading terms
-multiply through products here, so the two top terms cancel exactly; both
-products accumulate into one dict through ``weyl.add_product``.  Pairs are
-processed by increasing lcm (normal strategy).
-
-When an element joins the basis, the Gebauer-Moeller update (Gebauer and
-Moeller, "On an installation of Buchberger's algorithm", JSC 6, 1988) drops
-pairs by the chain criterion before any of them is reduced:
+with each single-term cofactor multiplied on the left, so the two top terms
+cancel exactly.  It reduces the pairs by increasing lcm and stops at the
+first nonzero remainder.  Pairs are dropped by the chain criterion, in the
+Gebauer-Moeller update (Gebauer and Moeller, "On an installation of
+Buchberger's algorithm", JSC 6, 1988) run as the elements are taken in
+turn:
 
 - B_k: a pending pair whose lcm the new leading monomial divides, unless
   the lcm of either of its elements with the new one equals that lcm;
@@ -20,18 +64,8 @@ pairs by the chain criterion before any of them is reduced:
   all but the newest of the new pairs that share one lcm.
 
 The chain criterion holds in G-algebras, the Weyl algebra among them
-(Levandovskyy, PhD thesis, Kaiserslautern 2005).  The product criterion
-(skip a pair with coprime leading monomials) is not applied: it rests on
-the two elements commuting, and it fails for mixed x/d supports, where x1
-and d1 have coprime leading monomials and the S-pair 1.  The raw basis can
-differ from the one a loop reducing every pair builds, since fewer
-remainders join it; the reduced basis cannot, being unique for the
-ordering.
-
-Completion and the Groebner test share one pair queue; ``is_groebner``
-stops at its first nonzero remainder.  With none, completion returns its
-input unchanged, so by its correctness the input is a Groebner basis;
-conversely, every S-pair of a Groebner basis reduces to zero.
+(Levandovskyy, PhD thesis, Kaiserslautern 2005).  A set is a Groebner basis
+exactly when every S-pair the criterion leaves reduces to zero.
 """
 
 from __future__ import annotations
@@ -39,10 +73,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
-from .division import _cofactor, _divisor_form, divide, leading_term, monic
+from .division import (
+    DivisionInvariantError,
+    _cofactor,
+    _divisor_form,
+    divide,
+    leading_term,
+    monic,
+    regular_remainder,
+)
 from .orderings import Ordering, agree_on
-from .weyl import WeylElement, add_product, combined_support
+from .weyl import Monomial, WeylElement, add_product, combined_support
 
 
 def s_pair(u, v, ordering):
@@ -83,65 +126,128 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _completion(basis, ordering):
-    """Reduce the S-pairs of nonzero ``basis`` the pair update leaves, by lcm.
-
-    Each nonzero remainder joins ``basis``, made monic, and is yielded.
-    """
-    lts = [leading_term(g, ordering).monomial for g in basis]
-    pending = {}  # (i, t) -> lcm of the pair still to be reduced
-    heap = []  # (sort key of lcm, t, i); entries of dropped pairs are stale
-
-    def update(t):
-        lt_t = lts[t]
-        # B_k: lt_t divides the lcm of (i, j), and neither (i, t) nor (j, t)
-        # has that same lcm, so the chain i - t - j covers the pair
-        for (i, j), lcm in list(pending.items()):
-            if (
-                lt_t.divides(lcm)
-                and lts[i].lcm(lt_t) != lcm
-                and lts[j].lcm(lt_t) != lcm
-            ):
-                del pending[i, j]
-        # M/F: of the new pairs, keep the newest one per lcm, and only when
-        # no other new lcm properly divides it
-        newest = {lts[i].lcm(lt_t): i for i in range(t)}
-        for lcm, i in newest.items():
-            if not any(other != lcm and other.divides(lcm) for other in newest):
-                pending[i, t] = lcm
-                heapq.heappush(heap, (ordering.sort_key(lcm), t, i))
-
-    for t in range(len(basis)):
-        update(t)
-
-    while heap:
-        _, t, i = heapq.heappop(heap)
-        if pending.pop((i, t), None) is None:
-            continue
-        s = s_pair(basis[i], basis[t], ordering)
-        remainder = divide(s, basis, ordering).remainder
-        if remainder:
-            basis.append(monic(remainder, ordering))
-            lts.append(leading_term(basis[-1], ordering).monomial)
-            update(len(basis) - 1)
-            yield basis[-1]
-
-
 def buchberger(generators, ordering):
     """Complete the generators to a Groebner basis of the left ideal they span.
 
-    Returns the raw completed basis (monic elements, input order preserved);
-    apply reduce_basis for the canonical inter-reduced form.
+    Returns the raw completed basis: monic elements in the order they joined
+    it, which is increasing signature, not input order.  A generator joins
+    as it is when no regular divisor divides its leading monomial, and is
+    replaced by its regular remainder otherwise.  A unit ideal returns the
+    basis (1,) as soon as a constant appears.  Apply reduce_basis for the
+    canonical inter-reduced form.
     """
     generators = list(generators)
-    basis = []
+    inputs = []
     for g in generators:
         g = monic(g, ordering)
-        if g and g not in basis:
-            basis.append(g)
-    for _ in _completion(basis, ordering):
-        pass
+        if g and g not in inputs:
+            if inputs and g.n != inputs[0].n:
+                raise ValueError(f"dimension mismatch: {inputs[0].n} vs {g.n}")
+            inputs.append(g)
+    basis = _signature_completion(inputs, ordering) if inputs else ()
     return GroebnerBasis(tuple(basis), ordering, tuple(generators))
+
+
+def _signature_completion(inputs, ordering):
+    """Signature-based completion of nonzero monic ``inputs``; see the module
+    docstring.  Returns the basis elements in the order they joined."""
+    sort_key = ordering.sort_key
+    unit = (0,) * (2 * inputs[0].n)
+    input_leads = [leading_term(f, ordering).monomial for f in inputs]
+    # (Schreyer key of the signature s * e_i, i, s, source element or -1 for
+    # input i); equal keys and indices mean equal signatures
+    heap = [(sort_key(m), i, unit, -1) for i, m in enumerate(input_leads)]
+    heapq.heapify(heap)
+    no_gap = (0,) * len(heap[0][0])
+    basis = []  # monic elements
+    labels = []  # (index i, signature vector s, gap, leading vector), per element
+    syzygies = []  # (index i, signature vector s) of the reductions to zero
+    last = None
+    while heap:
+        key, i, s, j = heapq.heappop(heap)
+        if j < 0:
+            # input i: no smaller signature divides e_i, so no criterion
+            # applies; with no regular divisor of its leading monomial it joins
+            # as it is, since tail reduction is optional
+            f, gap, cofactor, lt = inputs[i], no_gap, unit, input_leads[i]
+            reduce = any(
+                all(map(le, label[3], lt.vector)) and key < _limit(key, i, label)
+                for label in labels
+            )
+        else:
+            gap = labels[j][2]
+            if (
+                (key, i) == last  # one J-pair per signature
+                or _syzygy_divides(i, s, syzygies)
+                or _covered(i, s, gap, labels)
+            ):
+                continue
+            f, cofactor, reduce = basis[j], tuple(map(sub, s, labels[j][1])), True
+        last = key, i
+        r, r_gap = f, gap
+        if reduce:
+            limits = [_limit(key, i, label) for label in labels]
+            r = regular_remainder(Monomial._raw(cofactor), f, basis, limits, ordering)
+            if not r:
+                syzygies.append((i, s))
+                continue
+            r = monic(r, ordering)
+            lt = leading_term(r, ordering).monomial
+            r_gap = tuple(map(sub, key, sort_key(lt)))
+            if not r_gap > gap:
+                raise DivisionInvariantError(
+                    f"regular reduction left the leading monomial {lt!r} at or "
+                    "above that of the element it reduced"
+                )
+        if lt.is_unit():
+            return [r]
+        label = (i, s, r_gap, lt.vector)
+        for old, old_label in enumerate(labels):
+            _push_j_pair(heap, sort_key, len(labels), label, old, old_label)
+        basis.append(r)
+        labels.append(label)
+    return basis
+
+
+def _limit(key, i, label):
+    """Sort keys below which the element with ``label`` is a regular divisor
+    in signature (key, i).
+
+    Its multiple c * g at a monomial m has the signature key
+    sort_key(m) + gap, with g's index; that lies below (key, i) exactly when
+    sort_key(m) < key - gap, or equals it and g's index is the smaller.
+    """
+    bound = tuple(map(sub, key, label[2]))
+    return bound + (1,) if label[0] < i else bound
+
+
+def _push_j_pair(heap, sort_key, new, new_label, old, old_label):
+    """Push the J-pair of two elements: the multiple of the one whose
+    multiple to the lcm of their leading monomials has the larger signature.
+
+    Both multiples share the lcm, so their signature keys are sort_key(lcm)
+    plus their gaps: the larger (gap, index) wins, and equal ones give none.
+    """
+    lcm = tuple(map(max, new_label[3], old_label[3]))
+    mine, theirs = (new_label[2], new_label[0]), (old_label[2], old_label[0])
+    if mine == theirs:
+        return
+    source, (i, s, gap, lead) = (new, new_label) if mine > theirs else (old, old_label)
+    key = tuple(map(add, sort_key(Monomial._raw(lcm)), gap))
+    heapq.heappush(heap, (key, i, tuple(map(add, s, map(sub, lcm, lead))), source))
+
+
+def _syzygy_divides(i, s, syzygies):
+    """Syzygy criterion: a signature of a reduction to zero divides s * e_i."""
+    return any(h_i == i and all(map(le, h, s)) for h_i, h in syzygies)
+
+
+def _covered(i, s, gap, labels):
+    """Cover criterion: an element whose signature divides s * e_i has a
+    multiple of that signature with a smaller leading monomial."""
+    return any(
+        l_i == i and l_gap > gap and all(map(le, l_s, s)) for l_i, l_s, l_gap, _ in labels
+    )
 
 
 def reduce_basis(basis):
@@ -178,8 +284,35 @@ def reduce_basis(basis):
 
 
 def is_groebner(elements, ordering):
-    """True iff every S-pair the pair update leaves reduces to zero."""
-    return next(_completion([e for e in elements if e], ordering), None) is None
+    """True iff every S-pair the chain criterion leaves reduces to zero.
+
+    The pairs are reduced by increasing lcm, and the test stops at the first
+    nonzero remainder.
+    """
+    basis = [e for e in elements if e]
+    lts = [leading_term(g, ordering).monomial for g in basis]
+    pending = {}  # (i, t) -> lcm of the pair still to be reduced
+    for t, lt_t in enumerate(lts):
+        # B_k: lt_t divides the lcm of (i, j), and neither (i, t) nor (j, t)
+        # has that same lcm, so the chain i - t - j covers the pair
+        for (i, j), lcm in list(pending.items()):
+            if (
+                lt_t.divides(lcm)
+                and lts[i].lcm(lt_t) != lcm
+                and lts[j].lcm(lt_t) != lcm
+            ):
+                del pending[i, j]
+        # M/F: of the new pairs, keep the newest one per lcm, and only when
+        # no other new lcm properly divides it
+        newest = {lts[i].lcm(lt_t): i for i in range(t)}
+        for lcm, i in newest.items():
+            if not any(other != lcm and other.divides(lcm) for other in newest):
+                pending[i, t] = lcm
+    pairs = sorted((ordering.sort_key(lcm), t, i) for (i, t), lcm in pending.items())
+    return not any(
+        divide(s_pair(basis[i], basis[t], ordering), basis, ordering).remainder
+        for _, t, i in pairs
+    )
 
 
 def restriction_stable(elements, ord1, ord2):

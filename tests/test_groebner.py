@@ -27,6 +27,7 @@ from conftest import (
     random_coefficient,
     random_element,
     random_ordering,
+    random_weight_row,
 )
 from oracles import (
     buchberger_naive,
@@ -129,6 +130,11 @@ def test_buchberger_empty_for_zero_ideal():
     assert is_groebner(basis.elements, LEX)
 
 
+def test_buchberger_dimension_mismatch_rejected():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        buchberger([W1.d(1), W2.xi(2) + W2.d(1)], LEX)
+
+
 def test_buchberger_x_only_matches_commutative_oracle():
     gens = [W2.xi(1) ** 2 - W2.xi(2), W2.xi(1) * W2.xi(2) - W2.one()]
     basis = reduce_basis(buchberger(gens, LEX))
@@ -178,17 +184,17 @@ def test_buchberger_matches_naive_completion(monkeypatch):
     # Degree <= 2, at most 3 terms and at most 3 generators keep every
     # naive completion small (the largest reduces 55 S-pairs), so no case
     # needs to be skipped.  The naive loop reduces every pair of the raw
-    # basis it returns.
+    # basis it returns; the signature loop reduces no more than that.
     import weylgb.groebner as groebner
 
     count = [0]
-    original = groebner.s_pair
+    original = groebner.regular_remainder
 
-    def counted_s_pair(u, v, ordering):
+    def counted_reduce(mono, f, divisors, limits, ordering, trace=None):
         count[0] += 1
-        return original(u, v, ordering)
+        return original(mono, f, divisors, limits, ordering, trace)
 
-    monkeypatch.setattr(groebner, "s_pair", counted_s_pair)
+    monkeypatch.setattr(groebner, "regular_remainder", counted_reduce)
     rng = random.Random(20261019)
     for _ in range(200):
         n = rng.randint(1, 2)
@@ -204,6 +210,62 @@ def test_buchberger_matches_naive_completion(monkeypatch):
         assert reduce_basis(raw).elements == reduce_basis(naive).elements
         assert count[0] <= k * (k - 1) // 2
         assert is_groebner(raw.elements, ordering)
+
+
+# The five cheap ideals of the benchmark's gb workload (perfbench/corpus.py)
+CORPUS_D_IDEALS = {
+    "gkz3": (3, ("d1*d3-d2^2", "x1*d1+x2*d2+x3*d3-1/2", "x2*d2+2*x3*d3-1/3")),
+    "airy": (2, ("d2-d1^2", "d1^2+2*x2*d1+x1")),
+    "bessel": (2, ("d1^2+d2^2-1", "x1*d2-x2*d1")),
+    "cusp": (2, ("d2-d1^2", "4*d1^3-2*x2*d1-x1")),
+    "mix1": (2, ("x1*d1^2+x2*d2^2-1", "d1*d2-x1-x2")),
+}
+
+
+def test_signature_completion_matches_naive(monkeypatch):
+    # Seeded random ideals at n = 1..3 under lex, grlex and one or two
+    # weight rows, and the corpus D-ideals under lex and grlex.  The raw
+    # basis must pass the all-pairs test and reduce to the basis of the
+    # completion that reduces every S-pair.  Both criteria must skip
+    # J-pairs, and unit ideals (returned as (1,) at once) must occur.
+    import weylgb.groebner as groebner
+
+    skips = Counter()
+    for name in ("_syzygy_divides", "_covered"):
+        original = getattr(groebner, name)
+
+        def counted(*args, original=original, name=name):
+            skipped = original(*args)
+            skips[name] += skipped
+            return skipped
+
+        monkeypatch.setattr(groebner, name, counted)
+    rng = random.Random(20261021)
+    cases = []
+    for k in range(400):
+        n = 1 + k % 3
+        if k % 4 < 2:
+            ordering = LEX if k % 4 == 0 else Ordering.grlex(n)
+        else:
+            ordering = Ordering.matrix([random_weight_row(rng, n) for _ in range(k % 4 - 1)])
+        gens = [
+            random_element(rng, n, max_degree=2 + k % 2, max_terms=2)
+            for _ in range(rng.randint(1, 2 + k % 2))
+        ]
+        cases.append((gens, ordering))
+    for n, texts in CORPUS_D_IDEALS.values():
+        for order in ("lex", "grlex"):
+            cases.append(([parse_element(t, n) for t in texts], parse_ordering(order, n)))
+    shapes = Counter()
+    for gens, ordering in cases:
+        raw = buchberger(gens, ordering)
+        naive = buchberger_naive(gens, ordering)
+        assert reduce_basis(raw).elements == reduce_basis(naive).elements
+        assert is_groebner_naive(raw.elements, ordering)
+        unit = raw.elements == (WeylAlgebra(gens[0].n).one(),)
+        shapes["unit" if unit else "proper"] += 1
+    assert shapes["unit"] >= 150 and shapes["proper"] >= 150, shapes
+    assert skips["_syzygy_divides"] >= 200 and skips["_covered"] >= 80, skips
 
 
 def test_reduce_basis_examples():
@@ -349,39 +411,77 @@ def test_basis_records_inputs_and_ordering():
     assert len(reduce_basis(basis)) == 1
 
 
-# Four ideals of the benchmark's gb workload (perfbench/corpus.py), with the
+# Five ideals of the benchmark's gb workload (perfbench/corpus.py), with the
 # operation counts of reduce_basis(buchberger(...)); a change in any of them
-# is a change in the algorithm, not in its speed.  The S-pair and zero
-# reduction counts are those of buchberger's own Gebauer-Moeller update, so
-# they pin it against its own output only; reducing every pair, as
-# oracles.buchberger_naive does, takes 15 (gkz3) and 120 (mix1) S-pairs.  The
-# division counts, which include reduce_basis's single tail-reduction pass,
-# come out the same with groebner.divide replaced by oracles.divide_naive's
-# rescan-and-copy loop, so they also check the heap kernel's steps.
+# is a change in the algorithm, not in its speed.  The completion counts are
+# those of buchberger's signature loop: regular reductions (J-pairs, and
+# inputs a regular divisor reduces), how many of them reach zero, and their
+# steps.  Reducing every S-pair, as oracles.buchberger_naive does, takes 15
+# (gkz3) and 120 (mix1) S-pairs.  The division counts are reduce_basis's
+# single tail-reduction pass; they come out the same with groebner.divide
+# replaced by oracles.divide_naive's rescan-and-copy loop, so they also check
+# the heap kernel's steps.  mix2 under lex guards against a runaway: the
+# Gebauer-Moeller completion it replaced reduced 294 S-pairs in about 8 s.
 GB_OPERATION_COUNTS = {
     "gkz3@grlex": (
         3,
         ("d1*d3-d2^2", "x1*d1+x2*d2+x3*d3-1/2", "x2*d2+2*x3*d3-1/3"),
         "grlex",
-        {"s_pairs": 10, "zero_reductions": 7, "division_calls": 16, "division_steps": 68},
+        {
+            "j_pairs_reduced": 7,
+            "zero_reductions": 4,
+            "regular_steps": 36,
+            "division_calls": 6,
+            "division_steps": 21,
+        },
     ),
     "mix1@grlex": (
         2,
         ("x1*d1^2+x2*d2^2-1", "d1*d2-x1-x2"),
         "grlex",
-        {"s_pairs": 24, "zero_reductions": 10, "division_calls": 25, "division_steps": 140},
+        {
+            "j_pairs_reduced": 13,
+            "zero_reductions": 0,
+            "regular_steps": 144,
+            "division_calls": 1,
+            "division_steps": 1,
+        },
+    ),
+    "mix2@lex": (
+        2,
+        ("x1*d1^2+x2*d2^2-x1", "d1*d2-x1*x2-1"),
+        "lex",
+        {
+            "j_pairs_reduced": 132,
+            "zero_reductions": 1,
+            "regular_steps": 3522,
+            "division_calls": 1,
+            "division_steps": 1,
+        },
     ),
     "airy@lex": (
         2,
         ("d2-d1^2", "d1^2+2*x2*d1+x1"),
         "lex",
-        {"s_pairs": 1, "zero_reductions": 1, "division_calls": 3, "division_steps": 9},
+        {
+            "j_pairs_reduced": 1,
+            "zero_reductions": 1,
+            "regular_steps": 4,
+            "division_calls": 2,
+            "division_steps": 6,
+        },
     ),
     "bessel@grlex": (
         2,
         ("d1^2+d2^2-1", "x1*d2-x2*d1"),
         "grlex",
-        {"s_pairs": 1, "zero_reductions": 1, "division_calls": 3, "division_steps": 8},
+        {
+            "j_pairs_reduced": 1,
+            "zero_reductions": 1,
+            "regular_steps": 4,
+            "division_calls": 2,
+            "division_steps": 5,
+        },
     ),
 }
 
@@ -392,8 +492,7 @@ def test_gb_operation_counts_are_pinned(monkeypatch, name):
 
     n, texts, order, expected = GB_OPERATION_COUNTS[name]
     counts = dict.fromkeys(expected, 0)
-    phase = ["buchberger"]
-    original_divide, original_s_pair = groebner.divide, groebner.s_pair
+    original_divide, original_reduce = groebner.divide, groebner.regular_remainder
 
     def counted_divide(w, divisors, ordering, trace=None):
         steps = [] if trace is None else trace
@@ -401,19 +500,22 @@ def test_gb_operation_counts_are_pinned(monkeypatch, name):
         out = original_divide(w, divisors, ordering, trace=steps)
         counts["division_calls"] += 1
         counts["division_steps"] += len(steps) - before
-        if phase[0] == "buchberger" and not out.remainder:
-            counts["zero_reductions"] += 1
         return out
 
-    def counted_s_pair(u, v, ordering):
-        counts["s_pairs"] += 1
-        return original_s_pair(u, v, ordering)
+    def counted_reduce(mono, f, divisors, limits, ordering, trace=None):
+        steps = [] if trace is None else trace
+        before = len(steps)
+        out = original_reduce(mono, f, divisors, limits, ordering, trace=steps)
+        counts["j_pairs_reduced"] += 1
+        counts["zero_reductions"] += not out
+        counts["regular_steps"] += len(steps) - before
+        return out
 
     monkeypatch.setattr(groebner, "divide", counted_divide)
-    monkeypatch.setattr(groebner, "s_pair", counted_s_pair)
+    monkeypatch.setattr(groebner, "regular_remainder", counted_reduce)
     ordering = parse_ordering(order, n)
     raw = buchberger([parse_element(t, n) for t in texts], ordering)
-    phase[0] = "reduce_basis"
+    assert counts["division_calls"] == 0  # completion divides only regularly
     reduced = reduce_basis(raw)
     assert reduced.elements
     assert counts == expected
