@@ -4,43 +4,102 @@ Systems are lists of rows (coeffs, rhs), each meaning coeffs . w >= rhs.
 Variables are eliminated from the highest index down; combining a row with
 positive coefficient and one with negative coefficient on the pivot uses
 positive multipliers only, so every derived row is a nonnegative combination
-of input rows.  Each distinct row remembers the first pair of rows it was
-derived from, so when elimination produces 0 >= rhs with rhs > 0, walking
-those origins back to the input gives a Farkas certificate of infeasibility
-that can be checked independently of this solver.
+of input rows.
 
 Elimination runs on integer rows, GCD-normalized after every combination
 step.  Rows whose entries are all ints are used as given; any other input is
 first converted to Fractions and each row scaled by the lcm of its
-denominators.  The Fraction copy of int input is built only when a
-certificate is returned, since a certificate's rows are the input rows as
-Fractions.  On feasible systems the solution is read off stage by stage,
-always picking the smallest value allowed by the accumulated lower bounds
-(or the largest allowed by upper bounds, capped at 0, when no lower bound
-exists).  Back-substitution keeps the partial solution as int numerators
-over one common denominator and compares bounds by cross-multiplication, so
-a Fraction is built only once per output value.
+denominators.  One routine, ``_eliminate``, runs in two passes:
+
+* The solving pass keeps every input row w_j >= 0 (up to a positive factor)
+  out of the stage lists.  It stands in for that row where it would act:
+  when w_j is eliminated, a row with a negative coefficient on w_j passes to
+  the next stage with that coefficient zeroed, which is its combination with
+  w_j >= 0, and back-substitution starts w_j's lower bound at 0.  When every
+  variable has such a row, rows with nonnegative coefficients and rhs <= 0
+  are dropped, since the orthant implies them.  Each stage still describes
+  the same projection as with every row explicit, and the solution depends
+  only on those projections, so it is the same, bit for bit.
+* The recording pass runs only when the solving pass meets a contradiction
+  0 >= rhs with rhs > 0, and only when the certificate is first read.  Every
+  row is explicit and each distinct row remembers the first pair of rows it
+  was derived from, so walking those origins back from the contradiction
+  gives a Farkas certificate of infeasibility that can be checked
+  independently of this solver.
+
+On feasible systems the solution is read off stage by stage, always picking
+the smallest value allowed by the accumulated lower bounds (or the largest
+allowed by upper bounds, capped at 0, when no lower bound exists).
+Back-substitution keeps the partial solution as int numerators over one
+common denominator and compares bounds by cross-multiplication, so a
+Fraction is built only once per output value.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class Infeasible:
     """Farkas witness: nonnegative multipliers over ``rows`` that combine the
     left-hand sides to zero while the combined right-hand side stays positive.
+
+    The one ``solve_inequalities`` returns derives its rows and multipliers
+    when either is first read, from a snapshot of the system it took at the
+    solve, so a search that only asks whether a system is feasible never
+    pays for a certificate.  ``rows`` and ``multipliers`` are read-only, and
+    equality, hashing, repr, copies and pickles go by their values.
     """
 
-    rows: tuple
-    multipliers: tuple
+    __slots__ = ("_rows", "_multipliers", "_pending")
+    __match_args__ = ("rows", "multipliers")
+
+    def __init__(self, rows, multipliers):
+        self._rows = rows
+        self._multipliers = multipliers
+        self._pending = None
+
+    @classmethod
+    def _deferred(cls, *pending):
+        """A certificate that ``_certificate(*pending)`` derives on first read."""
+        self = cls.__new__(cls)
+        self._pending = pending
+        return self
+
+    def _force(self):
+        if self._pending is not None:
+            self._rows, self._multipliers = _certificate(*self._pending)
+            self._pending = None
+
+    @property
+    def rows(self):
+        self._force()
+        return self._rows
+
+    @property
+    def multipliers(self):
+        self._force()
+        return self._multipliers
 
     def verify(self):
         return certifies_infeasibility(self.rows, self.multipliers)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(rows={self.rows!r}, multipliers={self.multipliers!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.multipliers) == (other.rows, other.multipliers)
+
+    def __hash__(self):
+        return hash((self.rows, self.multipliers))
+
+    def __reduce__(self):
+        # the certificate itself, not the snapshot; every pickle protocol
+        return (type(self), (self.rows, self.multipliers))
 
 
 def certifies_infeasibility(rows, multipliers):
@@ -77,12 +136,11 @@ def solve_inequalities(rows, num_vars):
     num_vars.  Nonnegativity of the variables is NOT implied; append
     nonneg_rows() when wanted, so the certificate covers those constraints
     too.  The solution is a tuple of Fractions; a certificate's rows are the
-    input rows as Fractions.
+    input rows as Fractions, and it is derived when first read.
     """
     rows = tuple(rows)
     if all(type(rhs) is int and all(type(c) is int for c in coeffs) for coeffs, rhs in rows):
-        original = None
-        scales = [1] * len(rows)
+        original = scales = None
         scaled = [(tuple(coeffs), rhs) for coeffs, rhs in rows]
     else:
         original = _fraction_rows(rows)
@@ -95,67 +153,34 @@ def solve_inequalities(rows, num_vars):
         if len(coeffs) != num_vars:
             raise ValueError("row width does not match num_vars")
 
-    def infeasible(row):
-        certified = _fraction_rows(rows) if original is None else original
-        return Infeasible(certified, _multipliers(row, origin, scales))
-
-    # origin[row] is (i, g) when g * row == scales[i] * input row i, and
-    # (p, q, b, a, g) when g * row == b * p + a * q: the first derivation of
-    # each distinct row, inserted after the rows it came from.
-    stage, origin = [], {}
-    for i, (coeffs, rhs) in enumerate(scaled):
-        row, g = _normalize(coeffs, rhs)
-        if row not in origin:
-            origin[row] = (i, g)
-            if _contradicts(row):
-                return infeasible(row)
-            stage.append(row)
-
-    # stages[k] still involves variables 0 .. num_vars-1-k
-    stages = [stage]
-    for var in range(num_vars - 1, -1, -1):
-        pos = [r for r in stage if r[0][var] > 0]
-        neg = [r for r in stage if r[0][var] < 0]
-        stage = [r for r in stage if r[0][var] == 0]
-        seen = set(stage)
-        for p in pos:
-            for q in neg:
-                a, b = p[0][var], -q[0][var]
-                row, g = _normalize(
-                    tuple(b * x + a * y for x, y in zip(p[0], q[0])), b * p[1] + a * q[1]
-                )
-                if row not in seen:
-                    origin.setdefault(row, (p, q, b, a, g))
-                    if _contradicts(row):
-                        return infeasible(row)
-                    seen.add(row)
-                    stage.append(row)
-        stages.append(stage)
+    eliminated = _eliminate(scaled, num_vars)
+    if eliminated is None:
+        return Infeasible._deferred(scaled, num_vars, scales, original)
+    bounds, orthant = eliminated
 
     # solution[k] == num[k] / den; a bound on variable var is a pair (r, c)
     # with c > 0 and value r / (den * c)
     num, den = [0] * num_vars, 1
-    for var in range(num_vars):
-        lower = upper = None
-        for coeffs, rhs in stages[num_vars - 1 - var]:
-            c = coeffs[var]
-            if c == 0:
-                continue
-            # coeffs[k] == 0 for k > var, and num[k] == 0 for k >= var
-            r = rhs * den - sum(map(operator.mul, coeffs, num))
-            if c > 0:
-                if lower is None or r * lower[1] > lower[0] * c:
-                    lower = (r, c)
-            else:
-                r, c = -r, -c
+    mul = operator.mul
+    for var, (pos, neg) in enumerate(bounds):
+        # the row w_var >= 0 left out of the stages bounds var below by 0
+        lower = (0, 1) if orthant[var] else None
+        # coeffs[k] == 0 for k > var, and num[k] == 0 for k >= var
+        for coeffs, rhs in pos:
+            r, c = rhs * den - sum(map(mul, coeffs, num)), coeffs[var]
+            if lower is None or r * lower[1] > lower[0] * c:
+                lower = (r, c)
+        if lower is None:
+            # unbounded below: the largest value the upper bounds allow, capped at 0
+            upper = None
+            for coeffs, rhs in neg:
+                r, c = sum(map(mul, coeffs, num)) - rhs * den, -coeffs[var]
                 if upper is None or r * upper[1] < upper[0] * c:
                     upper = (r, c)
-        if lower is not None:
-            r, c = lower
-        elif upper is not None and upper[0] < 0:
-            r, c = upper
-        else:
-            continue
+            if upper is None or upper[0] >= 0:
+                continue
+            lower = upper
+        r, c = lower
         if c == 1:
             num[var] = r
         else:
@@ -166,26 +191,128 @@ def solve_inequalities(rows, num_vars):
             if g > 1:
                 num = [x // g for x in num]
                 den //= g
-    return tuple(Fraction(x, den) for x in num)
+    if den == 1:
+        return tuple([Fraction(x) for x in num])
+    return tuple([Fraction(x, den) for x in num])
+
+
+def _eliminate(scaled, num_vars, origin=None):
+    """Fourier-Motzkin elimination of the int rows ``scaled``, last variable first.
+
+    Returns None as soon as a row 0 >= rhs with rhs > 0 appears.  Otherwise
+    returns (bounds, orthant): bounds[var] is the pair (lower, upper) of
+    lists of the rows with a positive and a negative coefficient on var in
+    the stage left after eliminating the variables above var.  With the
+    row w_j >= 0 added for every j with orthant[j] true, that stage
+    describes the projection of the system onto the variables 0 .. var.
+
+    Without ``origin`` this is the solving pass: the input rows w_j >= 0 set
+    orthant[j] and stay out of the stages, and nothing is recorded.  With
+    ``origin`` (an empty dict) every row is explicit, orthant is all false,
+    and origin[row] is (i, g) when g * row == scaled[i], and (p, q, b, a, g)
+    when g * row == b * p + a * q: the first derivation of each distinct
+    row, inserted after the rows it came from, so a contradiction is its
+    last key.
+    """
+    gcd = math.gcd
+    record = origin is not None
+    orthant = [False] * num_vars
+    seen = origin if record else set()
+    stage = []
+    for i, (coeffs, rhs) in enumerate(scaled):
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs = tuple([c // g for c in coeffs])
+            rhs //= g
+        else:
+            g = 1
+        row = (coeffs, rhs)
+        if row in seen:
+            continue
+        if record:
+            origin[row] = (i, g)
+        else:
+            seen.add(row)
+            if rhs == 0 and coeffs.count(0) == num_vars - 1 and 1 in coeffs:
+                orthant[coeffs.index(1)] = True
+                continue
+        if rhs > 0 and not any(coeffs):
+            return None
+        stage.append(row)
+    # every variable nonnegative implies each row with coefficients >= 0 and rhs <= 0
+    prune = num_vars > 0 and all(orthant)
+    if prune:
+        stage = [row for row in stage if row[1] > 0 or min(row[0]) < 0]
+
+    bounds = [None] * num_vars
+    for var in range(num_vars - 1, -1, -1):
+        pos, neg, nxt = [], [], []
+        for r in stage:
+            c = r[0][var]
+            if c > 0:
+                pos.append(r)
+            elif c:
+                neg.append(r)
+            else:
+                nxt.append(r)
+        bounds[var] = (pos, neg)
+        stage = nxt
+        if orthant[var] and neg:
+            # the row w_var >= 0 left out of the stages; combined with a row
+            # of neg it zeroes that row's coefficient on var
+            pos = pos + [((0,) * var + (1,) + (0,) * (num_vars - 1 - var), 0)]
+        if not (pos and neg):
+            continue
+        seen = set(stage)
+        for p in pos:
+            pc, pr = p
+            a = pc[var]
+            for q in neg:
+                qc, qr = q
+                b = -qc[var]
+                coeffs = tuple([b * x + a * y for x, y in zip(pc, qc)])
+                rhs = b * pr + a * qr
+                g = gcd(*coeffs, rhs)
+                if g > 1:
+                    coeffs = tuple([c // g for c in coeffs])
+                    rhs //= g
+                else:
+                    g = 1
+                row = (coeffs, rhs)
+                if row in seen:
+                    continue
+                if record:
+                    origin.setdefault(row, (p, q, b, a, g))
+                seen.add(row)
+                if rhs > 0:
+                    if not any(coeffs):
+                        return None
+                elif prune and min(coeffs) >= 0:
+                    continue
+                stage.append(row)
+    return bounds, orthant
+
+
+def _certificate(scaled, num_vars, scales, original):
+    """The Farkas certificate of an infeasible system: (rows, multipliers).
+
+    Reruns the elimination with every row explicit and its derivations
+    recorded.  ``scales`` and ``original`` are None when the input rows
+    were all ints, so every scale is 1 and the rows are ``scaled`` itself.
+    """
+    origin = {}
+    if _eliminate(scaled, num_vars, origin) is not None:
+        raise AssertionError("recording pass found no contradiction; solver bug")
+    if scales is None:
+        scales = [1] * len(scaled)
+    rows = _fraction_rows(scaled) if original is None else original
+    return rows, _multipliers(next(reversed(origin)), origin, scales)
 
 
 def _fraction_rows(rows):
     return tuple(
         (tuple(Fraction(c) for c in coeffs), Fraction(rhs)) for coeffs, rhs in rows
     )
-
-
-def _normalize(coeffs, rhs):
-    """The row divided by the GCD g of its entries, and g (1 when g <= 1)."""
-    g = math.gcd(*coeffs, rhs)
-    if g > 1:
-        return (tuple(c // g for c in coeffs), rhs // g), g
-    return (coeffs, rhs), 1
-
-
-def _contradicts(row):
-    """True for 0 >= rhs with rhs > 0."""
-    return row[1] > 0 and not any(row[0])
 
 
 def _multipliers(row, origin, scales):

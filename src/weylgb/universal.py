@@ -45,7 +45,7 @@ from functools import lru_cache
 from .division import divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities
 from .groebner import buchberger, is_groebner, reduce_basis
-from .orderings import Ordering, _integer_row
+from .orderings import Ordering
 from .weyl import Monomial, combined_support
 
 COVERAGE_FAMILY = "nonnegative weight row + lex tie-break"
@@ -174,8 +174,9 @@ def _witness_keys(weights, vectors, chain, rest):
     key must be below the key of every index in ``rest``.  The checks raise
     AssertionError themselves, so they run under ``python -O`` too.
     """
-    row = _integer_row(weights)
-    scale = math.lcm(*(q.denominator for q in weights))
+    dens = [q.denominator for q in weights]
+    scale = math.lcm(*dens)
+    row = [q.numerator * (scale // d) for q, d in zip(weights, dens)]
     if any(w < 0 for w in row):
         raise AssertionError("witness has a negative weight; solver bug")
     dots = [sum(map(operator.mul, row, v)) for v in vectors]

@@ -16,8 +16,10 @@ reduces every pair where ``buchberger`` drops those the chain criterion
 covers, the Groebner-test oracle reduces every pair of its input where
 ``is_groebner`` runs ``buchberger``'s pruned pair queue, and
 ``solve_inequalities_naive`` runs Fourier-Motzkin on Fraction copies of its
-rows and back-substitutes with Fraction sums where ``solve_inequalities``
-stays in ints until the output.
+rows, carries every row w_j >= 0 through every stage and records each
+row's derivation as it goes, and back-substitutes with Fraction sums where
+``solve_inequalities`` stays in ints until the output, keeps those rows
+implicit and derives a certificate only when it is read.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -48,7 +50,7 @@ from weylgb import (
     s_pair,
 )
 from weylgb.division import DivisionInvariantError, DivisionResult, monic
-from weylgb.feasibility import Infeasible, _contradicts, _multipliers, _normalize
+from weylgb.feasibility import Infeasible, _multipliers
 from weylgb.universal import DEFAULT_SUPPORT_CAP, _sorted_support
 
 
@@ -265,6 +267,19 @@ def solve_inequalities_naive(rows, num_vars):
         else:
             solution[var] = Fraction(0)
     return tuple(Fraction(v) for v in solution)
+
+
+def _normalize(coeffs, rhs):
+    """The row divided by the GCD g of its entries, and g (1 when g <= 1)."""
+    g = math.gcd(*coeffs, rhs)
+    if g > 1:
+        return (tuple(c // g for c in coeffs), rhs // g), g
+    return (coeffs, rhs), 1
+
+
+def _contradicts(row):
+    """True for 0 >= rhs with rhs > 0."""
+    return row[1] > 0 and not any(row[0])
 
 
 def divide_naive(w, divisors, ordering, trace=None):

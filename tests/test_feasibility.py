@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -288,3 +290,92 @@ def test_outcomes_are_fraction_typed(kind):
 
     outcome = solve_inequalities([((), 1)], 0)
     assert isinstance(outcome, Infeasible) and outcome.verify()
+
+
+def test_orthant_rows_match_naive(rng):
+    # the solving pass keeps the rows w_j >= 0 out of its stages and, when
+    # every variable has one, drops the rows the orthant implies; solutions
+    # and certificates must still be the slow twin's, down to types
+    assert solve_inequalities([((), 0)], 0) == ()
+    assert solve_inequalities([((), -1), ((), 0)], 0) == ()
+    counts = {"all": 0, "some": 0, "none": 0, "implied": 0, "infeasible": 0}
+    for case in range(1500):
+        num_vars = case % 5
+        rows = [_random_row(rng, num_vars) for _ in range(rng.randint(0, 5))]
+        kept = rng.choice(["all", "some", "none"])
+        for coeffs, _ in nonneg_rows(num_vars):
+            if kept == "all" or (kept == "some" and rng.random() < 0.5):
+                # w_j >= 0 itself or a scaled copy such as 2*w_j >= 0
+                k = rng.choice([1, 1, 2, 3])
+                rows.append((tuple(k * c for c in coeffs), 0))
+            if rng.random() < 0.25:
+                rows.append((coeffs, -rng.randint(1, 2)))  # weaker, as w_j >= -1
+        if rng.random() < 0.3:
+            rows.append(((0,) * num_vars, rng.choice([-1, 0, 0, 1])))
+        rng.shuffle(rows)
+        kind = "int" if case % 2 else "fraction"
+        rows = [(_integral if kind == "int" else _as_fractions)(row) for row in rows]
+
+        outcome = solve_inequalities(rows, num_vars)
+        assert repr(outcome) == repr(solve_inequalities_naive(rows, num_vars)), rows
+        counts[kept] += 1
+        if kept == "all" and any(
+            rhs <= 0 and all(c >= 0 for c in coeffs) and (rhs or sum(map(bool, coeffs)) != 1)
+            for coeffs, rhs in rows
+        ):
+            counts["implied"] += 1
+        if isinstance(outcome, Infeasible):
+            assert outcome.verify(), rows
+            counts["infeasible"] += 1
+    assert min(counts.values()) >= 300, counts
+
+
+def _infeasible_rows():
+    """-w2 >= 1 against w2 >= 0, rows and coefficient vectors as lists."""
+    return [[[0, -1], 1], [[1, 0], 0], [[0, 1], 0]]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_deferred_certificate_is_a_value(kind):
+    def solve():
+        rows = _infeasible_rows()
+        if kind == "fraction":
+            rows = [[[F(c) for c in coeffs], F(rhs)] for coeffs, rhs in rows]
+        return solve_inequalities(rows, 2)
+
+    forced = solve()
+    eager = Infeasible(forced.rows, forced.multipliers)
+    # each deferred certificate below is read first by the operation checked
+    assert hash(solve()) == hash(eager)
+    assert solve() == eager and eager == solve()
+    assert repr(solve()) == repr(eager)
+    assert solve() != Infeasible(forced.rows, (F(1),) * 3)
+    assert solve().verify()
+    pickles = [pickle.loads(pickle.dumps(solve(), p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (copy.copy(solve()), copy.deepcopy(solve()), *pickles):
+        assert type(clone) is Infeasible
+        assert clone == eager and hash(clone) == hash(eager) and repr(clone) == repr(eager)
+    outcome = solve()
+    for name in ("rows", "multipliers", "other"):
+        with pytest.raises(AttributeError):
+            setattr(outcome, name, ())
+    with pytest.raises(AttributeError):
+        del outcome.rows
+    assert outcome == eager
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_deferred_certificate_is_a_snapshot(kind):
+    # the certificate is derived after the solve, so it must not see later
+    # changes to input rows the caller passed as lists
+    rows = _infeasible_rows()
+    if kind == "fraction":
+        rows = [[[F(c) for c in coeffs], F(rhs)] for coeffs, rhs in rows]
+    expected = solve_inequalities_naive(rows, 2)
+    outcome = solve_inequalities(rows, 2)
+    rows[0][0][1] = 5
+    rows[0][1] = -7
+    rows[1][0] = [-3, 0]
+    rows.append([[0, 0], 1])
+    assert repr(outcome) == repr(expected)
+    assert outcome.verify()
