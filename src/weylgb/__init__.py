@@ -1,31 +1,14 @@
-"""weylgb: exact Groebner bases in Weyl algebras over the rationals."""
+"""weylgb: exact Groebner bases in Weyl algebras over the rationals.
 
-from .division import (
-    ContractReport,
-    DivisionResult,
-    LeadingTerm,
-    check_division_contract,
-    divide,
-    leading_term,
-)
+The names below are the library API that README.md's "Library API"
+section documents.  Helpers and the types a caller only receives as
+return values stay importable from their modules.
+"""
+
+from .division import divide, leading_term
 from .feasibility import Infeasible, certifies_infeasibility, solve_inequalities
-from .groebner import (
-    GroebnerBasis,
-    buchberger,
-    ideal_member,
-    is_groebner,
-    reduce_basis,
-    restriction_stable,
-    s_pair,
-)
-from .orderings import (
-    DistanceBound,
-    Filtration,
-    Ordering,
-    agree_on,
-    monomials_up_to_degree,
-    ordering_distance,
-)
+from .groebner import GroebnerBasis, buchberger, ideal_member, is_groebner, reduce_basis
+from .orderings import DistanceBound, Filtration, Ordering, agree_on, ordering_distance
 from .parsing import (
     ParseError,
     format_element,
@@ -35,48 +18,32 @@ from .parsing import (
     parse_ordering,
 )
 from .universal import (
-    Cone,
     CounterexampleOrdering,
-    Restriction,
     SaturationLimitExceeded,
     SupportCapExceeded,
     UniversalCertificate,
-    WeightWitness,
     certificate_json,
     certificate_text,
     certify_universal,
     enumerate_restrictions,
-    realize_restriction,
     universal_groebner,
 )
-from .weyl import (
-    Monomial,
-    WeylAlgebra,
-    WeylElement,
-    combined_support,
-    multiply_monomials,
-)
+from .weyl import Monomial, WeylAlgebra, WeylElement
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cone",
-    "ContractReport",
     "CounterexampleOrdering",
     "DistanceBound",
-    "DivisionResult",
     "Filtration",
     "GroebnerBasis",
     "Infeasible",
-    "LeadingTerm",
     "Monomial",
     "Ordering",
     "ParseError",
-    "Restriction",
     "SaturationLimitExceeded",
     "SupportCapExceeded",
     "UniversalCertificate",
-    "WeightWitness",
     "WeylAlgebra",
     "WeylElement",
     "agree_on",
@@ -85,8 +52,6 @@ __all__ = [
     "certificate_json",
     "certificate_text",
     "certify_universal",
-    "check_division_contract",
-    "combined_support",
     "divide",
     "enumerate_restrictions",
     "format_element",
@@ -95,15 +60,10 @@ __all__ = [
     "ideal_member",
     "is_groebner",
     "leading_term",
-    "monomials_up_to_degree",
-    "multiply_monomials",
     "ordering_distance",
     "parse_element",
     "parse_ordering",
-    "realize_restriction",
     "reduce_basis",
-    "restriction_stable",
-    "s_pair",
     "solve_inequalities",
     "universal_groebner",
 ]

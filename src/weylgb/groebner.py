@@ -84,8 +84,8 @@ from .division import (
     monic,
     regular_remainder,
 )
-from .orderings import Ordering, agree_on
-from .weyl import Monomial, WeylElement, add_product, combined_support
+from .orderings import Ordering
+from .weyl import Monomial, WeylElement, add_product
 
 
 def s_pair(u, v, ordering):
@@ -313,15 +313,6 @@ def is_groebner(elements, ordering):
         divide(s_pair(basis[i], basis[t], ordering), basis, ordering).remainder
         for _, t, i in pairs
     )
-
-
-def restriction_stable(elements, ord1, ord2):
-    """Do the two orderings agree on the combined support of the elements?
-
-    When they do and the elements form a Groebner basis under ord1, they
-    form one under ord2 as well; callers rely on that transfer.
-    """
-    return agree_on(ord1, ord2, combined_support(elements))
 
 
 def ideal_member(w, basis):

@@ -59,8 +59,9 @@ def agreeing_ordering(rng, elements, ord1):
     plus the lex tail, so a witness exists; random extra rows are appended
     when they do not disturb the agreement.
     """
-    from weylgb import Restriction, WeightWitness, agree_on, combined_support
-    from weylgb import realize_restriction
+    from weylgb import agree_on
+    from weylgb.universal import Restriction, WeightWitness, realize_restriction
+    from weylgb.weyl import combined_support
 
     support = combined_support(elements)
     chain = tuple(sorted(support, key=ord1.sort_key))

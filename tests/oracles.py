@@ -37,21 +37,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from weylgb import (
-    GroebnerBasis,
-    Monomial,
-    Restriction,
-    SupportCapExceeded,
-    WeightWitness,
-    WeylElement,
-    divide,
-    leading_term,
-    realize_restriction,
-    s_pair,
-)
+from weylgb import GroebnerBasis, Monomial, SupportCapExceeded, WeylElement, divide, leading_term
 from weylgb.division import DivisionInvariantError, DivisionResult, monic
 from weylgb.feasibility import Infeasible, _multipliers
-from weylgb.universal import DEFAULT_SUPPORT_CAP, _sorted_support
+from weylgb.groebner import s_pair
+from weylgb.universal import (
+    DEFAULT_SUPPORT_CAP,
+    Restriction,
+    WeightWitness,
+    _sorted_support,
+    realize_restriction,
+)
 
 
 def _word(mono_left, mono_right):

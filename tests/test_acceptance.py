@@ -16,20 +16,19 @@ from weylgb import (
     agree_on,
     buchberger,
     certificate_text,
-    check_division_contract,
-    combined_support,
     divide,
     enumerate_restrictions,
     is_groebner,
     leading_term,
-    monomials_up_to_degree,
-    multiply_monomials,
     ordering_distance,
     parse_element,
     reduce_basis,
     universal_groebner,
 )
 from weylgb import universal
+from weylgb.division import check_division_contract
+from weylgb.orderings import monomials_up_to_degree
+from weylgb.weyl import combined_support, multiply_monomials
 from conftest import (
     agreeing_ordering,
     random_element,

@@ -1,9 +1,15 @@
 import ast
+import contextlib
 import importlib
+import io
+import re
 import sys
+import types
 from pathlib import Path
 
 import weylgb
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_public_surface_resolves_and_ships_no_oracle():
@@ -22,7 +28,7 @@ def test_library_has_no_assert_statements():
 
 def _perfbench_constant(filename, name):
     """A literal module constant of perfbench, read without importing it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / filename
+    path = ROOT / "perfbench" / filename
     tree = ast.parse(path.read_text(), filename=str(path))
     return next(
         ast.literal_eval(node.value)
@@ -69,3 +75,77 @@ def test_every_cache_is_cleared_by_the_bench():
                         cached.add((path.stem, node.name))
     assert cached, "no cache found; the search is broken"
     assert cached <= cold, sorted(cached - cold)
+
+
+def _readme_section(heading):
+    """The README text under ``## heading``, up to the next ``## `` heading."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
+def test_readme_library_api_is_the_package_namespace():
+    # each documented name leads one bullet line: `name` or `name(args)`
+    section = _readme_section("Library API")
+    documented = re.findall(r"^- `([A-Za-z_]\w*)", section, flags=re.MULTILINE)
+    assert len(documented) == len(set(documented)), sorted(documented)
+    assert set(documented) == set(weylgb.__all__)
+    assert len(weylgb.__all__) == len(set(weylgb.__all__))
+    for name in dir(weylgb):
+        if name.startswith("_") or name in weylgb.__all__:
+            continue
+        assert isinstance(getattr(weylgb, name), types.ModuleType), name
+
+
+def test_perfbench_reads_only_public_names():
+    # the benchmark reads these names off the package object; one dropped
+    # from __all__ would make every bench run fail instead of a test
+    read = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "weylgb":
+                read.update(alias.name for alias in node.names)
+            if (
+                isinstance(node, ast.Attribute)
+                and not node.attr.startswith("__")
+                and ast.unparse(node.value) in ("wb", "self.wb")
+            ):
+                read.add(node.attr)
+    assert read, "no read of the package found; the search is broken"
+    assert read <= set(weylgb.__all__), sorted(read - set(weylgb.__all__))
+
+
+def test_readme_quick_tour_runs_as_commented():
+    section = _readme_section("Library quick tour")
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    tree = ast.parse(code)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert isinstance(node, ast.ImportFrom) and node.module == "weylgb"
+            assert {a.name for a in node.names} <= set(weylgb.__all__)
+    namespace = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(tree, "README.md", "exec"), namespace)
+    # a bare expression line is commented with its value
+    lines = code.splitlines()
+    shown = [
+        node for node in tree.body
+        if isinstance(node, ast.Expr) and not isinstance(node.value, ast.Call)
+    ]
+    assert shown
+    for node in shown:
+        expr, comment = lines[node.lineno - 1].split("#")
+        value = eval(expr, namespace)
+        assert weylgb.format_element(value) == comment.strip()
+    # res = divide(x * d, [d], lex): quotient x1, remainder 0
+    res = namespace["res"]
+    assert [weylgb.format_element(q) for q in res.quotients] == ["x1"]
+    assert not res.remainder
+    # print(certificate_text(cert)): 2 cones, both passed
+    text = out.getvalue()
+    assert text == weylgb.certificate_text(namespace["cert"]) + "\n"
+    cones = [line for line in text.splitlines() if line.startswith("  cone ")]
+    assert "cones (2):" in text and len(cones) == 2
+    assert all(line.endswith("| passed") for line in cones)

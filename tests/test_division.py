@@ -10,19 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from weylgb import (
-    LeadingTerm,
-    Monomial,
-    Ordering,
-    WeylAlgebra,
-    WeylElement,
-    check_division_contract,
-    divide,
-    leading_term,
-    multiply_monomials,
-    s_pair,
-)
-from weylgb.division import DivisionInvariantError
+from weylgb import Monomial, Ordering, WeylAlgebra, WeylElement, divide, leading_term
+from weylgb.division import DivisionInvariantError, LeadingTerm, check_division_contract
+from weylgb.groebner import s_pair
+from weylgb.weyl import multiply_monomials
 from conftest import random_coefficient, random_element, random_monomial, random_ordering
 from oracles import divide_naive, poly_leading, to_commutative
 

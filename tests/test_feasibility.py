@@ -9,13 +9,13 @@ import pytest
 from weylgb import (
     Infeasible,
     certifies_infeasibility,
-    combined_support,
     enumerate_restrictions,
     parse_element,
     solve_inequalities,
     universal,
 )
 from weylgb.feasibility import nonneg_rows
+from weylgb.weyl import combined_support
 from oracles import enumerate_restrictions_naive, solve_inequalities_naive
 
 

@@ -10,10 +10,10 @@ from weylgb import (
     Ordering,
     agree_on,
     format_ordering,
-    monomials_up_to_degree,
     ordering_distance,
     parse_ordering,
 )
+from weylgb.orderings import monomials_up_to_degree
 from conftest import random_monomial, random_ordering
 
 

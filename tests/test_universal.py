@@ -15,28 +15,25 @@ from weylgb import (
     Infeasible,
     Monomial,
     Ordering,
-    Restriction,
     SaturationLimitExceeded,
     SupportCapExceeded,
     UniversalCertificate,
-    WeightWitness,
     WeylAlgebra,
     certificate_json,
     certificate_text,
     certify_universal,
-    combined_support,
     enumerate_restrictions,
     is_groebner,
     leading_term,
-    monomials_up_to_degree,
     parse_element,
-    realize_restriction,
     universal_groebner,
 )
 from weylgb import universal
 from weylgb.feasibility import nonneg_rows
 from weylgb.groebner import buchberger, reduce_basis
-from weylgb.universal import _below_row
+from weylgb.orderings import monomials_up_to_degree
+from weylgb.universal import Restriction, WeightWitness, _below_row, realize_restriction
+from weylgb.weyl import combined_support
 from conftest import random_element, random_monomial, random_weight_row
 from oracles import commutative_buchberger, enumerate_restrictions_naive, to_commutative
 
@@ -91,7 +88,8 @@ def test_bad_witness_is_a_solver_bug(monkeypatch, weights):
 
 _BAD_WITNESS = """
 from fractions import Fraction
-from weylgb import Monomial, Restriction, enumerate_restrictions, realize_restriction, universal
+from weylgb import Monomial, enumerate_restrictions, universal
+from weylgb.universal import Restriction, realize_restriction
 
 universal.solve_inequalities = lambda rows, num_vars: (Fraction(1), Fraction(0))
 try:
@@ -204,8 +202,6 @@ def test_enumerate_matches_naive_across_sizes(monkeypatch, n, max_degree):
 
 
 def _degree_pool(n, max_degree):
-    from weylgb import monomials_up_to_degree
-
     return monomials_up_to_degree(n, max_degree)
 
 

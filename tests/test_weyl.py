@@ -6,16 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylgb import (
-    Monomial,
-    Ordering,
-    WeylAlgebra,
-    WeylElement,
-    combined_support,
-    leading_term,
-    multiply_monomials,
-)
-from weylgb.weyl import _ONE, add_product
+from weylgb import Monomial, Ordering, WeylAlgebra, WeylElement, leading_term
+from weylgb.weyl import _ONE, add_product, combined_support, multiply_monomials
 from conftest import random_coefficient, random_element, random_monomial
 from oracles import brute_element_product, brute_monomial_product
 
