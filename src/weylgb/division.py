@@ -114,7 +114,7 @@ class DivisionInvariantError(RuntimeError):
     an ordering that is not translation-compatible."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DivisionResult:
     quotients: list
     remainder: WeylElement

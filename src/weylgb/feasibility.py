@@ -39,67 +39,44 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 
+@dataclass(frozen=True)
 class Infeasible:
     """Farkas witness: nonnegative multipliers over ``rows`` that combine the
     left-hand sides to zero while the combined right-hand side stays positive.
 
-    The one ``solve_inequalities`` returns derives its rows and multipliers
-    when either is first read, from a snapshot of the system it took at the
-    solve, so a search that only asks whether a system is feasible never
-    pays for a certificate.  ``rows`` and ``multipliers`` are read-only, and
-    equality, hashing, repr, copies and pickles go by their values.
+    The one ``solve_inequalities`` returns holds only a snapshot of the
+    system it took at the solve, and derives both fields when either is
+    first read, so a search that only asks whether a system is feasible
+    never pays for a certificate.  Copies and pickles carry the fields.
     """
 
-    __slots__ = ("_rows", "_multipliers", "_pending")
-    __match_args__ = ("rows", "multipliers")
-
-    def __init__(self, rows, multipliers):
-        self._rows = rows
-        self._multipliers = multipliers
-        self._pending = None
-
-    @classmethod
-    def _deferred(cls, *pending):
-        """A certificate that ``_certificate(*pending)`` derives on first read."""
-        self = cls.__new__(cls)
-        self._pending = pending
-        return self
-
-    def _force(self):
-        if self._pending is not None:
-            self._rows, self._multipliers = _certificate(*self._pending)
-            self._pending = None
-
-    @property
-    def rows(self):
-        self._force()
-        return self._rows
-
-    @property
-    def multipliers(self):
-        self._force()
-        return self._multipliers
+    rows: tuple
+    multipliers: tuple
 
     def verify(self):
         return certifies_infeasibility(self.rows, self.multipliers)
 
-    def __repr__(self):
-        return f"{type(self).__qualname__}(rows={self.rows!r}, multipliers={self.multipliers!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.multipliers) == (other.rows, other.multipliers)
-
-    def __hash__(self):
-        return hash((self.rows, self.multipliers))
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks, as a deferred
+        # certificate lacks its fields before their first read.  Both fields
+        # are set before the snapshot goes, so once it is gone they are there.
+        pending = self.__dict__.get("_pending")
+        if pending is not None and name in ("rows", "multipliers"):
+            rows, multipliers = _certificate(*pending)
+            object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "multipliers", multipliers)
+            self.__dict__.pop("_pending", None)
+        if name in self.__dict__:
+            # derived above, or by another thread since this lookup missed
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __reduce__(self):
-        # the certificate itself, not the snapshot; every pickle protocol
-        return (type(self), (self.rows, self.multipliers))
+        return (Infeasible, (self.rows, self.multipliers))
 
 
 def certifies_infeasibility(rows, multipliers):
@@ -155,7 +132,9 @@ def solve_inequalities(rows, num_vars):
 
     eliminated = _eliminate(scaled, num_vars)
     if eliminated is None:
-        return Infeasible._deferred(scaled, num_vars, scales, original)
+        outcome = object.__new__(Infeasible)
+        object.__setattr__(outcome, "_pending", (scaled, num_vars, scales, original))
+        return outcome
     bounds, orthant = eliminated
 
     # solution[k] == num[k] / den; a bound on variable var is a pair (r, c)

@@ -15,10 +15,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import CACHE_SIZE, Monomial
+from .weyl import CACHE_SIZE, Monomial, _Immutable
 
 
-class Ordering:
+class Ordering(_Immutable):
     """Total order on normal monomials, well-founded and translation-compatible.
 
     ``rows`` keeps the weight rows as given, as Fractions; equality, hashing
@@ -29,7 +29,8 @@ class Ordering:
     while the keys become tuples of ints instead of tuples of Fractions.
     Keys are cached per monomial; the cache is emptied whenever it reaches
     ``weyl.CACHE_SIZE`` entries, so a long-lived ordering holds a bounded
-    number of them.
+    number of them.  Instances are immutable; the key cache only stores what
+    the rows determine.
     """
 
     __slots__ = ("rows", "_int_rows", "_key_cache", "__weakref__")
@@ -44,9 +45,12 @@ class Ordering:
                 raise ValueError("weight rows must have even width (x block + d block)")
             if any(q < 0 for q in row):
                 raise ValueError("weight rows must be componentwise nonnegative")
-        self.rows = rows
-        self._int_rows = tuple(_integer_row(row) for row in rows)
-        self._key_cache = {}
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_int_rows", tuple(_integer_row(row) for row in rows))
+        object.__setattr__(self, "_key_cache", {})
+
+    def __reduce__(self):
+        return (Ordering, (self.rows,))
 
     @classmethod
     def lex(cls):
@@ -132,6 +136,7 @@ def _compositions(total, length):
             yield (head,) + tail
 
 
+@dataclass(frozen=True)
 class Filtration:
     """Nested finite monomial sets S_0 = {} and S_1 <= S_2 <= ... covering all.
 
@@ -140,17 +145,18 @@ class Filtration:
     nested and exhaustive for the metric below to make sense.
     """
 
-    def __init__(self, n, rule=None):
-        if n < 1:
+    n: int
+    rule: object = None
+
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        self.n = n
-        self._rule = rule
 
     def level(self, i):
         if i < 0:
             raise ValueError("filtration level must be >= 0")
-        if self._rule is not None:
-            return tuple(self._rule(i))
+        if self.rule is not None:
+            return tuple(self.rule(i))
         if i == 0:
             return ()
         return tuple(monomials_up_to_degree(self.n, i - 1))

@@ -53,6 +53,7 @@ class _Parser:
     def __init__(self, text, n):
         self.tokens = _tokenize(text)
         self.n = n
+        self.algebra = WeylAlgebra(n)
         self.index = 0
 
     def peek(self):
@@ -115,8 +116,7 @@ class _Parser:
                 raise ParseError(
                     f"variable {text!r} out of range for dimension {self.n}", pos
                 )
-            algebra = WeylAlgebra(self.n)
-            return (algebra.xi if text[0] == "x" else algebra.d)(index)
+            return (self.algebra.xi if text[0] == "x" else self.algebra.d)(index)
         if (kind, text) == ("op", "("):
             value = self.expr()
             kind, text, pos = self.advance()

@@ -35,11 +35,25 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 
-class Monomial:
+class _Immutable:
+    """Refuses attribute assignment and deletion.  Subclasses set their slots
+    at construction through the slot descriptors or ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Monomial(_Immutable):
     """One normal monomial x^a * d^b, stored as one exponent vector.
 
     ``vector`` is a followed by b.  Sort keys, divisibility, lcm and the rows
@@ -66,12 +80,6 @@ class Monomial:
         _set_vector(self, vector)
         _set_hash(self, hash(vector))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Monomial is immutable")
 
     def __reduce__(self):
         return (Monomial, (self.xi, self.d))
@@ -147,7 +155,7 @@ def _check_dim(a, b):
         )
 
 
-class WeylElement:
+class WeylElement(_Immutable):
     """An element of the Weyl algebra in canonical form.
 
     ``terms`` maps Monomial to nonzero Fraction; the zero element is the
@@ -184,12 +192,6 @@ class WeylElement:
         _set_terms(self, terms)
         _set_memo(self, None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("WeylElement is immutable")
 
     def __reduce__(self):
         # the memo is left behind: it holds a weak reference to an ordering
@@ -425,13 +427,15 @@ def combined_support(elements):
     return frozenset(out)
 
 
+@dataclass(frozen=True)
 class WeylAlgebra:
     """Fixes the dimension n >= 1 and hands out generators and elements."""
 
-    def __init__(self, n):
-        if not isinstance(n, int) or n < 1:
+    n: int
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("the algebra dimension n must be an integer >= 1")
-        self.n = n
 
     def xi(self, i):
         """The generator x_i, 1-based."""
@@ -456,6 +460,3 @@ class WeylAlgebra:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         vector = tuple(int(j == offset + i - 1) for j in range(2 * self.n))
         return WeylElement.from_term(self.n, Monomial._raw(vector))
-
-    def __repr__(self):
-        return f"WeylAlgebra(n={self.n})"

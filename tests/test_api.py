@@ -1,11 +1,14 @@
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import re
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import weylgb
 
@@ -149,3 +152,99 @@ def test_readme_quick_tour_runs_as_commented():
     cones = [line for line in text.splitlines() if line.startswith("  cone ")]
     assert "cones (2):" in text and len(cones) == 2
     assert all(line.endswith("| passed") for line in cones)
+
+
+def _documented_values():
+    """(label, value): one instance of every value the Library API lists or
+    returns, the Infeasible from the solver still unread."""
+    from weylgb import (
+        Filtration,
+        Infeasible,
+        Monomial,
+        Ordering,
+        WeylAlgebra,
+        buchberger,
+        certify_universal,
+        divide,
+        enumerate_restrictions,
+        leading_term,
+        ordering_distance,
+        solve_inequalities,
+        universal_groebner,
+    )
+
+    W = WeylAlgebra(1)
+    x, d = W.xi(1), W.d(1)
+    lex = Ordering.lex()
+    rows = [((0, -1), 1), ((0, 1), 0)]
+    restriction, witness = enumerate_restrictions([Monomial((1,), (0,)), Monomial((0,), (1,))])[0]
+    cert = universal_groebner([x + d])
+    return [
+        ("Monomial", Monomial((1,), (0,))),
+        ("WeylElement", x),
+        ("Ordering", lex),
+        ("matrix Ordering", Ordering.matrix([(1, 2)])),
+        ("WeylAlgebra", W),
+        ("Filtration", Filtration(1)),
+        ("DistanceBound", ordering_distance(lex, Ordering.grlex(1), Filtration(1), 3)),
+        ("GroebnerBasis", buchberger([x + d], lex)),
+        ("DivisionResult", divide(x * d, [d], lex)),
+        ("LeadingTerm", leading_term(x, lex)),
+        ("eager Infeasible", Infeasible(tuple(rows), (1, 1))),
+        ("deferred Infeasible", solve_inequalities(rows, 2)),
+        ("Restriction", restriction),
+        ("WeightWitness", witness),
+        ("Cone", cert.cones[0]),
+        ("UniversalCertificate", cert),
+        ("CounterexampleOrdering", certify_universal([x, d])),
+    ]
+
+
+def test_documented_values_refuse_assignment_and_deletion():
+    # README: all values are immutable after construction
+    values = _documented_values()
+    documented = {
+        name for name in weylgb.__all__
+        if isinstance(getattr(weylgb, name), type)
+        and not issubclass(getattr(weylgb, name), Exception)
+    }
+    returned = {"DivisionResult", "LeadingTerm", "Restriction", "WeightWitness", "Cone"}
+    assert {type(v).__name__ for _, v in values} == documented | returned
+    accepted = []
+    for label, value in values:
+        names = {name for name in dir(value) if not name.startswith("_")}
+        if dataclasses.is_dataclass(value):
+            names.update(f.name for f in dataclasses.fields(value))
+        assert names, label
+        for name in sorted(names):
+            try:
+                setattr(value, name, None)
+                accepted.append(f"{label}.{name} = None")
+            except AttributeError:
+                pass
+            try:
+                delattr(value, name)
+                accepted.append(f"del {label}.{name}")
+            except AttributeError:
+                pass
+    assert not accepted, accepted
+    deferred = dict(values)["deferred Infeasible"]
+    assert deferred == dict(values)["eager Infeasible"] and deferred.verify()
+
+
+def test_orderings_and_algebras_refuse_reassignment():
+    # an ordering whose rows were replaced kept sorting by its old rows while
+    # it compared equal to the ordering of the new ones
+    from weylgb import Monomial, Ordering, WeylAlgebra
+
+    x1, d1 = Monomial((1,), (0,)), Monomial((0,), (1,))
+    lex = Ordering.lex()
+    with pytest.raises(AttributeError):
+        lex.rows = ((0, 1),)
+    assert lex == Ordering.lex() and lex != Ordering.matrix([(0, 1)])
+    assert lex.compare(x1, d1) == 1 and Ordering.matrix([(0, 1)]).compare(x1, d1) == -1
+    W = WeylAlgebra(1)
+    with pytest.raises(AttributeError):
+        W.n = 2
+    with pytest.raises(ValueError):
+        W.xi(2)

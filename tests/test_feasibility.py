@@ -1,7 +1,10 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -379,3 +382,69 @@ def test_deferred_certificate_is_a_snapshot(kind):
     rows.append([[0, 0], 1])
     assert repr(outcome) == repr(expected)
     assert outcome.verify()
+
+
+def test_deferred_certificate_is_a_dataclass():
+    rng = random.Random(7)
+    rows = _cycle(rng, [0, 3, 1, 2], 4, [F(1), F(0), Fraction(-1, 2), F(1)]) + nonneg_rows(4)
+    eager = solve_inequalities_naive(rows, 4)
+    assert type(eager) is Infeasible
+    assert dataclasses.is_dataclass(solve_inequalities(rows, 4))
+    assert [f.name for f in dataclasses.fields(solve_inequalities(rows, 4))] == [
+        "rows",
+        "multipliers",
+    ]
+    # each deferred certificate below is read first by the function checked
+    assert dataclasses.asdict(solve_inequalities(rows, 4)) == dataclasses.asdict(eager)
+    assert dataclasses.astuple(solve_inequalities(rows, 4)) == (eager.rows, eager.multipliers)
+    assert dataclasses.replace(solve_inequalities(rows, 4)) == eager
+    doubled = dataclasses.replace(
+        solve_inequalities(rows, 4), multipliers=tuple(2 * m for m in eager.multipliers)
+    )
+    assert doubled.rows == eager.rows and doubled.verify()
+    with pytest.raises(AttributeError):
+        solve_inequalities(rows, 4).weights
+
+
+def test_deferred_certificate_first_read_is_safe_across_threads():
+    # threads reading an unread certificate at once must all see the one
+    # the solver derives, and none may find neither fields nor snapshot
+    rng = random.Random(20261019)
+    rows = _cycle(rng, [0, 5, 2, 4, 1, 3], 6, [F(1), F(0), Fraction(-1, 2), F(1), F(0), F(0)])
+    rows += nonneg_rows(6)
+    expected = solve_inequalities(rows, 6)
+    expected = (expected.rows, expected.multipliers)
+    seen, failures = [], []
+
+    def read(outcome, barrier, rows_first):
+        barrier.wait()
+        try:
+            if rows_first:
+                got_rows = outcome.rows
+                got_multipliers = outcome.multipliers
+            else:
+                got_multipliers = outcome.multipliers
+                got_rows = outcome.rows
+            seen.append((got_rows, got_multipliers))
+        except AttributeError as exc:
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            outcome = solve_inequalities(rows, 6)
+            barrier = threading.Barrier(4)
+            threads = [
+                threading.Thread(target=read, args=(outcome, barrier, rows_first))
+                for rows_first in (True, False, True, False)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[:3]
+    assert len(seen) == 800 and all(pair == expected for pair in seen)

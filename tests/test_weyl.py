@@ -209,6 +209,23 @@ def test_values_copy_and_pickle(clone):
     assert leading_term(w2, lex) == lead
 
 
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, _pickle_round_trip], ids=["copy", "deepcopy", "pickle"]
+)
+def test_orderings_and_algebras_copy_and_pickle(clone):
+    # x1 is above d1 under lex and below it under this matrix ordering
+    x1, d1 = Monomial((1, 0), (0, 0)), Monomial((0, 0), (1, 0))
+    matrix = Ordering.matrix([(Fraction(1, 2), 0, 1, Fraction(3, 2))])
+    assert (Ordering.lex().compare(x1, d1), matrix.compare(x1, d1)) == (1, -1)
+    for ordering in (matrix, Ordering.lex()):
+        o2 = clone(ordering)
+        assert o2 == ordering and hash(o2) == hash(ordering)
+        assert o2.compare(x1, d1) == ordering.compare(x1, d1)
+    W3 = WeylAlgebra(3)
+    w3 = clone(W3)
+    assert w3 == W3 and hash(w3) == hash(W3) and w3.d(3) == W3.d(3)
+
+
 def test_monomial_vector_matches_blockwise_definitions():
     # each operation on the stored vector equals its definition on the x and
     # d blocks, written out here
