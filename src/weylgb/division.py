@@ -23,18 +23,29 @@ from the numerators straight into the dict through ``weyl.add_product``, the
 kernel every Weyl product shares, and pushes each monomial that enters it.
 When L does not divide the leading numerator N, every numerator and the
 denominator are first multiplied by L / gcd(N, L), and afterwards divided by
-their common content.  Fractions are built only for quotient entries and
-remainder terms.  Deletion is lazy: an entry whose monomial has since
+their common content.  Deletion is lazy: an entry whose monomial has since
 cancelled out is skipped when popped.  Quotients and remainder grow by one
 entry per step.  Every leading monomial popped must lie strictly below the
 previous one, or ``DivisionInvariantError`` is raised; a leading term that a
 step failed to cancel goes back on the heap, so the next pop raises.
 
+The remainder is kept the same way, as int numerators over the working
+denominator: a rescale or content division covers ``work`` and the remainder
+together, so Fractions are built only for quotient entries and, once at the
+end of ``divide``, for the remainder terms.
+
 ``regular_remainder`` runs the same loop (``_reduce``) for the signature-based
-completion in ``groebner``.  Each divisor comes with a limit, and is usable
-only at a working monomial whose sort key lies below it, so that only
-regular reductions happen; no quotients are kept.  ``divide`` passes no
-limits.
+completion in ``groebner``, which keeps one list of prepared divisor entries
+(leading vector, L, F, gap, index), appended once when an element joins its
+basis, and passes it with the signature (key, i) of the element being
+reduced.  A divisor whose leading monomial divides the working monomial m is
+used only when its multiple there has the smaller signature, that is when
+(sort_key(m) + gap, index) < (key, i); the test runs only for such divisors,
+so only regular reductions happen.  No quotients are kept, and the int
+remainder is returned as it is, leading monomial first: a nonzero rational
+multiple of the true one.  ``_monic_remainder`` turns it into the monic
+element with one Fraction per term, its leading term and divisor form
+already in its memo.
 
 An element's leading term under the ordering it was last asked about, and
 its integer form F once it serves as a divisor, are kept in a private
@@ -50,7 +61,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import le, sub
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .weyl import Monomial, WeylElement, _set_memo, add_product
@@ -103,10 +114,28 @@ def _divisor_form(f, ordering):
 
 
 def monic(w, ordering):
-    """Scale w so its leading coefficient is 1."""
+    """Scale w so its leading coefficient is 1; w itself, memo and all, when
+    it already is."""
     if not w:
         return w
-    return w * (1 / leading_term(w, ordering).coefficient)
+    lc = leading_term(w, ordering).coefficient
+    return w if lc == 1 else w * (1 / lc)
+
+
+def _monic_remainder(n, ints, ordering):
+    """The monic element of the int remainder ``ints`` of ``regular_remainder``
+    (leading monomial first), born with its memo entry for the ordering:
+    its leading term and its divisor form (lead vector, L, 1, L, F)."""
+    lead = next(iter(ints))
+    content = math.gcd(*ints.values())
+    if ints[lead] < 0:
+        content = -content
+    f_ints = {m: c // content for m, c in ints.items()}
+    lc = f_ints[lead]
+    w = WeylElement._raw(n, {m: Fraction(c, lc) for m, c in f_ints.items()})
+    form = (lead.vector, lc, 1, lc, f_ints)
+    _set_memo(w, [weakref.ref(ordering), LeadingTerm(lead, w.terms[lead]), form])
+    return w
 
 
 class DivisionInvariantError(RuntimeError):
@@ -129,46 +158,57 @@ def divide(w, divisors, ordering, trace=None):
     successive working element is appended to it.
     """
     n = w.n
-    for f in divisors:
+    leads = []
+    quotients = []  # (quotient terms, b, a * L), per divisor
+    for i, f in enumerate(divisors):
         if f.n != n:
             raise ValueError(f"dimension mismatch: {n} vs {f.n}")
-    leads = [(i, *_divisor_form(f, ordering), None) for i, f in enumerate(divisors) if f]
-    quotients = [{} for _ in divisors]
+        if f:
+            lead_vector, lead, a, b, f_ints = _divisor_form(f, ordering)
+            leads.append((lead_vector, lead, f_ints, None, i))
+            quotients.append(({}, b, a * lead))
+        else:
+            quotients.append(({}, 1, 1))
     # w == (1 / den) * work, with int values in work
     den = math.lcm(*(c.denominator for c in w.terms.values()))
     work = {m: c.numerator * (den // c.denominator) for m, c in w.terms.items()}
-    remainder = _reduce(work, den, leads, ordering.sort_key, trace, quotients)
+    remainder, den = _reduce(work, den, leads, ordering.sort_key, trace, quotients, None)
     return DivisionResult(
-        [WeylElement._raw(n, q) for q in quotients], WeylElement._raw(n, remainder)
+        [WeylElement._raw(n, q) for q, _, _ in quotients],
+        WeylElement._raw(n, {m: Fraction(c, den) for m, c in remainder.items()}),
     )
 
 
-def regular_remainder(mono, f, divisors, limits, ordering, trace=None):
-    """Remainder of mono * f under regular reduction by the divisors.
+def regular_remainder(mono, f, divisors, signature, ordering, trace=None):
+    """Remainder of mono * f under regular reduction by the prepared divisors.
 
-    divisors[j] is usable only at a working monomial whose sort key lies
-    below ``limits[j]``; the signature-based completion in ``groebner`` sets
-    the limits so that exactly the multiples with a signature below that of
-    mono * f are subtracted.  The product is formed from f's integer form,
-    so the remainder is a nonzero rational multiple of the true one.  All
-    divisors must be nonzero; ``trace`` is as for ``divide``.
+    ``divisors`` holds one entry (leading vector, L, F, gap, index) per
+    nonzero element, as the signature-based completion in ``groebner``
+    prepares them, and ``signature`` is the Schreyer signature (key, i) of
+    mono * f.  A divisor is used at a working monomial m only when
+    (sort_key(m) + gap, index) < signature, so that exactly the multiples
+    with a signature below that of mono * f are subtracted.  The product is
+    formed from f's integer form, and the remainder is returned as an int
+    dict, leading monomial first, that is a nonzero rational multiple of the
+    true one.  ``trace`` is as for ``divide``.
     """
-    leads = [
-        (i, *_divisor_form(g, ordering), limit)
-        for i, (g, limit) in enumerate(zip(divisors, limits))
-    ]
     work = {}
     add_product(work, 1, mono, _divisor_form(f, ordering)[4])
-    return WeylElement._raw(f.n, _reduce(work, 1, leads, ordering.sort_key, trace, None))
+    return _reduce(work, 1, divisors, ordering.sort_key, trace, None, signature)[0]
 
 
-def _reduce(work, den, leads, sort_key, trace, quotients):
+def _reduce(work, den, leads, sort_key, trace, quotients, signature):
     """The heap-reduction loop of ``divide`` and ``regular_remainder``.
 
     Reduces (1 / den) * work, an int dict it consumes, by the divisors in
-    ``leads``, entries (index, lead vector, L, a, b, F, limit) with a limit
-    of None where the divisor is usable everywhere.  Fills ``quotients``
-    unless it is None, and returns the remainder as a dict of Fractions.
+    ``leads``, entries (lead vector, L, F, gap, index).  With a signature
+    (key, i), a divisor is usable at a working monomial only when its
+    multiple there has a signature below it; with None, the gaps are not read
+    and every divisor is usable everywhere.  Fills ``quotients[index]``, a
+    triple (terms, b, a * L) for the divisor (a / b) * F, unless
+    ``quotients`` is None.  Returns the remainder as int numerators over the
+    final denominator, in the order its monomials were reached, and that
+    denominator.
     """
     remainder = {}
     heap = [_Above(sort_key(m), m) for m in work]
@@ -190,34 +230,42 @@ def _reduce(work, den, leads, sort_key, trace, quotients):
         if trace is not None:
             trace.append(mono)
         vector = mono.vector
-        for i, lead_vector, lead, a, b, f_ints, limit in leads:
-            if all(map(le, lead_vector, vector)) and (limit is None or key < limit):
+        for lead_vector, lead, f_ints, gap, index in leads:
+            if all(map(le, lead_vector, vector)) and (
+                signature is None or (tuple(map(add, key, gap)), index) < signature
+            ):
                 cofactor = _cofactor(vector, lead_vector)
                 if quotients is not None:
                     # (coeff / den) / ((a / b) * lead)
-                    quotients[i][cofactor] = Fraction(coeff * b, den * a * lead)
+                    q, b, a_lead = quotients[index]
+                    q[cofactor] = Fraction(coeff * b, den * a_lead)
                 # work -= (coeff / lead) * cofactor * F, in ints: first scale
-                # work and den by the part of lead that coeff lacks
+                # work, the remainder and den by the part of lead that coeff
+                # lacks
                 g = math.gcd(coeff, lead)
                 scale = lead // g
                 if scale > 1:
                     for m in work:
                         work[m] *= scale
+                    for m in remainder:
+                        remainder[m] *= scale
                     den *= scale
                 for m in add_product(work, -(coeff // g), cofactor, f_ints):
                     heappush(heap, _Above(sort_key(m), m))
                 if scale > 1:
-                    content = math.gcd(den, *work.values())
+                    content = math.gcd(den, *work.values(), *remainder.values())
                     if content > 1:
                         for m in work:
                             work[m] //= content
+                        for m in remainder:
+                            remainder[m] //= content
                         den //= content
                 if mono in work:
                     heappush(heap, top)  # not cancelled: the next pop fails the descent check
                 break
         else:
-            remainder[mono] = Fraction(work.pop(mono), den)
-    return remainder
+            remainder[mono] = work.pop(mono)
+    return remainder, den
 
 
 def _cofactor(vector, lead):

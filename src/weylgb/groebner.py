@@ -31,8 +31,14 @@ e_i.  A J-pair is skipped when
 
 Otherwise it is reduced regularly (``division.regular_remainder``): a
 multiple c * h is subtracted only when its signature lies strictly below
-the J-pair's.  A remainder of zero adds its signature to the syzygy
-signatures; a nonzero one is made monic and joins the basis.  GVW also
+the J-pair's.  Each element enters the reduction through one prepared
+divisor entry (leading vector, L, int form F, gap, index), built once when
+it joins the basis; a multiple of h at a working monomial m has the
+signature key sort_key(m) + gap with h's index, and that rule is tested only
+for the divisors whose leading monomial divides m.  A remainder of zero adds
+its signature to the syzygy signatures.  A nonzero one comes back as int
+numerators, is made monic with one Fraction per term, and joins the basis
+with its leading term and divisor form already in its memo.  GVW also
 discard a remainder that is singular top-reducible, one with the signature
 and the leading monomial of a multiple of some element.  None can be here:
 the remainder's leading monomial lies below the J-pair's, so that element
@@ -79,6 +85,7 @@ from .division import (
     DivisionInvariantError,
     _cofactor,
     _divisor_form,
+    _monic_remainder,
     divide,
     leading_term,
     monic,
@@ -152,7 +159,8 @@ def _signature_completion(inputs, ordering):
     """Signature-based completion of nonzero monic ``inputs``; see the module
     docstring.  Returns the basis elements in the order they joined."""
     sort_key = ordering.sort_key
-    unit = (0,) * (2 * inputs[0].n)
+    n = inputs[0].n
+    unit = (0,) * (2 * n)
     input_leads = [leading_term(f, ordering).monomial for f in inputs]
     # (Schreyer key of the signature s * e_i, i, s, source element or -1 for
     # input i); equal keys and indices mean equal signatures
@@ -161,6 +169,7 @@ def _signature_completion(inputs, ordering):
     no_gap = (0,) * len(heap[0][0])
     basis = []  # monic elements
     labels = []  # (index i, signature vector s, gap, leading vector), per element
+    prepared = []  # (leading vector, L, F, gap, index i), per element
     syzygies = []  # (index i, signature vector s) of the reductions to zero
     last = None
     while heap:
@@ -171,8 +180,8 @@ def _signature_completion(inputs, ordering):
             # as it is, since tail reduction is optional
             f, gap, cofactor, lt = inputs[i], no_gap, unit, input_leads[i]
             reduce = any(
-                all(map(le, label[3], lt.vector)) and key < _limit(key, i, label)
-                for label in labels
+                all(map(le, lead, lt.vector)) and (tuple(map(add, key, g_gap)), g_i) < (key, i)
+                for lead, _, _, g_gap, g_i in prepared
             )
         else:
             gap = labels[j][2]
@@ -186,12 +195,11 @@ def _signature_completion(inputs, ordering):
         last = key, i
         r, r_gap = f, gap
         if reduce:
-            limits = [_limit(key, i, label) for label in labels]
-            r = regular_remainder(Monomial._raw(cofactor), f, basis, limits, ordering)
-            if not r:
+            ints = regular_remainder(Monomial._raw(cofactor), f, prepared, last, ordering)
+            if not ints:
                 syzygies.append((i, s))
                 continue
-            r = monic(r, ordering)
+            r = _monic_remainder(n, ints, ordering)
             lt = leading_term(r, ordering).monomial
             r_gap = tuple(map(sub, key, sort_key(lt)))
             if not r_gap > gap:
@@ -206,19 +214,9 @@ def _signature_completion(inputs, ordering):
             _push_j_pair(heap, sort_key, len(labels), label, old, old_label)
         basis.append(r)
         labels.append(label)
+        _, lc, _, _, f_ints = _divisor_form(r, ordering)
+        prepared.append((lt.vector, lc, f_ints, r_gap, i))
     return basis
-
-
-def _limit(key, i, label):
-    """Sort keys below which the element with ``label`` is a regular divisor
-    in signature (key, i).
-
-    Its multiple c * g at a monomial m has the signature key
-    sort_key(m) + gap, with g's index; that lies below (key, i) exactly when
-    sort_key(m) < key - gap, or equals it and g's index is the smaller.
-    """
-    bound = tuple(map(sub, key, label[2]))
-    return bound + (1,) if label[0] < i else bound
 
 
 def _push_j_pair(heap, sort_key, new, new_label, old, old_label):
@@ -256,6 +254,11 @@ def reduce_basis(basis):
     No surviving element has any support monomial divisible by another
     element's leading monomial; the ideal and its leading-term ideal are
     unchanged.  Output is sorted by leading monomial, greatest first.
+
+    Elements already monic are kept as they are, with their memo, and only
+    an element with a term that another kept leading monomial divides is
+    divided (through ``divide``): for any other, the remainder would be the
+    element itself.
     """
     ordering = basis.ordering
     elems = [monic(e, ordering) for e in basis.elements if e]
@@ -264,20 +267,21 @@ def reduce_basis(basis):
     # ascending order means candidate divisors are always seen first
     elems.sort(key=lambda e: ordering.sort_key(leading_term(e, ordering).monomial))
     kept = []
-    kept_lts = []
+    kept_leads = []
     for e in elems:
-        lt_e = leading_term(e, ordering).monomial
-        if not any(lt.divides(lt_e) for lt in kept_lts):
+        lead = leading_term(e, ordering).monomial.vector
+        if not any(all(map(le, other, lead)) for other in kept_leads):
             kept.append(e)
-            kept_lts.append(lt_e)
+            kept_leads.append(lead)
 
     # One pass suffices: no kept leading monomial divides another, so each
     # element keeps its monic leading term through its reduction, the set of
     # leading monomials never changes, and a remainder stays irreducible
     # however the others are reduced after it.
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1 :]
-        kept[idx] = divide(kept[idx], others, ordering).remainder
+    for idx, e in enumerate(kept):
+        others = kept_leads[:idx] + kept_leads[idx + 1 :]
+        if any(all(map(le, other, m.vector)) for m in e.terms for other in others):
+            kept[idx] = divide(e, kept[:idx] + kept[idx + 1 :], ordering).remainder
 
     kept.reverse()  # greatest leading monomial first
     return GroebnerBasis(tuple(kept), ordering, basis.generators)

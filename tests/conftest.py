@@ -36,6 +36,11 @@ def random_element(rng, n, max_degree=4, max_terms=4, allow_zero=False):
     return w
 
 
+def fresh(w):
+    """An equal element with an empty memo."""
+    return WeylElement(w.n, w.terms)
+
+
 def random_weight_row(rng, n):
     return tuple(
         Fraction(rng.randint(0, 4), rng.choice([1, 1, 2])) for _ in range(2 * n)

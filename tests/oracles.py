@@ -13,7 +13,10 @@ where ``divide`` keeps a heap and updates one dict in place, the S-pair
 oracle forms both cofactor products with the brute-force rewriter where
 ``s_pair`` accumulates them into one dict, the completion oracle
 reduces every pair where ``buchberger`` drops those the chain criterion
-covers, the Groebner-test oracle reduces every pair of its input where
+covers, the inter-reduction oracle divides every element by the others
+where ``reduce_basis`` divides only those with a reducible term and keeps
+elements already monic as they are, the Groebner-test oracle reduces every
+pair of its input where
 ``is_groebner`` runs ``buchberger``'s pruned pair queue, and
 ``solve_inequalities_naive`` runs Fourier-Motzkin on Fraction copies of its
 rows, carries every row w_j >= 0 through every stage and records each
@@ -167,6 +170,22 @@ def buchberger_naive(generators, ordering):
             push_pairs(len(basis) - 1)
 
     return GroebnerBasis(tuple(basis), ordering, tuple(generators))
+
+
+def reduce_basis_naive(basis):
+    """The elements of ``reduce_basis(basis)`` from scaling every element and
+    dividing every kept element by all the others."""
+    ordering = basis.ordering
+    elems = [e * (1 / leading_term(e, ordering).coefficient) for e in basis.elements if e]
+    elems.sort(key=lambda e: ordering.sort_key(leading_term(e, ordering).monomial))
+    kept = []
+    for e in elems:
+        lead = leading_term(e, ordering).monomial
+        if not any(leading_term(k, ordering).monomial.divides(lead) for k in kept):
+            kept.append(e)
+    for idx in range(len(kept)):
+        kept[idx] = divide(kept[idx], kept[:idx] + kept[idx + 1 :], ordering).remainder
+    return tuple(reversed(kept))
 
 
 def is_groebner_naive(elements, ordering):

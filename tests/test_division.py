@@ -10,11 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from weylgb import Monomial, Ordering, WeylAlgebra, WeylElement, divide, leading_term
-from weylgb.division import DivisionInvariantError, LeadingTerm, check_division_contract
+from weylgb import (
+    Monomial,
+    Ordering,
+    WeylAlgebra,
+    WeylElement,
+    buchberger,
+    divide,
+    leading_term,
+    reduce_basis,
+)
+from weylgb.division import DivisionInvariantError, LeadingTerm, check_division_contract, monic
 from weylgb.groebner import s_pair
 from weylgb.weyl import multiply_monomials
-from conftest import random_coefficient, random_element, random_monomial, random_ordering
+from conftest import fresh, random_coefficient, random_element, random_monomial, random_ordering
 from oracles import divide_naive, poly_leading, to_commutative
 
 
@@ -168,17 +177,12 @@ def _same_leading_monomial(rng, f, ordering):
     return WeylElement(f.n, terms)
 
 
-def _fresh(w):
-    """An equal element with an empty memo."""
-    return WeylElement(w.n, w.terms)
-
-
 def _assert_matches_naive(w, divisors, ordering):
     trace, naive_trace = [], []
     result = divide(w, divisors, ordering, trace=trace)
     # the twin gets fresh copies, so a wrong memo entry cannot fool both
     expected = divide_naive(
-        _fresh(w), [_fresh(f) for f in divisors], ordering, trace=naive_trace
+        fresh(w), [fresh(f) for f in divisors], ordering, trace=naive_trace
     )
     assert result.quotients == expected.quotients
     assert result.remainder == expected.remainder
@@ -249,10 +253,10 @@ def test_leading_term_memo_follows_the_ordering():
             for _ in range(rng.randint(1, 3))
         ]
         w = w + random_element(rng, n, max_degree=2, max_terms=2) * divisors[0]
-        plain = _fresh(w)
+        plain = fresh(w)
         hash_before, repr_before = hash(w), repr(w)
         for ordering in (lex, grlex, lex_again, lex):
-            assert leading_term(w, ordering) == leading_term(_fresh(w), ordering)
+            assert leading_term(w, ordering) == leading_term(fresh(w), ordering)
             mono = max(w.terms, key=ordering.sort_key)
             assert leading_term(w, ordering) == (mono, w.terms[mono])
         assert w._memo and plain._memo is None
@@ -261,7 +265,7 @@ def test_leading_term_memo_follows_the_ordering():
         # one divisor list under two orderings, and back
         for ordering in (grlex, lex, grlex):
             _assert_matches_naive(w, divisors, ordering)
-        assert all(f == _fresh(f) and hash(f) == hash(_fresh(f)) for f in divisors)
+        assert all(f == fresh(f) and hash(f) == hash(fresh(f)) for f in divisors)
 
 
 def test_leading_term_memo_releases_orderings():
@@ -278,8 +282,8 @@ def test_leading_term_memo_releases_orderings():
         gc.collect()
         assert ref() is None
     assert w._memo[0]() is None
-    fresh = Ordering.matrix([(1, 0)])
-    assert leading_term(w, fresh).monomial == Monomial((1,), (0,))
+    later = Ordering.matrix([(1, 0)])
+    assert leading_term(w, later).monomial == Monomial((1,), (0,))
 
 
 def test_returned_coefficients_are_fractions():
@@ -301,6 +305,35 @@ def test_returned_coefficients_are_fractions():
             result = divide(w, [WeylElement.zero(n), v, 3 * u], ordering)
             assert all(all_fractions(q) for q in result.quotients)
             assert all_fractions(result.remainder)
+    # completion builds its elements from int remainders, and reduce_basis
+    # keeps monic elements as they are
+    for k in range(60):
+        n = 1 + k % 3
+        gens = [random_element(rng, n, max_degree=2, max_terms=3) for _ in range(2)]
+        gens = [WeylElement(n, {m: c.numerator for m, c in g.terms.items()}) for g in gens]
+        ordering = random_ordering(rng, n)
+        raw = buchberger(gens, ordering)
+        for basis in (raw, reduce_basis(raw)):
+            assert all(all_fractions(e) for e in basis.elements)
+
+
+def test_monic_returns_w_exactly_when_monic():
+    rng = random.Random(20261027)
+    kept = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        ordering = random_ordering(rng, n)
+        w = random_element(rng, n)
+        if rng.random() < 0.5:
+            w = w * (1 / leading_term(w, ordering).coefficient)
+        lc = leading_term(w, ordering).coefficient
+        out = monic(w, ordering)
+        assert (out is w) == (lc == 1)
+        assert out == w * (1 / lc)
+        assert leading_term(out, ordering) == (leading_term(w, ordering).monomial, 1)
+        kept += out is w
+    assert 50 <= kept <= 150, kept
+    assert monic(W1.zero(), LEX) == W1.zero()
 
 
 _NON_NORMAL_DIVISION = """
@@ -404,7 +437,7 @@ def test_memo_is_safe_to_share_across_threads():
         w = random_element(rng, n) + random_element(rng, n, max_degree=2) * divisors[0]
         cases.append((w, divisors))
     expected = {
-        (c, k): divide(_fresh(w), [_fresh(f) for f in fs], o)
+        (c, k): divide(fresh(w), [fresh(f) for f in fs], o)
         for c, (w, fs) in enumerate(cases)
         for k, o in enumerate(orderings)
     }
@@ -418,7 +451,7 @@ def test_memo_is_safe_to_share_across_threads():
             ordering = orderings[k]
             result = divide(w, divisors, ordering)
             if result != expected[c, k] or leading_term(w, ordering) != leading_term(
-                _fresh(w), ordering
+                fresh(w), ordering
             ):
                 failures.append((c, k))
 

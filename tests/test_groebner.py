@@ -1,12 +1,17 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from weylgb import (
+    GroebnerBasis,
     Monomial,
     Ordering,
     WeylAlgebra,
@@ -20,10 +25,12 @@ from weylgb import (
     parse_ordering,
     reduce_basis,
 )
+from weylgb.division import _divisor_form
 from weylgb.groebner import s_pair
 from weylgb.weyl import combined_support
 from conftest import (
     agreeing_ordering,
+    fresh,
     random_coefficient,
     random_element,
     random_ordering,
@@ -34,6 +41,7 @@ from oracles import (
     commutative_buchberger,
     is_groebner_naive,
     poly_s_polynomial,
+    reduce_basis_naive,
     s_pair_naive,
     to_commutative,
 )
@@ -190,9 +198,9 @@ def test_buchberger_matches_naive_completion(monkeypatch):
     count = [0]
     original = groebner.regular_remainder
 
-    def counted_reduce(mono, f, divisors, limits, ordering, trace=None):
+    def counted_reduce(mono, f, divisors, signature, ordering, trace=None):
         count[0] += 1
-        return original(mono, f, divisors, limits, ordering, trace)
+        return original(mono, f, divisors, signature, ordering, trace)
 
     monkeypatch.setattr(groebner, "regular_remainder", counted_reduce)
     rng = random.Random(20261019)
@@ -222,6 +230,28 @@ CORPUS_D_IDEALS = {
 }
 
 
+def _completion_cases(rng, count):
+    """``count`` seeded random ideals at n = 1..3 under lex, grlex and one or
+    two weight rows, then the corpus D-ideals under lex and grlex, as
+    (generators, ordering) pairs."""
+    cases = []
+    for k in range(count):
+        n = 1 + k % 3
+        if k % 4 < 2:
+            ordering = LEX if k % 4 == 0 else Ordering.grlex(n)
+        else:
+            ordering = Ordering.matrix([random_weight_row(rng, n) for _ in range(k % 4 - 1)])
+        gens = [
+            random_element(rng, n, max_degree=2 + k % 2, max_terms=2)
+            for _ in range(rng.randint(1, 2 + k % 2))
+        ]
+        cases.append((gens, ordering))
+    for n, texts in CORPUS_D_IDEALS.values():
+        for order in ("lex", "grlex"):
+            cases.append(([parse_element(t, n) for t in texts], parse_ordering(order, n)))
+    return cases
+
+
 def test_signature_completion_matches_naive(monkeypatch):
     # Seeded random ideals at n = 1..3 under lex, grlex and one or two
     # weight rows, and the corpus D-ideals under lex and grlex.  The raw
@@ -240,24 +270,8 @@ def test_signature_completion_matches_naive(monkeypatch):
             return skipped
 
         monkeypatch.setattr(groebner, name, counted)
-    rng = random.Random(20261021)
-    cases = []
-    for k in range(400):
-        n = 1 + k % 3
-        if k % 4 < 2:
-            ordering = LEX if k % 4 == 0 else Ordering.grlex(n)
-        else:
-            ordering = Ordering.matrix([random_weight_row(rng, n) for _ in range(k % 4 - 1)])
-        gens = [
-            random_element(rng, n, max_degree=2 + k % 2, max_terms=2)
-            for _ in range(rng.randint(1, 2 + k % 2))
-        ]
-        cases.append((gens, ordering))
-    for n, texts in CORPUS_D_IDEALS.values():
-        for order in ("lex", "grlex"):
-            cases.append(([parse_element(t, n) for t in texts], parse_ordering(order, n)))
     shapes = Counter()
-    for gens, ordering in cases:
+    for gens, ordering in _completion_cases(random.Random(20261021), 400):
         raw = buchberger(gens, ordering)
         naive = buchberger_naive(gens, ordering)
         assert reduce_basis(raw).elements == reduce_basis(naive).elements
@@ -266,6 +280,108 @@ def test_signature_completion_matches_naive(monkeypatch):
         shapes["unit" if unit else "proper"] += 1
     assert shapes["unit"] >= 150 and shapes["proper"] >= 150, shapes
     assert skips["_syzygy_divides"] >= 200 and skips["_covered"] >= 80, skips
+
+
+def test_completion_elements_are_born_with_fresh_memos():
+    # buchberger's elements are made monic from int remainders with their
+    # leading term and divisor form written into the memo at once; both must
+    # equal what a fresh copy computes, with Fraction coefficients and an int
+    # form, or every later division by them goes wrong
+    born = Counter()
+    for gens, ordering in _completion_cases(random.Random(20261024), 400):
+        for e in buchberger(gens, ordering).elements:
+            lead = leading_term(e, ordering)
+            # only a constant input, which ends completion as it joins, is
+            # never prepared as a divisor
+            if e._memo[2] is None:
+                assert lead.monomial.is_unit()
+            else:
+                born["with form"] += 1
+            copy = fresh(e)
+            assert e == copy
+            assert lead == leading_term(copy, ordering)
+            assert type(lead.coefficient) is Fraction and lead.coefficient == 1
+            form = _divisor_form(e, ordering)
+            assert form == _divisor_form(copy, ordering)
+            _, lc, a, b, f_ints = form
+            assert all(type(c) is int for c in (lc, a, b, *f_ints.values()))
+            assert all(type(c) is Fraction for c in e.terms.values())
+    assert born["with form"] >= 400, born
+
+
+def test_reduce_basis_matches_dividing_every_element(monkeypatch):
+    # reduce_basis divides only the elements with a term another kept
+    # leading monomial divides, and keeps monic ones as they are; the twin
+    # scales and divides every element.  Inputs: the raw bases of both
+    # completions (the naive one is not inter-reduced), the generators
+    # themselves, and the reduced basis tangled: each element scaled, most
+    # of the time, and with a smaller one added in, so that its tail is
+    # reducible.  The twin gets fresh copies, so a wrong memo cannot fool both.
+    import weylgb.groebner as groebner
+
+    calls = Counter()
+    original = groebner.divide
+
+    def counted(*args, **kwargs):
+        calls["divided"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "divide", counted)
+    rng = random.Random(20261026)
+    for gens, ordering in _completion_cases(random.Random(20261025), 300):
+        raw = buchberger(gens, ordering)
+        reduced = reduce_basis(raw).elements
+        tangled = []
+        for e in reduced:
+            key = ordering.sort_key(leading_term(e, ordering).monomial)
+            below = [
+                f for f in reduced if ordering.sort_key(leading_term(f, ordering).monomial) < key
+            ]
+            if below:
+                e = e + random_coefficient(rng) * rng.choice(below)
+            tangled.append(e if rng.random() < 0.3 else random_coefficient(rng) * e)
+        inputs = [raw, buchberger_naive(gens, ordering), GroebnerBasis(tuple(gens), ordering, ())]
+        inputs.append(GroebnerBasis(tuple(tangled), ordering, ()))
+        for basis in inputs:
+            twin = GroebnerBasis(tuple(fresh(e) for e in basis.elements), ordering, ())
+            expected = reduce_basis_naive(twin)
+            before = calls["divided"]
+            got = reduce_basis(basis).elements
+            assert got == expected
+            assert [repr(e) for e in got] == [repr(e) for e in expected]
+            calls["kept"] += len(got) - (calls["divided"] - before)
+        assert reduce_basis(inputs[-1]).elements == reduced
+    assert calls["divided"] >= 150 and calls["kept"] >= 1000, calls
+
+
+_REDUCED_CORPUS = """
+from weylgb import buchberger, parse_element, parse_ordering, reduce_basis
+from weylgb.division import leading_term
+
+for n, texts in {ideals!r}:
+    for order in ("lex", "grlex"):
+        ordering = parse_ordering(order, n)
+        basis = reduce_basis(buchberger([parse_element(t, n) for t in texts], ordering))
+        print(order, [(repr(e), leading_term(e, ordering)) for e in basis.elements])
+"""
+
+
+def test_reduce_basis_output_survives_optimize():
+    # invariant checks raise rather than assert, so python -O must compute
+    # the same reduced bases of the corpus D-ideals as a normal run
+    script = _REDUCED_CORPUS.format(ideals=list(CORPUS_D_IDEALS.values()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outputs = []
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2 * len(CORPUS_D_IDEALS)
 
 
 def test_reduce_basis_examples():
@@ -418,10 +534,12 @@ def test_basis_records_inputs_and_ordering():
 # inputs a regular divisor reduces), how many of them reach zero, and their
 # steps.  Reducing every S-pair, as oracles.buchberger_naive does, takes 15
 # (gkz3) and 120 (mix1) S-pairs.  The division counts are reduce_basis's
-# single tail-reduction pass; they come out the same with groebner.divide
-# replaced by oracles.divide_naive's rescan-and-copy loop, so they also check
-# the heap kernel's steps.  mix2 under lex guards against a runaway: the
-# Gebauer-Moeller completion it replaced reduced 294 S-pairs in about 8 s.
+# single tail-reduction pass, which divides only an element with a term that
+# another kept leading monomial divides; they come out the same with
+# groebner.divide replaced by oracles.divide_naive's rescan-and-copy loop, so
+# they also check the heap kernel's steps.  mix2 under lex guards against a
+# runaway: the Gebauer-Moeller completion it replaced reduced 294 S-pairs in
+# about 8 s.
 GB_OPERATION_COUNTS = {
     "gkz3@grlex": (
         3,
@@ -431,8 +549,8 @@ GB_OPERATION_COUNTS = {
             "j_pairs_reduced": 7,
             "zero_reductions": 4,
             "regular_steps": 36,
-            "division_calls": 6,
-            "division_steps": 21,
+            "division_calls": 1,
+            "division_steps": 4,
         },
     ),
     "mix1@grlex": (
@@ -443,8 +561,8 @@ GB_OPERATION_COUNTS = {
             "j_pairs_reduced": 13,
             "zero_reductions": 0,
             "regular_steps": 144,
-            "division_calls": 1,
-            "division_steps": 1,
+            "division_calls": 0,
+            "division_steps": 0,
         },
     ),
     "mix2@lex": (
@@ -455,8 +573,8 @@ GB_OPERATION_COUNTS = {
             "j_pairs_reduced": 132,
             "zero_reductions": 1,
             "regular_steps": 3522,
-            "division_calls": 1,
-            "division_steps": 1,
+            "division_calls": 0,
+            "division_steps": 0,
         },
     ),
     "airy@lex": (
@@ -467,8 +585,8 @@ GB_OPERATION_COUNTS = {
             "j_pairs_reduced": 1,
             "zero_reductions": 1,
             "regular_steps": 4,
-            "division_calls": 2,
-            "division_steps": 6,
+            "division_calls": 1,
+            "division_steps": 4,
         },
     ),
     "bessel@grlex": (
@@ -479,8 +597,8 @@ GB_OPERATION_COUNTS = {
             "j_pairs_reduced": 1,
             "zero_reductions": 1,
             "regular_steps": 4,
-            "division_calls": 2,
-            "division_steps": 5,
+            "division_calls": 0,
+            "division_steps": 0,
         },
     ),
 }
@@ -502,10 +620,10 @@ def test_gb_operation_counts_are_pinned(monkeypatch, name):
         counts["division_steps"] += len(steps) - before
         return out
 
-    def counted_reduce(mono, f, divisors, limits, ordering, trace=None):
+    def counted_reduce(mono, f, divisors, signature, ordering, trace=None):
         steps = [] if trace is None else trace
         before = len(steps)
-        out = original_reduce(mono, f, divisors, limits, ordering, trace=steps)
+        out = original_reduce(mono, f, divisors, signature, ordering, trace=steps)
         counts["j_pairs_reduced"] += 1
         counts["zero_reductions"] += not out
         counts["regular_steps"] += len(steps) - before
