@@ -37,34 +37,32 @@ end of ``divide``, for the remainder terms.
 ``regular_remainder`` runs the same loop (``_reduce``) for the signature-based
 completion in ``groebner``, which keeps one list of prepared divisor entries
 (leading vector, L, F, gap, index), appended once when an element joins its
-basis, and passes it with the signature (key, i) of the element being
-reduced.  A divisor whose leading monomial divides the working monomial m is
-used only when its multiple there has the smaller signature, that is when
-(sort_key(m) + gap, index) < (key, i); the test runs only for such divisors,
-so only regular reductions happen.  No quotients are kept, and the int
-remainder is returned as it is, leading monomial first: a nonzero rational
-multiple of the true one.  ``_monic_remainder`` turns it into the monic
-element with one Fraction per term, its leading term and divisor form
-already in its memo.
+basis, and passes it with the int form F of the element being reduced and
+that element's signature (key, i).  A divisor whose leading monomial
+divides the working monomial m is used only when its multiple there has the
+smaller signature, that is when (sort_key(m) + gap, index) < (key, i); the
+test runs only for such divisors, so only regular reductions happen.  No
+quotients are kept, and the int remainder is returned as it is, leading
+monomial first: a nonzero rational multiple of the true one.
+``_monic_remainder`` turns it into the monic element with one Fraction per
+term, and returns its leading monomial and divisor form with it, read off
+the ints at no extra cost.
 
-An element's leading term under the ordering it was last asked about, and
-its integer form F once it serves as a divisor, are kept in a private
-one-entry memo on the element; a call under another ordering replaces the
-entry.  The memo is freed with the element, does not keep the ordering
-alive, and plays no part in ``==``, ``hash`` or ``repr``.
+Elements keep nothing from a call: a leading term or a divisor form is
+computed in the call that needs it, and an algorithm that uses one many
+times, such as the completion, prepares it once and keeps it itself.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import NamedTuple
 
-from .weyl import Monomial, WeylElement, _set_memo, add_product
+from .weyl import Monomial, WeylElement, add_product
 
 
 class LeadingTerm(NamedTuple):
@@ -72,60 +70,40 @@ class LeadingTerm(NamedTuple):
     coefficient: Fraction
 
 
-def _prepared(w, ordering):
-    """w's memo entry for the ordering: [weak reference to the ordering,
-    leading term, None or the divisor form].
-
-    An element keeps one entry, for the ordering it was last asked about; a
-    call under another ordering replaces it.  The weak reference tells a
-    live ordering from a dead one whose id was reused, and does not keep the
-    ordering, or its key cache, alive.
-    """
-    if not w:
-        raise ValueError("the zero element has no leading term")
-    entry = w._memo
-    if entry is None or entry[0]() is not ordering:
-        mono = max(w.terms, key=ordering.sort_key)
-        entry = [weakref.ref(ordering), LeadingTerm(mono, w.terms[mono]), None]
-        _set_memo(w, entry)
-    return entry
-
-
 def leading_term(w, ordering):
     """Greatest support monomial of w with its coefficient; w must be nonzero."""
-    return _prepared(w, ordering)[1]
+    if not w:
+        raise ValueError("the zero element has no leading term")
+    mono = max(w.terms, key=ordering.sort_key)
+    return LeadingTerm(mono, w.terms[mono])
 
 
 def _divisor_form(f, ordering):
     """(exponent vector of the leading monomial, L, a, b, F) with
     f == (a / b) * F, where F maps monomials to ints with gcd 1 and L > 0 is
     its leading coefficient."""
-    entry = _prepared(f, ordering)
-    if entry[2] is None:
-        lead = entry[1]
-        coeffs = f.terms.values()
-        b = math.lcm(*(c.denominator for c in coeffs))
-        a = math.gcd(*(c.numerator for c in coeffs))
-        if lead.coefficient < 0:
-            a = -a
-        ints = {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
-        entry[2] = (lead.monomial.vector, ints[lead.monomial], a, b, ints)
-    return entry[2]
+    lead = leading_term(f, ordering)
+    coeffs = f.terms.values()
+    b = math.lcm(*(c.denominator for c in coeffs))
+    a = math.gcd(*(c.numerator for c in coeffs))
+    if lead.coefficient < 0:
+        a = -a
+    ints = {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
+    return (lead.monomial.vector, ints[lead.monomial], a, b, ints)
 
 
 def monic(w, ordering):
-    """Scale w so its leading coefficient is 1; w itself, memo and all, when
-    it already is."""
+    """Scale w so its leading coefficient is 1; w itself when it already is."""
     if not w:
         return w
     lc = leading_term(w, ordering).coefficient
     return w if lc == 1 else w * (1 / lc)
 
 
-def _monic_remainder(n, ints, ordering):
-    """The monic element of the int remainder ``ints`` of ``regular_remainder``
-    (leading monomial first), born with its memo entry for the ordering:
-    its leading term and its divisor form (lead vector, L, 1, L, F)."""
+def _monic_remainder(n, ints):
+    """(w, lm w, form) for the int remainder ``ints`` of ``regular_remainder``
+    (leading monomial first): the monic element w it is a multiple of, its
+    leading monomial, and its divisor form (lead vector, L, 1, L, F)."""
     lead = next(iter(ints))
     content = math.gcd(*ints.values())
     if ints[lead] < 0:
@@ -133,9 +111,7 @@ def _monic_remainder(n, ints, ordering):
     f_ints = {m: c // content for m, c in ints.items()}
     lc = f_ints[lead]
     w = WeylElement._raw(n, {m: Fraction(c, lc) for m, c in f_ints.items()})
-    form = (lead.vector, lc, 1, lc, f_ints)
-    _set_memo(w, [weakref.ref(ordering), LeadingTerm(lead, w.terms[lead]), form])
-    return w
+    return w, lead, (lead.vector, lc, 1, lc, f_ints)
 
 
 class DivisionInvariantError(RuntimeError):
@@ -179,21 +155,22 @@ def divide(w, divisors, ordering, trace=None):
     )
 
 
-def regular_remainder(mono, f, divisors, signature, ordering, trace=None):
-    """Remainder of mono * f under regular reduction by the prepared divisors.
+def regular_remainder(mono, f_ints, divisors, signature, ordering, trace=None):
+    """Remainder of mono * F under regular reduction by the prepared divisors.
 
-    ``divisors`` holds one entry (leading vector, L, F, gap, index) per
-    nonzero element, as the signature-based completion in ``groebner``
-    prepares them, and ``signature`` is the Schreyer signature (key, i) of
-    mono * f.  A divisor is used at a working monomial m only when
-    (sort_key(m) + gap, index) < signature, so that exactly the multiples
-    with a signature below that of mono * f are subtracted.  The product is
-    formed from f's integer form, and the remainder is returned as an int
-    dict, leading monomial first, that is a nonzero rational multiple of the
-    true one.  ``trace`` is as for ``divide``.
+    ``f_ints`` is the int form F of the element f being reduced, as in its
+    divisor form, and ``divisors`` holds one entry (leading vector, L, F,
+    gap, index) per nonzero element, as the signature-based completion in
+    ``groebner`` prepares them; ``signature`` is the Schreyer signature
+    (key, i) of mono * f.  A divisor is used at a working monomial m only
+    when (sort_key(m) + gap, index) < signature, so that exactly the
+    multiples with a signature below that of mono * f are subtracted.  The
+    remainder is returned as an int dict, leading monomial first, that is a
+    nonzero rational multiple of the true one.  ``trace`` is as for
+    ``divide``.
     """
     work = {}
-    add_product(work, 1, mono, _divisor_form(f, ordering)[4])
+    add_product(work, 1, mono, f_ints)
     return _reduce(work, 1, divisors, ordering.sort_key, trace, None, signature)[0]
 
 

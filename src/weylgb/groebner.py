@@ -35,12 +35,14 @@ the J-pair's.  Each element enters the reduction through one prepared
 divisor entry (leading vector, L, int form F, gap, index), built once when
 it joins the basis; a multiple of h at a working monomial m has the
 signature key sort_key(m) + gap with h's index, and that rule is tested only
-for the divisors whose leading monomial divides m.  A remainder of zero adds
-its signature to the syzygy signatures.  A nonzero one comes back as int
-numerators, is made monic with one Fraction per term, and joins the basis
-with its leading term and divisor form already in its memo.  GVW also
-discard a remainder that is singular top-reducible, one with the signature
-and the leading monomial of a multiple of some element.  None can be here:
+for the divisors whose leading monomial divides m; the element being reduced
+enters through its int form F, prepared once for an input and taken from its
+entry for an element.  A remainder of zero adds its signature to the syzygy
+signatures.  A nonzero one comes back as int numerators, is made monic with
+one Fraction per term, and joins the basis with the leading monomial and
+divisor form read off those ints.  GVW also discard a remainder that is
+singular top-reducible, one with the signature and the leading monomial of
+a multiple of some element.  None can be here:
 the remainder's leading monomial lies below the J-pair's, so that element
 would have a larger gap than the J-pair and a signature dividing it, and
 the cover criterion, checked against the whole basis when the J-pair is
@@ -79,7 +81,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 
 from .division import (
     DivisionInvariantError,
@@ -162,6 +164,7 @@ def _signature_completion(inputs, ordering):
     n = inputs[0].n
     unit = (0,) * (2 * n)
     input_leads = [leading_term(f, ordering).monomial for f in inputs]
+    input_forms = [_divisor_form(f, ordering) for f in inputs]
     # (Schreyer key of the signature s * e_i, i, s, source element or -1 for
     # input i); equal keys and indices mean equal signatures
     heap = [(sort_key(m), i, unit, -1) for i, m in enumerate(input_leads)]
@@ -178,7 +181,8 @@ def _signature_completion(inputs, ordering):
             # input i: no smaller signature divides e_i, so no criterion
             # applies; with no regular divisor of its leading monomial it joins
             # as it is, since tail reduction is optional
-            f, gap, cofactor, lt = inputs[i], no_gap, unit, input_leads[i]
+            r, lt, form = inputs[i], input_leads[i], input_forms[i]
+            f_ints, gap, cofactor = form[4], no_gap, unit
             reduce = any(
                 all(map(le, lead, lt.vector)) and (tuple(map(add, key, g_gap)), g_i) < (key, i)
                 for lead, _, _, g_gap, g_i in prepared
@@ -191,16 +195,15 @@ def _signature_completion(inputs, ordering):
                 or _covered(i, s, gap, labels)
             ):
                 continue
-            f, cofactor, reduce = basis[j], tuple(map(sub, s, labels[j][1])), True
+            f_ints, cofactor, reduce = prepared[j][2], tuple(map(sub, s, labels[j][1])), True
         last = key, i
-        r, r_gap = f, gap
+        r_gap = gap
         if reduce:
-            ints = regular_remainder(Monomial._raw(cofactor), f, prepared, last, ordering)
+            ints = regular_remainder(Monomial._raw(cofactor), f_ints, prepared, last, ordering)
             if not ints:
                 syzygies.append((i, s))
                 continue
-            r = _monic_remainder(n, ints, ordering)
-            lt = leading_term(r, ordering).monomial
+            r, lt, form = _monic_remainder(n, ints)
             r_gap = tuple(map(sub, key, sort_key(lt)))
             if not r_gap > gap:
                 raise DivisionInvariantError(
@@ -214,8 +217,7 @@ def _signature_completion(inputs, ordering):
             _push_j_pair(heap, sort_key, len(labels), label, old, old_label)
         basis.append(r)
         labels.append(label)
-        _, lc, _, _, f_ints = _divisor_form(r, ordering)
-        prepared.append((lt.vector, lc, f_ints, r_gap, i))
+        prepared.append((lt.vector, form[1], form[4], r_gap, i))
     return basis
 
 
@@ -255,21 +257,23 @@ def reduce_basis(basis):
     element's leading monomial; the ideal and its leading-term ideal are
     unchanged.  Output is sorted by leading monomial, greatest first.
 
-    Elements already monic are kept as they are, with their memo, and only
-    an element with a term that another kept leading monomial divides is
-    divided (through ``divide``): for any other, the remainder would be the
-    element itself.
+    Elements already monic are kept as they are, and only an element with a
+    term that another kept leading monomial divides is divided (through
+    ``divide``): for any other, the remainder would be the element itself.
     """
     ordering = basis.ordering
-    elems = [monic(e, ordering) for e in basis.elements if e]
+    elems = []  # (sort key of the leading monomial, its vector, monic element)
+    for e in basis.elements:
+        if e:
+            mono, lc = leading_term(e, ordering)
+            elems.append((ordering.sort_key(mono), mono.vector, e if lc == 1 else e * (1 / lc)))
 
     # drop every element whose leading monomial another one divides;
     # ascending order means candidate divisors are always seen first
-    elems.sort(key=lambda e: ordering.sort_key(leading_term(e, ordering).monomial))
+    elems.sort(key=itemgetter(0))
     kept = []
     kept_leads = []
-    for e in elems:
-        lead = leading_term(e, ordering).monomial.vector
+    for _, lead, e in elems:
         if not any(all(map(le, other, lead)) for other in kept_leads):
             kept.append(e)
             kept_leads.append(lead)

@@ -33,7 +33,7 @@ class Ordering(_Immutable):
     the rows determine.
     """
 
-    __slots__ = ("rows", "_int_rows", "_key_cache", "__weakref__")
+    __slots__ = ("rows", "_int_rows", "_key_cache")
 
     def __init__(self, rows=()):
         rows = tuple(tuple(Fraction(q) for q in row) for row in rows)

@@ -159,14 +159,12 @@ class WeylElement(_Immutable):
     """An element of the Weyl algebra in canonical form.
 
     ``terms`` maps Monomial to nonzero Fraction; the zero element is the
-    empty map.  Instances are never mutated after construction; all
-    arithmetic returns fresh objects, so values are safe to share.  The one
-    exception is ``_memo``, where ``division`` keeps the leading term under
-    the ordering it was last asked about: it only caches what the terms
-    determine, and ``==``, ``hash`` and ``repr`` ignore it.
+    empty map.  Instances are never mutated after construction and keep
+    nothing from the calls made on them; all arithmetic returns fresh
+    objects, so values are safe to share.
     """
 
-    __slots__ = ("n", "terms", "_memo")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
         if n < 1:
@@ -182,7 +180,6 @@ class WeylElement(_Immutable):
                 clean[mono] = coeff
         _set_n(self, n)
         _set_terms(self, clean)
-        _set_memo(self, None)
 
     @classmethod
     def _raw(cls, n, terms):
@@ -190,11 +187,11 @@ class WeylElement(_Immutable):
         self = object.__new__(cls)
         _set_n(self, n)
         _set_terms(self, terms)
-        _set_memo(self, None)
         return self
 
     def __reduce__(self):
-        # the memo is left behind: it holds a weak reference to an ordering
+        # copy and pickle rebuild through ``_raw``: their default, assigning
+        # the slots, is refused
         return (WeylElement._raw, (self.n, self.terms))
 
     @classmethod
@@ -318,11 +315,9 @@ class WeylElement(_Immutable):
         return f"WeylElement(n={self.n}, {{{items}}})"
 
 
-# slot writers that bypass the immutability guard, for ``_raw`` and the
-# leading-term memo of ``division`` only
+# slot writers that bypass the immutability guard, for the constructors only
 _set_n = WeylElement.n.__set__
 _set_terms = WeylElement.terms.__set__
-_set_memo = WeylElement._memo.__set__
 
 _ONE = Fraction(1)  # coefficient 1 of every product, shared
 

@@ -37,7 +37,7 @@ def random_element(rng, n, max_degree=4, max_terms=4, allow_zero=False):
 
 
 def fresh(w):
-    """An equal element with an empty memo."""
+    """An equal element built anew from the terms."""
     return WeylElement(w.n, w.terms)
 
 

@@ -29,6 +29,25 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def test_only_weyl_names_its_slot_writers():
+    # the _set_* writers bypass the immutability guard of weyl's values; a
+    # module that imported or named one could store state on a value
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [(node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names.append((node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                names.append((node.lineno, node.attr))
+        writers = [(line, name) for line, name in names if name.startswith("_set_")]
+        assert not writers, f"{path.name} names slot writers at {writers}"
+
+
 def _perfbench_constant(filename, name):
     """A literal module constant of perfbench, read without importing it."""
     path = ROOT / "perfbench" / filename

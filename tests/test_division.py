@@ -1,10 +1,8 @@
-import gc
 import os
 import random
 import subprocess
 import sys
 import threading
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,7 +178,7 @@ def _same_leading_monomial(rng, f, ordering):
 def _assert_matches_naive(w, divisors, ordering):
     trace, naive_trace = [], []
     result = divide(w, divisors, ordering, trace=trace)
-    # the twin gets fresh copies, so a wrong memo entry cannot fool both
+    # the twin gets fresh copies, so state kept on an element cannot fool both
     expected = divide_naive(
         fresh(w), [fresh(f) for f in divisors], ordering, trace=naive_trace
     )
@@ -259,31 +257,12 @@ def test_leading_term_memo_follows_the_ordering():
             assert leading_term(w, ordering) == leading_term(fresh(w), ordering)
             mono = max(w.terms, key=ordering.sort_key)
             assert leading_term(w, ordering) == (mono, w.terms[mono])
-        assert w._memo and plain._memo is None
         assert w == plain and hash(w) == hash(plain) == hash_before
         assert repr(w) == repr(plain) == repr_before
         # one divisor list under two orderings, and back
         for ordering in (grlex, lex, grlex):
             _assert_matches_naive(w, divisors, ordering)
         assert all(f == fresh(f) and hash(f) == hash(fresh(f)) for f in divisors)
-
-
-def test_leading_term_memo_releases_orderings():
-    # an ordering whose id is reused after it dies must not see the dead
-    # one's entry, and the memo must not keep orderings alive
-    w = W1.xi(1) + W1.d(1) ** 2
-    for step in range(50):
-        # weight 0 on d1 puts x1 first, weight 1 or 2 puts d1^2 first
-        ordering = Ordering.matrix([(1, step % 3)])
-        expected = Monomial((1,), (0,)) if step % 3 == 0 else Monomial((0,), (2,))
-        assert leading_term(w, ordering).monomial == expected
-        ref = weakref.ref(ordering)
-        del ordering
-        gc.collect()
-        assert ref() is None
-    assert w._memo[0]() is None
-    later = Ordering.matrix([(1, 0)])
-    assert leading_term(w, later).monomial == Monomial((1,), (0,))
 
 
 def test_returned_coefficients_are_fractions():

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from copy import copy as shallow_copy
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +15,11 @@ from weylgb import (
     GroebnerBasis,
     Monomial,
     Ordering,
+    SupportCapExceeded,
     WeylAlgebra,
     agree_on,
     buchberger,
+    certify_universal,
     divide,
     ideal_member,
     is_groebner,
@@ -25,7 +28,7 @@ from weylgb import (
     parse_ordering,
     reduce_basis,
 )
-from weylgb.division import _divisor_form
+from weylgb.division import _divisor_form, monic
 from weylgb.groebner import s_pair
 from weylgb.weyl import combined_support
 from conftest import (
@@ -282,21 +285,14 @@ def test_signature_completion_matches_naive(monkeypatch):
     assert skips["_syzygy_divides"] >= 200 and skips["_covered"] >= 80, skips
 
 
-def test_completion_elements_are_born_with_fresh_memos():
-    # buchberger's elements are made monic from int remainders with their
-    # leading term and divisor form written into the memo at once; both must
-    # equal what a fresh copy computes, with Fraction coefficients and an int
-    # form, or every later division by them goes wrong
-    born = Counter()
+def test_completion_elements_match_fresh_copies():
+    # buchberger's elements are made monic from int remainders, whose leading
+    # monomial and divisor form the completion keeps for its own divisions;
+    # each element must equal a fresh copy, with Fraction coefficients and an
+    # int form equal to the copy's, or every later division by it goes wrong
     for gens, ordering in _completion_cases(random.Random(20261024), 400):
         for e in buchberger(gens, ordering).elements:
             lead = leading_term(e, ordering)
-            # only a constant input, which ends completion as it joins, is
-            # never prepared as a divisor
-            if e._memo[2] is None:
-                assert lead.monomial.is_unit()
-            else:
-                born["with form"] += 1
             copy = fresh(e)
             assert e == copy
             assert lead == leading_term(copy, ordering)
@@ -306,7 +302,44 @@ def test_completion_elements_are_born_with_fresh_memos():
             _, lc, a, b, f_ints = form
             assert all(type(c) is int for c in (lc, a, b, *f_ints.values()))
             assert all(type(c) is Fraction for c in e.terms.values())
-    assert born["with form"] >= 400, born
+
+
+def _slots(value):
+    """Each slot of a value with the object it holds and a copy of it."""
+    names = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    return {name: (getattr(value, name), shallow_copy(getattr(value, name))) for name in names}
+
+
+def test_values_keep_no_state_from_a_call():
+    # every call reads elements and leaves each slot holding the same
+    # object with an equal value: nothing a call computes, such as a leading
+    # term or a divisor form, is kept on an element for a later call
+    rng = random.Random(20261025)
+    certified = 0
+    for _ in range(30):
+        n = rng.randint(1, 2)
+        ordering = random_ordering(rng, n)
+        gens = [random_element(rng, n, max_degree=2, max_terms=2) for _ in range(2)]
+        extra = [random_element(rng, n) for _ in range(3)]
+        before = {id(v): (v, _slots(v)) for v in gens + extra}
+        raw = buchberger(gens, ordering)
+        before.update((id(e), (e, _slots(e))) for e in raw.elements)
+        for v, _ in before.values():
+            leading_term(v, ordering)
+            monic(v, ordering)
+            divide(v, list(raw.elements), ordering)
+        buchberger(gens, ordering)
+        reduced = reduce_basis(raw)
+        is_groebner(raw.elements, ordering)
+        try:
+            certify_universal(reduced.elements + raw.elements)
+            certified += 1
+        except SupportCapExceeded:
+            pass
+        for v, slots in before.values():
+            for name, (obj, value) in slots.items():
+                assert getattr(v, name) is obj and obj == value, (v, name)
+    assert certified >= 15, certified
 
 
 def test_reduce_basis_matches_dividing_every_element(monkeypatch):
@@ -316,7 +349,8 @@ def test_reduce_basis_matches_dividing_every_element(monkeypatch):
     # completions (the naive one is not inter-reduced), the generators
     # themselves, and the reduced basis tangled: each element scaled, most
     # of the time, and with a smaller one added in, so that its tail is
-    # reducible.  The twin gets fresh copies, so a wrong memo cannot fool both.
+    # reducible.  The twin gets fresh copies, so state kept on an element
+    # cannot fool both.
     import weylgb.groebner as groebner
 
     calls = Counter()
