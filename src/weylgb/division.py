@@ -121,6 +121,9 @@ class DivisionInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class DivisionResult:
+    """What ``divide`` returns: one quotient per divisor, in divisor order,
+    and the remainder."""
+
     quotients: list
     remainder: WeylElement
 

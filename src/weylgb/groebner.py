@@ -124,6 +124,8 @@ def s_pair(u, v, ordering):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """Basis elements under ``ordering``, with the generators they came from."""
+
     elements: tuple
     ordering: Ordering
     generators: tuple

@@ -5,6 +5,16 @@ operators ``+ - * ^`` and parentheses.  Products need an explicit ``*`` and
 are evaluated left to right in the noncommutative algebra; the result is
 normalized to canonical form, so ``d1*x1`` parses to ``x1*d1 + 1``.
 
+One regex match finds the first character that starts no token, and one
+``finditer`` lists the tokens.  Values are ``{Monomial: Fraction}`` dicts and
+the element is built once, at the end: sums merge in place, products and
+powers go through ``weyl._multiply_terms`` and ``weyl._power_terms``.  A
+product's leading run of numbers and variables, each with an optional power,
+folds into one term c * x^a * d^b while no x_i follows a d_i already in it.
+Every factor of such a run commutes with the term before it, so each product
+of the run is already that one term, and the result, term order included,
+is the same.
+
 Formatting is the inverse on canonical strings: terms in descending
 graded-lex exponent order, x factors before d factors, coefficient 1
 suppressed.  ``format_element(parse_element(s, n))`` is a fixpoint on its
@@ -17,7 +27,7 @@ import re
 from fractions import Fraction
 
 from .orderings import Ordering
-from .weyl import Monomial, WeylAlgebra, WeylElement
+from .weyl import Monomial, WeylAlgebra, WeylElement, _multiply_terms, _power_terms
 
 
 class ParseError(ValueError):
@@ -26,104 +36,126 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>[xd]\d+)|(?P<op>[-+*^()]))"
-)
+_TOKEN = re.compile(r"(?P<number>\d+(?:/\d+)?)|(?P<var>[xd]\d+)|(?P<op>[-+*^()])")
+# tokens and spaces, matched token by token as a scan would, so a match ends
+# at the first character that starts no token
+_TEXT = re.compile(rf"(?:\s*(?:{_TOKEN.pattern}))*\s*")
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = pos + len(text[pos:]) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if match.lastgroup is not None:
-            tokens.append((match.lastgroup, match.group(match.lastgroup), match.start(match.lastgroup)))
-        pos = match.end()
+    end = _TEXT.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", end)
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent; each method returns a ``{Monomial: Fraction}`` dict
+    of its own.  An operator token is known by its text alone."""
+
     def __init__(self, text, n):
         self.tokens = _tokenize(text)
+        WeylAlgebra(n)  # raises on a bad n
         self.n = n
-        self.algebra = WeylAlgebra(n)
         self.index = 0
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
     def parse(self):
-        value = self.expr()
-        kind, text, pos = self.peek()
+        terms = self.expr()
+        kind, text, pos = self.tokens[self.index]
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
-        return value
+        return WeylElement._raw(self.n, terms)
 
     def expr(self):
-        negate = False
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            negate = True
+        negate = self.tokens[self.index][1] == "-"
+        if negate:
+            self.index += 1
         value = self.term()
         if negate:
-            value = -value
-        while self.peek()[1] in ("+", "-") and self.peek()[0] == "op":
-            op = self.advance()[1]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = {mono: -coeff for mono, coeff in value.items()}
+        op = self.tokens[self.index][1]
+        while op == "+" or op == "-":
+            self.index += 1
+            for mono, coeff in self.term().items():
+                coeff = value.get(mono, 0) + coeff if op == "+" else value.get(mono, 0) - coeff
+                if coeff:
+                    value[mono] = coeff
+                else:
+                    del value[mono]
+            op = self.tokens[self.index][1]
         return value
 
     def term(self):
-        value = self.factor()
-        while self.peek()[:2] == ("op", "*"):
-            self.advance()
-            value = value * self.factor()
+        value = self.factor(fold=True)
+        while self.tokens[self.index][1] == "*":
+            self.index += 1
+            value = _multiply_terms(value, self.factor())
         return value
 
-    def factor(self):
-        value = self.base()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            kind, text, pos = self.advance()
-            if kind != "number" or "/" in text:
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            value = value ** int(text)
-        return value
+    def factor(self, fold=False):
+        """One factor, or with ``fold`` the longest run of atoms that is one term."""
+        tokens = self.tokens
+        vector = [0] * (2 * self.n)
+        slot = self.atom(self.index, vector)
+        if slot is None:
+            return _power_terms(self.group(), self.power(), self.n)
+        numerator = denominator = 1
+        while True:
+            _, text, pos = tokens[self.index]
+            self.index += 1
+            if slot < 0:
+                p, _, q = text.partition("/")
+                p, q = int(p), int(q or 1)
+                if not q:
+                    raise ParseError("zero denominator", pos)
+                k = self.power()
+                numerator, denominator = numerator * p**k, denominator * q**k
+            else:
+                vector[slot] += self.power()
+            if not fold or tokens[self.index][1] != "*":
+                break
+            slot = self.atom(self.index + 1, vector)
+            if slot is None:
+                break
+            self.index += 1
+        return {Monomial._raw(tuple(vector)): Fraction(numerator, denominator)} if numerator else {}
 
-    def base(self):
-        kind, text, pos = self.advance()
-        if kind == "number":
-            try:
-                coeff = Fraction(text)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", pos) from None
-            return WeylElement.from_term(self.n, Monomial.unit(self.n), coeff)
-        if kind == "var":
-            index = int(text[1:])
-            if not 1 <= index <= self.n:
-                raise ParseError(
-                    f"variable {text!r} out of range for dimension {self.n}", pos
-                )
-            return (self.algebra.xi if text[0] == "x" else self.algebra.d)(index)
-        if (kind, text) == ("op", "("):
-            value = self.expr()
-            kind, text, pos = self.advance()
-            if (kind, text) != ("op", ")"):
-                raise ParseError("expected ')'", pos)
-            return value
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+    def atom(self, index, vector):
+        """-1 for a number at ``index``, the exponent slot of a variable that
+        commutes with the term ``vector``, else None."""
+        kind, text, pos = self.tokens[index]
+        if kind != "var":
+            return -1 if kind == "number" else None
+        n, i = self.n, int(text[1:])
+        if not 1 <= i <= n:
+            raise ParseError(f"variable {text!r} out of range for dimension {n}", pos)
+        if text[0] == "d":
+            return n + i - 1
+        return None if vector[n + i - 1] else i - 1
+
+    def power(self):
+        """The integer after ``^``, or 1 when no ``^`` follows."""
+        if self.tokens[self.index][1] != "^":
+            return 1
+        kind, text, pos = self.tokens[self.index + 1]
+        self.index += 2
+        if kind != "number" or "/" in text:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        return int(text)
+
+    def group(self):
+        _, text, pos = self.tokens[self.index]
+        self.index += 1
+        if text != "(":
+            raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+        value = self.expr()
+        _, text, pos = self.tokens[self.index]
+        self.index += 1
+        if text != ")":
+            raise ParseError("expected ')'", pos)
+        return value
 
 
 def parse_element(text, n):

@@ -295,6 +295,8 @@ def _sorted_support(support):
 
 @dataclass(frozen=True)
 class Cone:
+    """One realizable restriction of the support, its witness and its verdict."""
+
     restriction: Restriction
     witness: WeightWitness
     verdict: str
@@ -302,6 +304,8 @@ class Cone:
 
 @dataclass(frozen=True)
 class UniversalCertificate:
+    """A basis, its sorted support and the cones on which it passed."""
+
     basis: tuple
     cones: tuple
     support: tuple

@@ -261,10 +261,7 @@ class WeylElement(_Immutable):
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             self._check_compatible(other)
-            out = {}
-            for ma, ca in self.terms.items():
-                add_product(out, ca, ma, other.terms)
-            return WeylElement._raw(self.n, out)
+            return WeylElement._raw(self.n, _multiply_terms(self.terms, other.terms))
         return self._scale(other)
 
     def __rmul__(self, other):
@@ -282,17 +279,7 @@ class WeylElement(_Immutable):
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        # square-and-multiply: O(log exponent) products, the algebra being
-        # associative
-        result = WeylElement.one(self.n)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return WeylElement._raw(self.n, _power_terms(self.terms, exponent, self.n))
 
     def commutator(self, other):
         return self * other - other * self
@@ -412,6 +399,30 @@ def add_product(acc, coeff, mono, terms):
                 else:
                     del acc[m]
     return entered
+
+
+def _multiply_terms(left, right):
+    """The terms of the product of two elements, given by their terms."""
+    out = {}
+    for mono, coeff in left.items():
+        add_product(out, coeff, mono, right)
+    return out
+
+
+def _power_terms(terms, exponent, n):
+    """The terms of f**exponent, given the terms of f in dimension n.
+
+    Square-and-multiply: O(log exponent) products, the algebra being
+    associative.  Exponent 1 returns ``terms`` itself.
+    """
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = terms if result is None else _multiply_terms(result, terms)
+        exponent >>= 1
+        if exponent:
+            terms = _multiply_terms(terms, terms)
+    return {Monomial.unit(n): _ONE} if result is None else result
 
 
 def combined_support(elements):

@@ -22,7 +22,11 @@ pair of its input where
 rows, carries every row w_j >= 0 through every stage and records each
 row's derivation as it goes, and back-substitutes with Fraction sums where
 ``solve_inequalities`` stays in ints until the output, keeps those rows
-implicit and derives a certificate only when it is read.
+implicit and derives a certificate only when it is read.  The expression
+oracle ``parse_element_naive`` scans the text token by token and builds a
+``WeylElement`` for every number, variable, sum and product, left to right,
+where ``parse_element`` tokenizes in one pass, works on coefficient dicts and
+folds a leading run of atoms into one term.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -38,9 +42,19 @@ nothing else.  Only the monomial exponent type and the orderings are shared.
 import heapq
 import itertools
 import math
+import re
 from fractions import Fraction
 
-from weylgb import GroebnerBasis, Monomial, SupportCapExceeded, WeylElement, divide, leading_term
+from weylgb import (
+    GroebnerBasis,
+    Monomial,
+    ParseError,
+    SupportCapExceeded,
+    WeylAlgebra,
+    WeylElement,
+    divide,
+    leading_term,
+)
 from weylgb.division import DivisionInvariantError, DivisionResult, monic
 from weylgb.feasibility import Infeasible, _multipliers
 from weylgb.groebner import s_pair
@@ -339,6 +353,116 @@ def divide_naive(w, divisors, ordering, trace=None):
             remainder_terms[lt_p.monomial] = lt_p.coefficient
             p = p - WeylElement.from_term(n, lt_p.monomial, lt_p.coefficient)
     return DivisionResult(quotients, WeylElement(n, remainder_terms))
+
+
+_NAIVE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>[xd]\d+)|(?P<op>[-+*^()]))"
+)
+
+
+def _tokenize_naive(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _NAIVE_TOKEN.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = pos + len(text[pos:]) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        if match.lastgroup is not None:
+            tokens.append((match.lastgroup, match.group(match.lastgroup), match.start(match.lastgroup)))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _NaiveParser:
+    def __init__(self, text, n):
+        self.tokens = _tokenize_naive(text)
+        self.n = n
+        self.algebra = WeylAlgebra(n)
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def advance(self):
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def parse(self):
+        value = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return value
+
+    def expr(self):
+        negate = False
+        if self.peek()[:2] == ("op", "-"):
+            self.advance()
+            negate = True
+        value = self.term()
+        if negate:
+            value = -value
+        while self.peek()[1] in ("+", "-") and self.peek()[0] == "op":
+            op = self.advance()[1]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[:2] == ("op", "*"):
+            self.advance()
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        value = self.base()
+        if self.peek()[:2] == ("op", "^"):
+            self.advance()
+            kind, text, pos = self.advance()
+            if kind != "number" or "/" in text:
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            value = value ** int(text)
+        return value
+
+    def base(self):
+        kind, text, pos = self.advance()
+        if kind == "number":
+            try:
+                coeff = Fraction(text)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
+            return WeylElement.from_term(self.n, Monomial.unit(self.n), coeff)
+        if kind == "var":
+            index = int(text[1:])
+            if not 1 <= index <= self.n:
+                raise ParseError(
+                    f"variable {text!r} out of range for dimension {self.n}", pos
+                )
+            return (self.algebra.xi if text[0] == "x" else self.algebra.d)(index)
+        if (kind, text) == ("op", "("):
+            value = self.expr()
+            kind, text, pos = self.advance()
+            if (kind, text) != ("op", ")"):
+                raise ParseError("expected ')'", pos)
+            return value
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+
+
+def parse_element_naive(text, n):
+    """``parse_element`` with element arithmetic at every step."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    try:
+        return _NaiveParser(text, n).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 class CommutativePolynomial:

@@ -29,6 +29,19 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def test_every_dataclass_has_a_docstring():
+    # without one, dataclasses builds __doc__ from inspect.signature each time
+    # the class is created, which is on every import; the class namespace
+    # holds __doc__ (None) either way, so read the source
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                assert ast.get_docstring(node), f"{path.name}: {node.name} has no docstring"
+
+
 def test_only_weyl_names_its_slot_writers():
     # the _set_* writers bypass the immutability guard of weyl's values; a
     # module that imported or named one could store state on a value

@@ -238,7 +238,7 @@ def test_divide_matches_naive_division():
         _assert_matches_naive(w, divisors, ordering)
 
 
-def test_leading_term_memo_follows_the_ordering():
+def test_leading_term_and_division_follow_the_ordering():
     rng = random.Random(20261020)
     n = 2
     lex, grlex = Ordering.lex(), Ordering.grlex(n)
@@ -399,9 +399,9 @@ def test_division_invariant_error_is_an_internal_error(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_memo_is_safe_to_share_across_threads():
-    # threads filling the memos of shared elements under several orderings
-    # must each get what a fresh element gives
+def test_divide_is_safe_to_share_across_threads():
+    # threads dividing and taking leading terms of shared elements under
+    # several orderings must each get what a fresh element gives
     rng = random.Random(20261023)
     n = 2
     orderings = [Ordering.lex(), Ordering.grlex(n)] + [

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from weylgb import (
     parse_ordering,
 )
 from conftest import random_element
+from oracles import parse_element_naive
 
 
 W1 = WeylAlgebra(1)
@@ -74,6 +76,72 @@ def test_parse_variable_range_checked():
     with pytest.raises(ParseError):
         parse_element("d2", 1)
     assert parse_element("x2*d2", 2) == W2.xi(2) * W2.d(2)
+
+
+def _random_text(rng, n, depth=0):
+    """A sum of products of numbers, variables and groups, some with powers."""
+    text = "-" if rng.random() < 0.3 else ""
+    for k in range(rng.randint(1, 3)):
+        if k:
+            text += rng.choice(["+", "-", " + ", " - "])
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            pick = rng.random()
+            if pick < 0.25:
+                factor = rng.choice(["0", "1", "2", "7", "3/2", "4/6", "0/5", "12/8"])
+            elif pick < 0.85 or depth >= 2:
+                factor = rng.choice("xd") + str(rng.randint(1, n))
+            else:
+                factor = "(" + _random_text(rng, n, depth + 1) + ")"
+            if rng.random() < 0.25:
+                factor += "^" + str(rng.randint(0, 3 if factor[0] != "(" else 2))
+            factors.append(factor)
+        text += (" * " if rng.random() < 0.2 else "*").join(factors)
+    return text
+
+
+def test_parse_matches_naive():
+    # the naive parser evaluates every factor as an element, left to right;
+    # both must give equal elements with their terms in the same order
+    rng = random.Random(20261019)
+    texts = [
+        ("d1*x1*d1", 1),
+        ("x2*d1*x1", 2),
+        ("d1^2*x1^2*d1 - 0*x1 + 0", 1),
+        ("(x1 + d1)^0 * 3/2 * (d1*x1)^2", 1),
+        ("-((x1 - 2/4*d2)^3 * x2^0) + d2*x2*x1^2*d1", 2),
+        ("x3 * d3 * x3 * (d1 + x1) * d2 ^ 2 * x2", 3),
+    ]
+    texts += [(_random_text(rng, n), n) for n in (1, 2, 3) for _ in range(300)]
+    for text, n in texts:
+        w = parse_element(text, n)
+        expected = parse_element_naive(text, n)
+        assert w == expected, text
+        assert list(w.terms) == list(expected.terms), text
+
+
+def test_parse_errors_match_naive():
+    texts = [
+        "x1 + @",
+        "x1 *",
+        "x1 x1",
+        "x1^(1/2)",
+        "",
+        "1/0",
+        "x1 + 3/00",
+        "x1 + x3",
+        "(x1 + d1",
+        "x1 + d1)",
+        "(" * 3000 + "x1" + ")" * 3000,
+    ]
+    for text in texts:
+        with pytest.raises(ParseError) as err:
+            parse_element(text, 2)
+        with pytest.raises(ParseError) as naive:
+            parse_element_naive(text, 2)
+        assert str(err.value) == str(naive.value), text
+        assert err.value.position == naive.value.position, text
+    assert "nested too deeply" in str(err.value)
 
 
 def test_format_examples():
