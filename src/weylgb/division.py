@@ -36,7 +36,7 @@ end of ``divide``, for the remainder terms.
 
 ``regular_remainder`` runs the same loop (``_reduce``) for the signature-based
 completion in ``groebner``, which keeps one list of prepared divisor entries
-(leading vector, L, F, gap, index), appended once when an element joins its
+(leading monomial, L, F, gap, index), appended once when an element joins its
 basis, and passes it with the int form F of the element being reduced and
 that element's signature (key, i).  A divisor whose leading monomial
 divides the working monomial m is used only when its multiple there has the
@@ -79,7 +79,7 @@ def leading_term(w, ordering):
 
 
 def _divisor_form(f, ordering):
-    """(exponent vector of the leading monomial, L, a, b, F) with
+    """(leading monomial, L, a, b, F) with
     f == (a / b) * F, where F maps monomials to ints with gcd 1 and L > 0 is
     its leading coefficient."""
     lead = leading_term(f, ordering)
@@ -89,7 +89,7 @@ def _divisor_form(f, ordering):
     if lead.coefficient < 0:
         a = -a
     ints = {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
-    return (lead.monomial.vector, ints[lead.monomial], a, b, ints)
+    return (lead.monomial, ints[lead.monomial], a, b, ints)
 
 
 def monic(w, ordering):
@@ -103,7 +103,7 @@ def monic(w, ordering):
 def _monic_remainder(n, ints):
     """(w, lm w, form) for the int remainder ``ints`` of ``regular_remainder``
     (leading monomial first): the monic element w it is a multiple of, its
-    leading monomial, and its divisor form (lead vector, L, 1, L, F)."""
+    leading monomial, and its divisor form (lead, L, 1, L, F)."""
     lead = next(iter(ints))
     content = math.gcd(*ints.values())
     if ints[lead] < 0:
@@ -111,7 +111,7 @@ def _monic_remainder(n, ints):
     f_ints = {m: c // content for m, c in ints.items()}
     lc = f_ints[lead]
     w = WeylElement._raw(n, {m: Fraction(c, lc) for m, c in f_ints.items()})
-    return w, lead, (lead.vector, lc, 1, lc, f_ints)
+    return w, lead, (lead, lc, 1, lc, f_ints)
 
 
 class DivisionInvariantError(RuntimeError):
@@ -143,8 +143,8 @@ def divide(w, divisors, ordering, trace=None):
         if f.n != n:
             raise ValueError(f"dimension mismatch: {n} vs {f.n}")
         if f:
-            lead_vector, lead, a, b, f_ints = _divisor_form(f, ordering)
-            leads.append((lead_vector, lead, f_ints, None, i))
+            lead_mono, lead, a, b, f_ints = _divisor_form(f, ordering)
+            leads.append((lead_mono, lead, f_ints, None, i))
             quotients.append(({}, b, a * lead))
         else:
             quotients.append(({}, 1, 1))
@@ -162,7 +162,7 @@ def regular_remainder(mono, f_ints, divisors, signature, ordering, trace=None):
     """Remainder of mono * F under regular reduction by the prepared divisors.
 
     ``f_ints`` is the int form F of the element f being reduced, as in its
-    divisor form, and ``divisors`` holds one entry (leading vector, L, F,
+    divisor form, and ``divisors`` holds one entry (leading monomial, L, F,
     gap, index) per nonzero element, as the signature-based completion in
     ``groebner`` prepares them; ``signature`` is the Schreyer signature
     (key, i) of mono * f.  A divisor is used at a working monomial m only
@@ -181,7 +181,7 @@ def _reduce(work, den, leads, sort_key, trace, quotients, signature):
     """The heap-reduction loop of ``divide`` and ``regular_remainder``.
 
     Reduces (1 / den) * work, an int dict it consumes, by the divisors in
-    ``leads``, entries (lead vector, L, F, gap, index).  With a signature
+    ``leads``, entries (lead monomial, L, F, gap, index).  With a signature
     (key, i), a divisor is usable at a working monomial only when its
     multiple there has a signature below it; with None, the gaps are not read
     and every divisor is usable everywhere.  Fills ``quotients[index]``, a
@@ -209,12 +209,11 @@ def _reduce(work, den, leads, sort_key, trace, quotients, signature):
         previous_key = key
         if trace is not None:
             trace.append(mono)
-        vector = mono.vector
-        for lead_vector, lead, f_ints, gap, index in leads:
-            if all(map(le, lead_vector, vector)) and (
+        for lead_mono, lead, f_ints, gap, index in leads:
+            if all(map(le, lead_mono, mono)) and (
                 signature is None or (tuple(map(add, key, gap)), index) < signature
             ):
-                cofactor = _cofactor(vector, lead_vector)
+                cofactor = _cofactor(mono, lead_mono)
                 if quotients is not None:
                     # (coeff / den) / ((a / b) * lead)
                     q, b, a_lead = quotients[index]
@@ -248,9 +247,9 @@ def _reduce(work, den, leads, sort_key, trace, quotients, signature):
     return remainder, den
 
 
-def _cofactor(vector, lead):
-    """The monomial x^vector / lead for exponent vectors ``lead`` <= ``vector``."""
-    return Monomial._raw(tuple(map(sub, vector, lead)))
+def _cofactor(mono, lead):
+    """The monomial mono / lead, for exponent tuples ``lead`` <= ``mono``."""
+    return Monomial._raw(map(sub, mono, lead))
 
 
 class _Above:

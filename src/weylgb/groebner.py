@@ -32,7 +32,7 @@ e_i.  A J-pair is skipped when
 Otherwise it is reduced regularly (``division.regular_remainder``): a
 multiple c * h is subtracted only when its signature lies strictly below
 the J-pair's.  Each element enters the reduction through one prepared
-divisor entry (leading vector, L, int form F, gap, index), built once when
+divisor entry (leading monomial, L, int form F, gap, index), built once when
 it joins the basis; a multiple of h at a working monomial m has the
 signature key sort_key(m) + gap with h's index, and that rule is tested only
 for the divisors whose leading monomial divides m; the element being reduced
@@ -164,7 +164,7 @@ def _signature_completion(inputs, ordering):
     docstring.  Returns the basis elements in the order they joined."""
     sort_key = ordering.sort_key
     n = inputs[0].n
-    unit = (0,) * (2 * n)
+    unit = Monomial.unit(n)
     input_leads = [leading_term(f, ordering).monomial for f in inputs]
     input_forms = [_divisor_form(f, ordering) for f in inputs]
     # (Schreyer key of the signature s * e_i, i, s, source element or -1 for
@@ -173,8 +173,8 @@ def _signature_completion(inputs, ordering):
     heapq.heapify(heap)
     no_gap = (0,) * len(heap[0][0])
     basis = []  # monic elements
-    labels = []  # (index i, signature vector s, gap, leading vector), per element
-    prepared = []  # (leading vector, L, F, gap, index i), per element
+    labels = []  # (index i, signature vector s, gap, leading monomial), per element
+    prepared = []  # (leading monomial, L, F, gap, index i), per element
     syzygies = []  # (index i, signature vector s) of the reductions to zero
     last = None
     while heap:
@@ -186,7 +186,7 @@ def _signature_completion(inputs, ordering):
             r, lt, form = inputs[i], input_leads[i], input_forms[i]
             f_ints, gap, cofactor = form[4], no_gap, unit
             reduce = any(
-                all(map(le, lead, lt.vector)) and (tuple(map(add, key, g_gap)), g_i) < (key, i)
+                all(map(le, lead, lt)) and (tuple(map(add, key, g_gap)), g_i) < (key, i)
                 for lead, _, _, g_gap, g_i in prepared
             )
         else:
@@ -197,11 +197,11 @@ def _signature_completion(inputs, ordering):
                 or _covered(i, s, gap, labels)
             ):
                 continue
-            f_ints, cofactor, reduce = prepared[j][2], tuple(map(sub, s, labels[j][1])), True
+            f_ints, cofactor, reduce = prepared[j][2], _cofactor(s, labels[j][1]), True
         last = key, i
         r_gap = gap
         if reduce:
-            ints = regular_remainder(Monomial._raw(cofactor), f_ints, prepared, last, ordering)
+            ints = regular_remainder(cofactor, f_ints, prepared, last, ordering)
             if not ints:
                 syzygies.append((i, s))
                 continue
@@ -214,12 +214,12 @@ def _signature_completion(inputs, ordering):
                 )
         if lt.is_unit():
             return [r]
-        label = (i, s, r_gap, lt.vector)
+        label = (i, s, r_gap, lt)
         for old, old_label in enumerate(labels):
             _push_j_pair(heap, sort_key, len(labels), label, old, old_label)
         basis.append(r)
         labels.append(label)
-        prepared.append((lt.vector, form[1], form[4], r_gap, i))
+        prepared.append((lt, form[1], form[4], r_gap, i))
     return basis
 
 
@@ -235,7 +235,7 @@ def _push_j_pair(heap, sort_key, new, new_label, old, old_label):
     if mine == theirs:
         return
     source, (i, s, gap, lead) = (new, new_label) if mine > theirs else (old, old_label)
-    key = tuple(map(add, sort_key(Monomial._raw(lcm)), gap))
+    key = tuple(map(add, sort_key(lcm), gap))
     heapq.heappush(heap, (key, i, tuple(map(add, s, map(sub, lcm, lead))), source))
 
 
@@ -264,11 +264,11 @@ def reduce_basis(basis):
     ``divide``): for any other, the remainder would be the element itself.
     """
     ordering = basis.ordering
-    elems = []  # (sort key of the leading monomial, its vector, monic element)
+    elems = []  # (sort key of the leading monomial, the monomial, monic element)
     for e in basis.elements:
         if e:
             mono, lc = leading_term(e, ordering)
-            elems.append((ordering.sort_key(mono), mono.vector, e if lc == 1 else e * (1 / lc)))
+            elems.append((ordering.sort_key(mono), mono, e if lc == 1 else e * (1 / lc)))
 
     # drop every element whose leading monomial another one divides;
     # ascending order means candidate divisors are always seen first
@@ -286,7 +286,7 @@ def reduce_basis(basis):
     # however the others are reduced after it.
     for idx, e in enumerate(kept):
         others = kept_leads[:idx] + kept_leads[idx + 1 :]
-        if any(all(map(le, other, m.vector)) for m in e.terms for other in others):
+        if any(all(map(le, other, m)) for m in e.terms for other in others):
             kept[idx] = divide(e, kept[:idx] + kept[idx + 1 :], ordering).remainder
 
     kept.reverse()  # greatest leading monomial first
@@ -301,22 +301,22 @@ def is_groebner(elements, ordering):
     """
     basis = [e for e in elements if e]
     lts = [leading_term(g, ordering).monomial for g in basis]
-    pending = {}  # (i, t) -> lcm of the pair still to be reduced
+    pending = {}  # (i, t) -> lcm of the pair still to be reduced, as a tuple
     for t, lt_t in enumerate(lts):
         # B_k: lt_t divides the lcm of (i, j), and neither (i, t) nor (j, t)
         # has that same lcm, so the chain i - t - j covers the pair
         for (i, j), lcm in list(pending.items()):
             if (
                 lt_t.divides(lcm)
-                and lts[i].lcm(lt_t) != lcm
-                and lts[j].lcm(lt_t) != lcm
+                and tuple(map(max, lts[i], lt_t)) != lcm
+                and tuple(map(max, lts[j], lt_t)) != lcm
             ):
                 del pending[i, j]
         # M/F: of the new pairs, keep the newest one per lcm, and only when
         # no other new lcm properly divides it
-        newest = {lts[i].lcm(lt_t): i for i in range(t)}
+        newest = {tuple(map(max, lts[i], lt_t)): i for i in range(t)}
         for lcm, i in newest.items():
-            if not any(other != lcm and other.divides(lcm) for other in newest):
+            if not any(other != lcm and all(map(le, other, lcm)) for other in newest):
                 pending[i, t] = lcm
     pairs = sorted((ordering.sort_key(lcm), t, i) for (i, t), lcm in pending.items())
     return not any(

@@ -71,13 +71,15 @@ class Ordering(_Immutable):
         return ordering
 
     def sort_key(self, mono):
-        """Key whose natural tuple comparison realizes this ordering."""
+        """Key whose natural tuple comparison realizes this ordering, for a
+        Monomial or any exponent tuple."""
         cache = self._key_cache
         key = cache.get(mono)
         if key is None:
-            self._check_width(mono)
-            vec = mono.vector
-            key = tuple(sum(map(operator.mul, row, vec)) for row in self._int_rows) + vec
+            rows = self._int_rows
+            if rows and len(rows[0]) != len(mono):
+                raise ValueError(f"weight rows have width {len(rows[0])}, expected {len(mono)}")
+            key = tuple(sum(map(operator.mul, row, mono)) for row in rows) + mono
             if len(cache) >= CACHE_SIZE:
                 cache.clear()
             cache[mono] = key
@@ -89,13 +91,6 @@ class Ordering(_Immutable):
             raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
         ka, kb = self.sort_key(a), self.sort_key(b)
         return (ka > kb) - (ka < kb)
-
-    def _check_width(self, mono):
-        if self.rows and len(self.rows[0]) != 2 * mono.dimension:
-            raise ValueError(
-                f"weight rows have width {len(self.rows[0])}, "
-                f"expected {2 * mono.dimension}"
-            )
 
     def __eq__(self, other):
         return isinstance(other, Ordering) and self.rows == other.rows

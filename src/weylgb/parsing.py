@@ -120,7 +120,7 @@ class _Parser:
             if slot is None:
                 break
             self.index += 1
-        return {Monomial._raw(tuple(vector)): Fraction(numerator, denominator)} if numerator else {}
+        return {Monomial._raw(vector): Fraction(numerator, denominator)} if numerator else {}
 
     def atom(self, index, vector):
         """-1 for a number at ``index``, the exponent slot of a variable that

@@ -131,8 +131,8 @@ def _below_row(low, high):
     way need strict separation, encoded with slack 1 (weight rows scale
     freely).
     """
-    diff = tuple(b - a for a, b in zip(low.vector, high.vector))
-    return (diff, 0 if low.vector < high.vector else 1)
+    diff = tuple(b - a for a, b in zip(low, high))
+    return (diff, 0 if low < high else 1)
 
 
 def realize_restriction(restriction):
@@ -158,7 +158,7 @@ def _realize_cached(monos):
     outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):
         return outcome
-    _witness_keys(outcome, [m.vector for m in monos], range(len(monos)), ())
+    _witness_keys(outcome, monos, range(len(monos)), ())
     return WeightWitness(outcome)
 
 
@@ -230,8 +230,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     support = _sorted_support(support)
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
-    vectors = [m.vector for m in support]
-    num_vars = len(vectors[0])
+    num_vars = len(support[0])
     nonneg = nonneg_rows(num_vars)
     below = [[_below_row(low, high) for high in support] for low in support]
     divisors = [
@@ -259,12 +258,12 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
             if all(dots[j] - dots[i] >= row[1] * scale for j, row in zip(rest, rows)):
                 child = witness
                 if len(rest) <= 1:
-                    _witness_keys(weights, vectors, prefix, rest)
+                    _witness_keys(weights, support, prefix, rest)
             else:
                 outcome = solve_inequalities(link + rows + nonneg, num_vars)
                 child = None
                 if not isinstance(outcome, Infeasible):
-                    child = (outcome, *_witness_keys(outcome, vectors, prefix, rest))
+                    child = (outcome, *_witness_keys(outcome, support, prefix, rest))
             if child is not None:
                 if len(rest) <= 1:
                     chain_monos = tuple(support[j] for j in prefix + rest)

@@ -6,9 +6,11 @@ The algebra is generated by x1..xn and d1..dn subject to
 
 Every element has a unique canonical form: a finite rational combination of
 normal monomials x^a * d^b (all x factors to the left of all d factors).  A
-monomial is one exponent vector, a followed by b; the blocks a and b are views,
-read by the product formula and the text format.  Elements map monomials to
-nonzero coefficients, so structural equality is exactly mathematical equality.
+``Monomial`` is the tuple of its exponents, a followed by b, so hashing,
+equality and construction run in C, and the kernels read the exponents from
+the monomial itself; the blocks a and b are slices, read by the product
+formula and the text format.  Elements map monomials to nonzero
+coefficients, so structural equality is exactly mathematical equality.
 
 Products are normalized with the closed-form expansion
 
@@ -32,6 +34,7 @@ A pair of factors that commute enters as the exponent sum with coefficient
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -53,15 +56,20 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Monomial(_Immutable):
-    """One normal monomial x^a * d^b, stored as one exponent vector.
+class Monomial(tuple):
+    """One normal monomial x^a * d^b: the tuple of its exponents, a then b.
 
-    ``vector`` is a followed by b.  Sort keys, divisibility, lcm and the rows
-    of realization read it; the blocks ``xi`` and ``d`` are read-only views
-    for the product formula and the text format.  Instances are immutable.
+    Hashing, equality, slicing and ``<`` are the tuple's, so a monomial
+    equals the plain tuple of its exponents and hashes like it, and ``<`` is
+    tuple order, not a monomial ordering.  Kernels read the exponents from
+    the monomial itself, and sort keys, divisibility and lcm accept any
+    exponent tuple.  ``xi`` and ``d`` are the two blocks, for the product
+    formula and the text format.  ``+`` and repetition by an int are refused:
+    ``*`` of two monomials is the exponent sum.  A slot-less tuple refuses
+    attribute assignment, so instances are immutable.
     """
 
-    __slots__ = ("vector", "_hash")
+    __slots__ = ()
 
     def __new__(cls, xi, d):
         xi = tuple(xi)
@@ -70,16 +78,7 @@ class Monomial(_Immutable):
             raise ValueError("x and d exponent tuples must have equal length")
         if any(e < 0 for e in xi) or any(e < 0 for e in d):
             raise ValueError("exponents must be nonnegative")
-        return cls._raw(xi + d)
-
-    @classmethod
-    def _raw(cls, vector):
-        # trusted constructor: vector is a tuple of nonnegative ints of even
-        # length, derived from validated monomials
-        self = object.__new__(cls)
-        _set_vector(self, vector)
-        _set_hash(self, hash(vector))
-        return self
+        return tuple.__new__(cls, xi + d)
 
     def __reduce__(self):
         return (Monomial, (self.xi, self.d))
@@ -89,23 +88,28 @@ class Monomial(_Immutable):
         return cls((0,) * n, (0,) * n)
 
     @property
+    def vector(self):
+        """The monomial itself; kept for callers outside the package."""
+        return self
+
+    @property
     def xi(self):
-        return self.vector[: len(self.vector) // 2]
+        return self[: len(self) // 2]
 
     @property
     def d(self):
-        return self.vector[len(self.vector) // 2 :]
+        return self[len(self) // 2 :]
 
     @property
     def dimension(self):
-        return len(self.vector) // 2
+        return len(self) // 2
 
     @property
     def degree(self):
-        return sum(self.vector)
+        return sum(self)
 
     def is_unit(self):
-        return not any(self.vector)
+        return not any(self)
 
     def __mul__(self, other):
         """Exponentwise sum: the commutative image of the product.
@@ -113,46 +117,47 @@ class Monomial(_Immutable):
         The top term of the noncommutative product of two normal monomials
         is exactly this monomial, with coefficient 1.
         """
+        if not isinstance(other, Monomial):
+            return NotImplemented
         _check_dim(self, other)
-        return Monomial._raw(tuple(map(operator.add, self.vector, other.vector)))
+        return _raw(map(operator.add, self, other))
+
+    def __add__(self, other):
+        # refuses tuple concatenation, and as __rmul__ repetition k * m; with
+        # __mul__ defined too, the tuple's repetition slot is gone
+        return NotImplemented
+
+    __rmul__ = __add__
 
     def divides(self, other):
         _check_dim(self, other)
-        return all(map(operator.le, self.vector, other.vector))
+        return all(map(operator.le, self, other))
 
     def __truediv__(self, other):
         if not other.divides(self):
             raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial._raw(tuple(map(operator.sub, self.vector, other.vector)))
+        return _raw(map(operator.sub, self, other))
 
     def lcm(self, other):
         _check_dim(self, other)
-        return Monomial._raw(tuple(map(max, self.vector, other.vector)))
+        return _raw(map(max, self, other))
 
     def sort_key(self):
         """Graded-lex key; fixes the deterministic iteration order."""
-        return (sum(self.vector), self.vector)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.vector == other.vector
-
-    def __hash__(self):
-        return self._hash
+        return (sum(self), self)
 
     def __repr__(self):
         return f"Monomial({self.xi}, {self.d})"
 
 
-# slot writers that bypass the immutability guard, for ``_raw`` only
-_set_vector = Monomial.vector.__set__
-_set_hash = Monomial._hash.__set__
+# trusted constructor, in C: the monomial of an iterable of nonnegative ints
+# of even length, derived from validated monomials
+Monomial._raw = _raw = functools.partial(tuple.__new__, Monomial)
 
 
 def _check_dim(a, b):
-    if len(a.vector) != len(b.vector):
-        raise ValueError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
-        )
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a) // 2} vs {len(b) // 2}")
 
 
 class WeylElement(_Immutable):
@@ -171,6 +176,8 @@ class WeylElement(_Immutable):
             raise ValueError("dimension must be >= 1")
         clean = {}
         for mono, coeff in (terms or {}).items():
+            if not isinstance(mono, Monomial):
+                raise TypeError(f"terms must be keyed by Monomial, got {type(mono).__name__}")
             if mono.dimension != n:
                 raise ValueError(
                     f"monomial dimension {mono.dimension} does not match n={n}"
@@ -330,15 +337,14 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
     ``add_product`` calls this only for factors that do not commute.
     Results are cached, so callers must not mutate them.
     """
-    av, bv = a.vector, b.vector
-    if len(av) != len(bv):
+    if len(a) != len(b):
         _check_dim(a, b)  # raises
-    n = len(av) // 2
-    top = tuple(map(operator.add, av, bv))
+    n = len(a) // 2
+    top = tuple(map(operator.add, a, b))
     # (i, [coefficient of k_i = 0, 1, ..., cap]) for each variable whose
     # d^mu * x^rho needs reordering
     factors = []
-    for i, mu, rho in zip(range(n), av[n:], bv):
+    for i, mu, rho in zip(range(n), a[n:], b):
         cap = min(mu, rho)
         if cap:
             factors.append(
@@ -353,7 +359,7 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
             # x^(a.xi + b.xi - k) * d^(a.d + b.d - k)
             vector[i] -= ki
             vector[n + i] -= ki
-        terms[Monomial._raw(tuple(vector))] = _ONE if coeff == 1 else Fraction(coeff)
+        terms[_raw(vector)] = _ONE if coeff == 1 else Fraction(coeff)
     return WeylElement._raw(n, terms)
 
 
@@ -370,22 +376,20 @@ def add_product(acc, coeff, mono, terms):
     one that cancels and enters again is listed twice.
     """
     entered = []
-    vector = mono.vector
-    size = len(vector)
+    size = len(mono)
     # f_mono commutes with mono unless some variable has a nonzero exponent
     # in both the d block of mono and the x block of f_mono; map(min, ...)
     # stops at the end of d_block, so it reads only that x block
-    d_block = vector[size // 2 :]
+    d_block = mono[size // 2 :]
     mixed = any(d_block)
     for f_mono, f_coeff in terms.items():
         c = coeff * f_coeff
-        f_vector = f_mono.vector
-        if len(f_vector) != size:
+        if len(f_mono) != size:
             _check_dim(mono, f_mono)  # raises
-        if mixed and any(map(min, d_block, f_vector)):
+        if mixed and any(map(min, d_block, f_mono)):
             products = multiply_monomials(mono, f_mono).terms.items()
         else:
-            products = ((Monomial._raw(tuple(map(operator.add, vector, f_vector))), _ONE),)
+            products = ((_raw(map(operator.add, mono, f_mono)), _ONE),)
         for m, k in products:
             ck = c if k is _ONE else c * k.numerator
             old = acc.get(m)
@@ -464,5 +468,5 @@ class WeylAlgebra:
         # the unit vector at x_i (offset 0) or d_i (offset n)
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        vector = tuple(int(j == offset + i - 1) for j in range(2 * self.n))
-        return WeylElement.from_term(self.n, Monomial._raw(vector))
+        unit = (int(j == offset + i - 1) for j in range(2 * self.n))
+        return WeylElement.from_term(self.n, _raw(unit))

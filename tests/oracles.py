@@ -26,7 +26,9 @@ implicit and derives a certificate only when it is read.  The expression
 oracle ``parse_element_naive`` scans the text token by token and builds a
 ``WeylElement`` for every number, variable, sum and product, left to right,
 where ``parse_element`` tokenizes in one pass, works on coefficient dicts and
-folds a leading run of atoms into one term.
+folds a leading run of atoms into one term.  ``monomial_ops_naive`` works out
+``*``, ``/``, ``lcm`` and ``divides`` on plain exponent tuples, one exponent
+at a time, where ``Monomial`` maps C builtins over its own tuple.
 
 The commutative twin at the end is a polynomial ring in the 2n commuting
 variables X1..Xn, Y1..Yn with its own arithmetic, division and Buchberger
@@ -65,6 +67,20 @@ from weylgb.universal import (
     _sorted_support,
     realize_restriction,
 )
+
+
+def monomial_ops_naive(a, b):
+    """The exponent tuples of a * b, a / b (None unless b divides a) and
+    lcm(a, b), and whether b divides a, for plain exponent tuples a and b."""
+    product, quotient, lcm = [], [], []
+    divides = True
+    for u, v in zip(a, b, strict=True):
+        product.append(u + v)
+        quotient.append(u - v)
+        lcm.append(u if u >= v else v)
+        if v > u:
+            divides = False
+    return tuple(product), tuple(quotient) if divides else None, tuple(lcm), divides
 
 
 def _word(mono_left, mono_right):

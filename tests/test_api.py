@@ -61,6 +61,19 @@ def test_only_weyl_names_its_slot_writers():
         assert not writers, f"{path.name} names slot writers at {writers}"
 
 
+def test_no_module_reads_monomial_vector():
+    # a Monomial is its exponent tuple, so the kernels read the monomial
+    # itself; the .vector property stays for callers outside the package
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "vector"
+        ]
+        assert not reads, f"{path.name} reads .vector at lines {reads}"
+
+
 def _perfbench_constant(filename, name):
     """A literal module constant of perfbench, read without importing it."""
     path = ROOT / "perfbench" / filename

@@ -9,7 +9,7 @@ import pytest
 from weylgb import Monomial, Ordering, WeylAlgebra, WeylElement, leading_term
 from weylgb.weyl import _ONE, add_product, combined_support, multiply_monomials
 from conftest import random_coefficient, random_element, random_monomial
-from oracles import brute_element_product, brute_monomial_product
+from oracles import brute_element_product, brute_monomial_product, monomial_ops_naive
 
 
 W1 = WeylAlgebra(1)
@@ -177,7 +177,7 @@ def test_elements_are_immutable():
 
 def test_monomials_are_immutable():
     m = Monomial((1,), (0,))
-    for name in ("vector", "xi", "d", "_hash"):
+    for name in ("vector", "xi", "d", "_hash", "extra"):
         with pytest.raises(AttributeError):
             setattr(m, name, (5,))
         with pytest.raises(AttributeError):
@@ -186,6 +186,42 @@ def test_monomials_are_immutable():
     assert m.vector == (1, 0)
     assert m != Monomial((5,), (0,))
     assert hash(m) == hash(Monomial((1,), (0,)))
+
+
+def test_monomial_is_its_exponent_tuple():
+    m = Monomial((1, 0), (2, 3))
+    assert m == (1, 0, 2, 3) and (1, 0, 2, 3) == m and hash(m) == hash((1, 0, 2, 3))
+    assert m.vector is m and m.xi == (1, 0) and m.d == (2, 3)
+    assert {(1, 0, 2, 3): "found"}[m] == "found"
+    for raw in (Monomial._raw(map(int, "1023")), Monomial._raw([1, 0, 2, 3])):
+        assert type(raw) is Monomial and raw == m and hash(raw) == hash(m)
+    assert repr(m) == "Monomial((1, 0), (2, 3))"
+
+
+def test_monomial_refuses_tuple_arithmetic():
+    m = Monomial((1, 0), (2, 3))
+    for attempt in (
+        lambda: m + m,
+        lambda: m + (1,),
+        lambda: 2 * m,
+        lambda: m * 2,
+        lambda: m * (1, 0, 0, 0),
+        lambda: (1, 0, 0, 0) * m,
+    ):
+        with pytest.raises(TypeError):
+            attempt()
+    assert m * m == Monomial((2, 0), (4, 6))
+
+
+def test_elements_refuse_keys_that_are_not_monomials():
+    # a plain tuple equals the monomial of its exponents, so only this check
+    # keeps tuples out of .terms
+    with pytest.raises(TypeError, match="tuple"):
+        WeylElement(1, {(1, 0): 1})
+    with pytest.raises(TypeError, match="str"):
+        W1.element({"x1": 1})
+    with pytest.raises(TypeError, match="tuple"):
+        W2.element({Monomial((1, 0), (0, 0)): 1, (0, 1, 0, 0): 2})
 
 
 def _pickle_round_trip(value):
@@ -198,7 +234,7 @@ def _pickle_round_trip(value):
 def test_values_copy_and_pickle(clone):
     m = Monomial((1, 0), (2, 3))
     m2 = clone(m)
-    assert m2 == m and hash(m2) == hash(m)
+    assert type(m2) is Monomial and m2 == m and hash(m2) == hash(m)
     w = W2.xi(1) * W2.d(2) + Fraction(3, 2) * W2.d(1) ** 2
     lex = Ordering.lex()
     lead = leading_term(w, lex)
@@ -252,6 +288,27 @@ def test_monomial_vector_matches_blockwise_definitions():
         assert b.divides(a) == divides
         if divides:
             assert a / b == blocks(lambda u, v: u - v, a, b)
+        else:
+            with pytest.raises(ValueError):
+                a / b
+
+
+def test_monomial_operations_match_tuple_oracle():
+    rng = random.Random(20261919)
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        a = random_monomial(rng, n)
+        # half the pairs take b below a, so that b divides a
+        if rng.random() < 0.5:
+            b = Monomial._raw(rng.randint(0, e) for e in a)
+        else:
+            b = random_monomial(rng, n)
+        product, quotient, lcm, divides = monomial_ops_naive(tuple(a), tuple(b))
+        assert b.divides(a) == divides
+        for got, expected in ((a * b, product), (a.lcm(b), lcm)):
+            assert type(got) is Monomial and got == expected
+        if divides:
+            assert type(a / b) is Monomial and a / b == quotient
         else:
             with pytest.raises(ValueError):
                 a / b
