@@ -6,33 +6,31 @@ positive coefficient and one with negative coefficient on the pivot uses
 positive multipliers only, so every derived row is a nonnegative combination
 of input rows.
 
-Elimination runs on integer rows, GCD-normalized after every combination
-step.  Rows whose entries are all ints are used as given; any other input is
-first converted to Fractions and each row scaled by the lcm of its
-denominators.  One routine, ``_eliminate``, runs in two passes:
+Every solve runs the same three steps on GCD-normalized int rows:
 
-* The solving pass keeps every input row w_j >= 0 (up to a positive factor)
-  out of the stage lists.  It stands in for that row where it would act:
-  when w_j is eliminated, a row with a negative coefficient on w_j passes to
-  the next stage with that coefficient zeroed, which is its combination with
-  w_j >= 0, and back-substitution starts w_j's lower bound at 0.  When every
-  variable has such a row, rows with nonnegative coefficients and rhs <= 0
-  are dropped, since the orthant implies them.  Each stage still describes
-  the same projection as with every row explicit, and the solution depends
-  only on those projections, so it is the same, bit for bit.
-* The recording pass runs only when the solving pass meets a contradiction
-  0 >= rhs with rhs > 0, and only when the certificate is first read.  Every
-  row is explicit and each distinct row remembers the first pair of rows it
-  was derived from, so walking those origins back from the contradiction
-  gives a Farkas certificate of infeasibility that can be checked
-  independently of this solver.
+* ``_stage``, the input step, normalizes the rows, drops repeats and keeps
+  each row w_j >= 0 out of the stage, marking orthant[j] instead.
+* ``_eliminate`` stands in for that row where it would act: when w_j is
+  eliminated, a row with a negative coefficient on w_j passes on with that
+  coefficient zeroed, its combination with w_j >= 0.  When every variable
+  is in the orthant, rows with coefficients >= 0 and rhs <= 0 are dropped,
+  since it implies them.  Each stage describes the same projection as with
+  every row explicit, so the solution is the same, bit for bit.
+* ``_back_substitute`` reads the solution off stage by stage as int
+  numerators over one denominator, picking the smallest value the lower
+  bounds allow (0 bounds w_j in the orthant; with no lower bound, the
+  largest value the upper bounds allow, capped at 0): with the orthant in
+  the system, that is its lexicographic minimum.
 
-On feasible systems the solution is read off stage by stage, always picking
-the smallest value allowed by the accumulated lower bounds (or the largest
-allowed by upper bounds, capped at 0, when no lower bound exists).
-Back-substitution keeps the partial solution as int numerators over one
-common denominator and compares bounds by cross-multiplication, so a
-Fraction is built only once per output value.
+``solve_inequalities`` scales rows that are not all ints by the lcm of
+their denominators and returns Fractions.  ``solve_orthant``, the
+restriction search's entry, takes int rows with the orthant implicit and
+returns the ints (num, den).  On a contradiction 0 >= rhs with rhs > 0,
+``solve_inequalities`` defers a Farkas certificate to its first read: a
+recording pass reruns the steps with every row explicit, each distinct row
+remembering the first pair of rows it came from, and walking those origins
+back from the contradiction gives a certificate that can be checked
+independently of this solver.
 """
 
 from __future__ import annotations
@@ -130,75 +128,44 @@ def solve_inequalities(rows, num_vars):
         if len(coeffs) != num_vars:
             raise ValueError("row width does not match num_vars")
 
-    eliminated = _eliminate(scaled, num_vars)
-    if eliminated is None:
+    solved = _solve(scaled, [False] * num_vars)
+    if solved is None:
         outcome = object.__new__(Infeasible)
         object.__setattr__(outcome, "_pending", (scaled, num_vars, scales, original))
         return outcome
-    bounds, orthant = eliminated
-
-    # solution[k] == num[k] / den; a bound on variable var is a pair (r, c)
-    # with c > 0 and value r / (den * c)
-    num, den = [0] * num_vars, 1
-    mul = operator.mul
-    for var, (pos, neg) in enumerate(bounds):
-        # the row w_var >= 0 left out of the stages bounds var below by 0
-        lower = (0, 1) if orthant[var] else None
-        # coeffs[k] == 0 for k > var, and num[k] == 0 for k >= var
-        for coeffs, rhs in pos:
-            r, c = rhs * den - sum(map(mul, coeffs, num)), coeffs[var]
-            if lower is None or r * lower[1] > lower[0] * c:
-                lower = (r, c)
-        if lower is None:
-            # unbounded below: the largest value the upper bounds allow, capped at 0
-            upper = None
-            for coeffs, rhs in neg:
-                r, c = sum(map(mul, coeffs, num)) - rhs * den, -coeffs[var]
-                if upper is None or r * upper[1] < upper[0] * c:
-                    upper = (r, c)
-            if upper is None or upper[0] >= 0:
-                continue
-            lower = upper
-        r, c = lower
-        if c == 1:
-            num[var] = r
-        else:
-            num = [x * c for x in num]
-            num[var] = r
-            den *= c
-            g = math.gcd(den, *num)
-            if g > 1:
-                num = [x // g for x in num]
-                den //= g
-    if den == 1:
-        return tuple([Fraction(x) for x in num])
+    num, den = solved
     return tuple([Fraction(x, den) for x in num])
 
 
-def _eliminate(scaled, num_vars, origin=None):
-    """Fourier-Motzkin elimination of the int rows ``scaled``, last variable first.
+def solve_orthant(rows, num_vars):
+    """The lexicographic minimum over w >= 0 of int rows, as ints, or None.
 
-    Returns None as soon as a row 0 >= rhs with rhs > 0 appears.  Otherwise
-    returns (bounds, orthant): bounds[var] is the pair (lower, upper) of
-    lists of the rows with a positive and a negative coefficient on var in
-    the stage left after eliminating the variables above var.  With the
-    row w_j >= 0 added for every j with orthant[j] true, that stage
-    describes the projection of the system onto the variables 0 .. var.
+    ``rows`` holds (coeffs, rhs) pairs of ints, coeffs a tuple of length
+    num_vars; no row need say w >= 0.  Returns (num, den), den > 0 and
+    gcd(den, *num) == 1, where ``solve_inequalities(rows +
+    nonneg_rows(num_vars), num_vars)`` returns num / den as Fractions, and
+    None where it returns an Infeasible.
+    """
+    return _solve(rows, [True] * num_vars)
 
-    Without ``origin`` this is the solving pass: the input rows w_j >= 0 set
-    orthant[j] and stay out of the stages, and nothing is recorded.  With
-    ``origin`` (an empty dict) every row is explicit, orthant is all false,
-    and origin[row] is (i, g) when g * row == scaled[i], and (p, q, b, a, g)
-    when g * row == b * p + a * q: the first derivation of each distinct
-    row, inserted after the rows it came from, so a contradiction is its
-    last key.
+
+def _solve(rows, orthant):
+    bounds = _eliminate(rows, orthant)
+    return None if bounds is None else _back_substitute(bounds, orthant)
+
+
+def _stage(rows, orthant, origin=None):
+    """The input step: the int rows GCD-normalized and deduplicated, in order.
+
+    Returns None at a row 0 >= rhs with rhs > 0.  Without ``origin`` a row
+    w_j >= 0 sets orthant[j] and stays out.  With ``origin`` (an empty dict)
+    every row stays, and origin[row] is (i, g) when g * row == rows[i].
     """
     gcd = math.gcd
-    record = origin is not None
-    orthant = [False] * num_vars
-    seen = origin if record else set()
+    num_vars = len(orthant)
+    seen = set() if origin is None else origin
     stage = []
-    for i, (coeffs, rhs) in enumerate(scaled):
+    for i, (coeffs, rhs) in enumerate(rows):
         g = gcd(*coeffs, rhs)
         if g > 1:
             coeffs = tuple([c // g for c in coeffs])
@@ -208,7 +175,7 @@ def _eliminate(scaled, num_vars, origin=None):
         row = (coeffs, rhs)
         if row in seen:
             continue
-        if record:
+        if origin is not None:
             origin[row] = (i, g)
         else:
             seen.add(row)
@@ -218,6 +185,26 @@ def _eliminate(scaled, num_vars, origin=None):
         if rhs > 0 and not any(coeffs):
             return None
         stage.append(row)
+    return stage
+
+
+def _eliminate(rows, orthant, origin=None):
+    """Fourier-Motzkin elimination of the rows ``_stage`` keeps, last variable first.
+
+    Returns None as soon as a row 0 >= rhs with rhs > 0 appears.  Otherwise
+    returns bounds: bounds[var] is the pair (lower, upper) of lists of the
+    rows with a positive and a negative coefficient on var in the stage left
+    after eliminating the variables above var; with the rows w_j >= 0 of the
+    orthant, that stage describes the projection onto variables 0 .. var.
+    With ``origin``, as ``_stage`` filled it, origin[row] is also (p, q, b,
+    a, g) when g * row == b * p + a * q: each distinct row's first
+    derivation, inserted after its sources, so a contradiction is last.
+    """
+    stage = _stage(rows, orthant, origin)
+    if stage is None:
+        return None
+    gcd = math.gcd
+    num_vars = len(orthant)
     # every variable nonnegative implies each row with coefficients >= 0 and rhs <= 0
     prune = num_vars > 0 and all(orthant)
     if prune:
@@ -260,7 +247,7 @@ def _eliminate(scaled, num_vars, origin=None):
                 row = (coeffs, rhs)
                 if row in seen:
                     continue
-                if record:
+                if origin is not None:
                     origin.setdefault(row, (p, q, b, a, g))
                 seen.add(row)
                 if rhs > 0:
@@ -269,7 +256,47 @@ def _eliminate(scaled, num_vars, origin=None):
                 elif prune and min(coeffs) >= 0:
                     continue
                 stage.append(row)
-    return bounds, orthant
+    return bounds
+
+
+def _back_substitute(bounds, orthant):
+    """The smallest solution the bounds allow, variable by variable: (num, den).
+
+    solution[k] == num[k] / den, and gcd(den, *num) == 1 throughout; a bound
+    on variable var is a pair (r, c) with c > 0 and value r / (den * c).
+    """
+    num, den = [0] * len(orthant), 1
+    mul = operator.mul
+    for var, (pos, neg) in enumerate(bounds):
+        # the row w_var >= 0 left out of the stages bounds var below by 0
+        lower = (0, 1) if orthant[var] else None
+        # coeffs[k] == 0 for k > var, and num[k] == 0 for k >= var
+        for coeffs, rhs in pos:
+            r, c = rhs * den - sum(map(mul, coeffs, num)), coeffs[var]
+            if lower is None or r * lower[1] > lower[0] * c:
+                lower = (r, c)
+        if lower is None:
+            # unbounded below: the largest value the upper bounds allow, capped at 0
+            upper = None
+            for coeffs, rhs in neg:
+                r, c = sum(map(mul, coeffs, num)) - rhs * den, -coeffs[var]
+                if upper is None or r * upper[1] < upper[0] * c:
+                    upper = (r, c)
+            if upper is None or upper[0] >= 0:
+                continue
+            lower = upper
+        r, c = lower
+        if c == 1:
+            num[var] = r
+        else:
+            num = [x * c for x in num]
+            num[var] = r
+            den *= c
+            g = math.gcd(den, *num)
+            if g > 1:
+                num = [x // g for x in num]
+                den //= g
+    return num, den
 
 
 def _certificate(scaled, num_vars, scales, original):
@@ -280,7 +307,7 @@ def _certificate(scaled, num_vars, scales, original):
     were all ints, so every scale is 1 and the rows are ``scaled`` itself.
     """
     origin = {}
-    if _eliminate(scaled, num_vars, origin) is not None:
+    if _eliminate(scaled, [False] * num_vars, origin) is not None:
         raise AssertionError("recording pass found no contradiction; solver bug")
     if scales is None:
         scales = [1] * len(scaled)

@@ -13,12 +13,12 @@ a counterexample costs only the cones before it.
 Realization is exact: the strict inequalities a weight row must satisfy are
 solved by Fourier-Motzkin elimination over the rationals, with a slack of 1
 standing in for strictness.  Unrealizable chains come back with a Farkas
-certificate.  The search solves only where it must.  Every system it poses
-includes the nonnegativity rows, so the solver returns the system's
+certificate.  The search solves only where it must.  It poses int rows
+with the orthant w >= 0 implicit, so the solver returns each system's
 lexicographic minimum, and a child's system narrows its parent's; a child
 whose new rows the parent's witness meets takes that witness as its own
 without a solve, cones included, and every witness is still the one a solve
-of its own chain gives.
+of its own chain gives.  Witnesses stay ints until a cone is kept.
 
 The saturation loop grows a candidate basis with Groebner bases recomputed
 under every counterexample ordering until certification succeeds; each
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 # divide is unused here, but perfbench's trace run wraps universal.divide
 from .division import divide, leading_term, monic
-from .feasibility import Infeasible, nonneg_rows, solve_inequalities
+from .feasibility import Infeasible, nonneg_rows, solve_inequalities, solve_orthant
 from .groebner import buchberger, is_groebner, reduce_basis
 from .orderings import Ordering
 from .weyl import Monomial, combined_support
@@ -158,25 +158,23 @@ def _realize_cached(monos):
     outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):
         return outcome
-    _witness_keys(outcome, monos, range(len(monos)), ())
+    scale = math.lcm(*(q.denominator for q in outcome))
+    row = [q.numerator * (scale // q.denominator) for q in outcome]
+    _witness_keys(row, monos, range(len(monos)), ())
     return WeightWitness(outcome)
 
 
-def _witness_keys(weights, vectors, chain, rest):
-    """A solver's weights checked against its system, as ints: (dots, scale).
+def _witness_keys(row, vectors, chain, rest):
+    """A solver's weights, as an int row, checked against its system: dots.
 
-    ``chain`` and ``rest`` index into ``vectors``.  With ``scale`` the lcm of
-    the weights' denominators and w == scale * weights the int row,
-    ``dots[j]`` is w . vectors[j]; the keys (w . v, v) compare exactly as the
-    ordering's sort keys do, so the witness is checked without building its
-    ``Ordering``: every weight must be nonnegative, which ``Ordering``
-    requires of a weight row, the chain's keys must increase, and its last
-    key must be below the key of every index in ``rest``.  The checks raise
-    AssertionError themselves, so they run under ``python -O`` too.
+    ``row`` is a positive multiple of the weights, and ``chain`` and
+    ``rest`` index into ``vectors``.  dots[j] is row . vectors[j], and the
+    keys (row . v, v) compare as the ordering's sort keys do, so the witness
+    is checked without building its ``Ordering``: every weight must be
+    nonnegative, as ``Ordering`` requires, the chain's keys must increase,
+    and its last key must be below the key of every index in ``rest``.  The
+    checks raise AssertionError themselves, so they run under ``python -O``.
     """
-    dens = [q.denominator for q in weights]
-    scale = math.lcm(*dens)
-    row = [q.numerator * (scale // d) for q, d in zip(weights, dens)]
     if any(w < 0 for w in row):
         raise AssertionError("witness has a negative weight; solver bug")
     dots = [sum(map(operator.mul, row, v)) for v in vectors]
@@ -186,7 +184,7 @@ def _witness_keys(weights, vectors, chain, rest):
         top >= keys[r] for r in rest
     ):
         raise AssertionError("witness failed to reproduce its restriction; solver bug")
-    return dots, scale
+    return dots
 
 
 def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=None):
@@ -195,23 +193,23 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     Depth-first search that keeps only prefixes extending to a realizable
     chain.  Placing a monomial after a prefix asks for the prefix's chain
     rows plus rows putting the new monomial below every monomial still to be
-    placed (same differences and lex-slack rule), then the nonnegativity
-    rows; a weight row meeting them orders the whole support with the prefix
+    placed (same differences and lex-slack rule), over the orthant w >= 0;
+    a weight row meeting them orders the whole support with the prefix
     at the bottom, so every kept prefix leads to at least one cone.  A
     monomial divisible by one still to be placed is skipped without a
     system, since every ordering of the family puts it above its divisors.
     When one monomial remains, the system is that full chain's, row for row,
     so its solution is the cone's witness.
 
-    Every system includes the nonnegativity rows, so ``solve_inequalities``
-    returns its lexicographic minimum, which depends only on the polyhedron.
-    A child's polyhedron lies inside its parent's: the parent's rows putting
-    the last placed monomial p below each j still to be placed follow from
-    p below i and i below j, slacks included.  So when the parent's witness
-    meets the child's new rows it is the child's lexicographic minimum too,
-    and the child reuses it without a solve, at every depth, cones included;
+    ``solve_orthant`` returns a system's lexicographic minimum over the
+    orthant, which depends only on the polyhedron.  A child's polyhedron
+    lies inside its parent's: the parent's rows putting the last placed
+    monomial p below each j still to be placed follow from p below i and i
+    below j, slacks included.  So when the parent's witness meets the
+    child's new rows it is the child's lexicographic minimum too, and the
+    child reuses it without a solve, at every depth, cones included;
     otherwise the child solves.  The root starts from the zero row, the
-    minimum of the nonnegativity rows alone.  Every witness in the search is
+    minimum of the orthant alone.  Every witness in the search is
     therefore exactly the one a solve of its own system returns.  Over a
     support of k >= 2 monomials this makes at most (k - 1) feasible solves
     per cone and at most k * (k - 1) solves per cone in all.
@@ -221,8 +219,9 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     and one divisor bitmask per monomial.  Each system holds the same rows in
     the same order as the chain it stands for, so the result is identical to
     filtering all permutations (the naive oracle in the test suite),
-    witnesses included, and is returned in a deterministic order.  Every
-    solved witness, and every cone's, passes ``_witness_keys``.
+    witnesses included, and is returned in a deterministic order.  A witness is the solver's int row and denominator, and every
+    solved one, and every cone's, passes ``_witness_keys`` as ints; only a
+    cone's ``WeightWitness`` holds Fractions.
 
     ``_until`` is called on each cone as it is found; the search stops, and
     the list ends, at the first cone for which it returns true.
@@ -231,7 +230,6 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
     num_vars = len(support[0])
-    nonneg = nonneg_rows(num_vars)
     below = [[_below_row(low, high) for high in support] for low in support]
     divisors = [
         sum(1 << j for j, d in enumerate(support) if j != i and d.divides(m))
@@ -241,10 +239,10 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
 
     def extend(prefix, chain, free, witness):
         # prefix: indices placed so far; chain: their adjacent-pair rows;
-        # free: indices still to be placed, ascending; witness: (weights,
-        # dots, scale), the lexicographic minimum of this node's system with
-        # its _witness_keys ints
-        weights, dots, scale = witness
+        # free: indices still to be placed, ascending; witness: (num, dots,
+        # den), the lexicographic minimum num / den of this node's system
+        # and its _witness_keys dots
+        num, dots, den = witness
         mask = sum(1 << i for i in free)
         for i in free:
             # every ordering of the family puts a monomial above its divisors
@@ -255,19 +253,21 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
             rows = [below[i][j] for j in rest]
             prefix.append(i)
             # the parent's witness is the child's when it meets the new rows
-            if all(dots[j] - dots[i] >= row[1] * scale for j, row in zip(rest, rows)):
+            if all(dots[j] - dots[i] >= row[1] * den for j, row in zip(rest, rows)):
                 child = witness
                 if len(rest) <= 1:
-                    _witness_keys(weights, support, prefix, rest)
+                    _witness_keys(num, support, prefix, rest)
             else:
-                outcome = solve_inequalities(link + rows + nonneg, num_vars)
+                solved = solve_orthant(link + rows, num_vars)
                 child = None
-                if not isinstance(outcome, Infeasible):
-                    child = (outcome, *_witness_keys(outcome, support, prefix, rest))
+                if solved is not None:
+                    child_num, child_den = solved
+                    child = (child_num, _witness_keys(child_num, support, prefix, rest), child_den)
             if child is not None:
                 if len(rest) <= 1:
                     chain_monos = tuple(support[j] for j in prefix + rest)
-                    cone = (Restriction(chain_monos), WeightWitness(child[0]))
+                    weights = tuple(Fraction(x, child[2]) for x in child[0])
+                    cone = (Restriction(chain_monos), WeightWitness(weights))
                     out.append(cone)
                     if _until is not None and _until(*cone):
                         return True
@@ -276,8 +276,8 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
             prefix.pop()
         return False
 
-    # the zero row is the lexicographic minimum of the nonnegativity rows
-    root = ((Fraction(0),) * num_vars, [0] * len(support), 1)
+    # the zero row is the lexicographic minimum of the orthant alone
+    root = ([0] * num_vars, [0] * len(support), 1)
     extend([], [], list(range(len(support))), root)
     return out
 

@@ -62,11 +62,11 @@ class Monomial(tuple):
     Hashing, equality, slicing and ``<`` are the tuple's, so a monomial
     equals the plain tuple of its exponents and hashes like it, and ``<`` is
     tuple order, not a monomial ordering.  Kernels read the exponents from
-    the monomial itself, and sort keys, divisibility and lcm accept any
-    exponent tuple.  ``xi`` and ``d`` are the two blocks, for the product
-    formula and the text format.  ``+`` and repetition by an int are refused:
-    ``*`` of two monomials is the exponent sum.  A slot-less tuple refuses
-    attribute assignment, so instances are immutable.
+    the monomial itself, and sort keys, divisibility, quotients and lcm
+    accept any exponent tuple.  ``xi`` and ``d`` are the two blocks, for the
+    product formula and the text format.  ``+`` and repetition by an int are
+    refused: ``*`` of two monomials is the exponent sum.  A slot-less tuple
+    refuses attribute assignment, so instances are immutable.
     """
 
     __slots__ = ()
@@ -134,7 +134,7 @@ class Monomial(tuple):
         return all(map(operator.le, self, other))
 
     def __truediv__(self, other):
-        if not other.divides(self):
+        if not Monomial.divides(other, self):
             raise ValueError(f"{other!r} does not divide {self!r}")
         return _raw(map(operator.sub, self, other))
 
@@ -160,6 +160,13 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {len(a) // 2} vs {len(b) // 2}")
 
 
+def _check_key(mono, n):
+    if not isinstance(mono, Monomial):
+        raise TypeError(f"terms must be keyed by Monomial, got {type(mono).__name__}")
+    if mono.dimension != n:
+        raise ValueError(f"monomial dimension {mono.dimension} does not match n={n}")
+
+
 class WeylElement(_Immutable):
     """An element of the Weyl algebra in canonical form.
 
@@ -176,12 +183,7 @@ class WeylElement(_Immutable):
             raise ValueError("dimension must be >= 1")
         clean = {}
         for mono, coeff in (terms or {}).items():
-            if not isinstance(mono, Monomial):
-                raise TypeError(f"terms must be keyed by Monomial, got {type(mono).__name__}")
-            if mono.dimension != n:
-                raise ValueError(
-                    f"monomial dimension {mono.dimension} does not match n={n}"
-                )
+            _check_key(mono, n)
             coeff = Fraction(coeff)
             if coeff:
                 clean[mono] = coeff
@@ -213,12 +215,9 @@ class WeylElement(_Immutable):
 
     @classmethod
     def from_term(cls, n, mono, coeff=1):
+        _check_key(mono, n)
         coeff = Fraction(coeff)
-        if not coeff:
-            return cls.zero(n)
-        if mono.dimension != n:
-            raise ValueError(f"monomial dimension {mono.dimension} does not match n={n}")
-        return cls._raw(n, {mono: coeff})
+        return cls._raw(n, {mono: coeff}) if coeff else cls.zero(n)
 
     def support(self):
         return frozenset(self.terms)

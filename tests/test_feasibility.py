@@ -16,8 +16,9 @@ from weylgb import (
     parse_element,
     solve_inequalities,
     universal,
+    universal_groebner,
 )
-from weylgb.feasibility import nonneg_rows
+from weylgb.feasibility import nonneg_rows, solve_orthant
 from weylgb.weyl import combined_support
 from oracles import enumerate_restrictions_naive, solve_inequalities_naive
 
@@ -247,14 +248,22 @@ def test_solve_inequalities_matches_naive(rng):
     ],
 )
 def test_realization_systems_match_naive(monkeypatch, texts):
+    # the search's systems with their orthant rows made explicit, and the
+    # oracle's realizations as posed
     systems = []
     real = universal.solve_inequalities
+    real_orthant = universal.solve_orthant
 
     def capturing(rows, num_vars):
         systems.append((rows, num_vars))
         return real(rows, num_vars)
 
+    def capturing_orthant(rows, num_vars):
+        systems.append((rows + nonneg_rows(num_vars), num_vars))
+        return real_orthant(rows, num_vars)
+
     monkeypatch.setattr(universal, "solve_inequalities", capturing)
+    monkeypatch.setattr(universal, "solve_orthant", capturing_orthant)
     support = combined_support(parse_element(t, 2) for t in texts)
     try:
         universal._realize_cached.cache_clear()
@@ -331,6 +340,75 @@ def test_orthant_rows_match_naive(rng):
             assert outcome.verify(), rows
             counts["infeasible"] += 1
     assert min(counts.values()) >= 300, counts
+
+
+def _orthant_solve_matches(rows, num_vars):
+    """solve_orthant(rows) against solve_inequalities(rows + nonneg_rows):
+    the same minimum as (num, den), or None exactly at a certificate.  The
+    two share their core, so the slow twin checks the public solver."""
+    explicit = rows + nonneg_rows(num_vars)
+    solved = solve_orthant(rows, num_vars)
+    outcome = solve_inequalities(explicit, num_vars)
+    assert repr(outcome) == repr(solve_inequalities_naive(explicit, num_vars)), rows
+    if isinstance(outcome, Infeasible):
+        assert solved is None, rows
+        assert outcome.verify(), rows
+        return False
+    num, den = solved
+    assert all(type(x) is int for x in num) and type(den) is int, rows
+    assert den > 0 and math.gcd(den, *num) == 1, rows
+    assert tuple(Fraction(x, den) for x in num) == outcome, rows
+    assert _satisfies(explicit, outcome), rows
+    return True
+
+
+def test_orthant_entry_matches_public_solver(rng):
+    # sparse int rows with slack 0 or 1, as the restriction search poses
+    # them (dense random rows at six variables can grow the stages for
+    # minutes), with duplicates, rows with a common factor and orthant rows
+    counts = {"feasible": 0, "infeasible": 0, "factor": 0, "duplicate": 0}
+    for case in range(1500):
+        num_vars = case % 6 + 1
+        entries = [0, 0, 0, -2, -1, 1, 2]
+        rows = [
+            (tuple(rng.choice(entries) for _ in range(num_vars)), rng.choice([0, 0, 1]))
+            for _ in range(rng.randint(0, 8))
+        ]
+        for coeffs, rhs in list(rows):
+            if rng.random() < 0.2:
+                k = rng.randint(2, 4)
+                rows.append((tuple(k * c for c in coeffs), k * rhs))
+                counts["factor"] += 1
+            if rng.random() < 0.2:
+                rows.append((coeffs, rhs))
+                counts["duplicate"] += 1
+        if rng.random() < 0.3:
+            rows.append(rng.choice(nonneg_rows(num_vars)))
+        rng.shuffle(rows)
+        feasible = _orthant_solve_matches(rows, num_vars)
+        counts["feasible" if feasible else "infeasible"] += 1
+    assert min(counts.values()) >= 300, counts
+
+
+def test_search_systems_match_public_solver(monkeypatch):
+    # every system the restriction search poses while certifying and
+    # saturating the acceptance ideals, replayed against the public solver
+    from test_acceptance import SATURATING_PAIRS, _suite_ideals
+
+    systems = []
+    real = universal.solve_orthant
+
+    def recording(rows, num_vars):
+        systems.append((rows, num_vars))
+        return real(rows, num_vars)
+
+    monkeypatch.setattr(universal, "solve_orthant", recording)
+    ideals = [gens for _, gens in _suite_ideals()]
+    ideals += [[parse_element(t, 2) for t in texts] for texts in SATURATING_PAIRS]
+    for gens in ideals:
+        universal_groebner(gens, max_rounds=10)
+    feasible = [_orthant_solve_matches(rows, num_vars) for rows, num_vars in systems]
+    assert feasible.count(True) > 50 and feasible.count(False) > 50, len(feasible)
 
 
 def _infeasible_rows():

@@ -224,6 +224,35 @@ def test_elements_refuse_keys_that_are_not_monomials():
         W2.element({Monomial((1, 0), (0, 0)): 1, (0, 1, 0, 0): 2})
 
 
+def test_from_term_refuses_keys_that_are_not_monomials():
+    # the same check, and the same error, as WeylElement(n, {mono: coeff})
+    for coeff in (1, 0):
+        with pytest.raises(TypeError, match="tuple"):
+            WeylElement.from_term(1, (1, 0), coeff)
+    with pytest.raises(TypeError, match="str"):
+        WeylElement.from_term(1, "x1")
+    with pytest.raises(ValueError, match="dimension"):
+        WeylElement.from_term(2, Monomial((1,), (0,)))
+    assert WeylElement.from_term(1, Monomial((1,), (0,)), 2) == 2 * W1.xi(1)
+
+
+def test_quotient_by_exponent_tuple_matches_tuple_oracle():
+    # a divisor given as a plain exponent tuple, as divides and lcm take it
+    rng = random.Random(20261024)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        a = random_monomial(rng, n)
+        b = tuple(rng.randint(0, e + (rng.random() < 0.2)) for e in a)
+        _, quotient, _, divides = monomial_ops_naive(tuple(a), b)
+        if divides:
+            assert type(a / b) is Monomial and a / b == quotient
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                a / b
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Monomial((1,), (0,)) / (1, 0, 0, 0)
+
+
 def _pickle_round_trip(value):
     return pickle.loads(pickle.dumps(value))
 
