@@ -50,7 +50,12 @@ the ints at no extra cost.
 
 Elements keep nothing from a call: a leading term or a divisor form is
 computed in the call that needs it, and an algorithm that uses one many
-times, such as the completion, prepares it once and keeps it itself.
+times prepares it once and keeps it itself.  The completion builds an
+element's entry when it joins the basis, and ``is_groebner`` one entry per
+element per call.  Certification computes each element's content-free int
+form (``_int_form``) once per call, in both signs, and reads each marking's
+entries off them, taking the sign that is positive at the marked monomial.
+Both verdicts run ``_reduce`` on int S-pairs for the remainder alone.
 """
 
 from __future__ import annotations
@@ -78,18 +83,26 @@ def leading_term(w, ordering):
     return LeadingTerm(mono, w.terms[mono])
 
 
+def _int_form(f):
+    """(a, b, F) with f == (a / b) * F, where F maps monomials to ints with
+    gcd 1 and a > 0: the content-free int form of a nonzero f, whatever
+    its leading term."""
+    coeffs = f.terms.values()
+    b = math.lcm(*(c.denominator for c in coeffs))
+    a = math.gcd(*(c.numerator for c in coeffs))
+    return a, b, {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
+
+
 def _divisor_form(f, ordering):
     """(leading monomial, L, a, b, F) with
     f == (a / b) * F, where F maps monomials to ints with gcd 1 and L > 0 is
     its leading coefficient."""
-    lead = leading_term(f, ordering)
-    coeffs = f.terms.values()
-    b = math.lcm(*(c.denominator for c in coeffs))
-    a = math.gcd(*(c.numerator for c in coeffs))
-    if lead.coefficient < 0:
+    lead = leading_term(f, ordering).monomial
+    a, b, ints = _int_form(f)
+    if ints[lead] < 0:
         a = -a
-    ints = {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
-    return (lead.monomial, ints[lead.monomial], a, b, ints)
+        ints = {m: -c for m, c in ints.items()}
+    return (lead, ints[lead], a, b, ints)
 
 
 def monic(w, ordering):
@@ -178,7 +191,8 @@ def regular_remainder(mono, f_ints, divisors, signature, ordering, trace=None):
 
 
 def _reduce(work, den, leads, sort_key, trace, quotients, signature):
-    """The heap-reduction loop of ``divide`` and ``regular_remainder``.
+    """The heap-reduction loop of ``divide``, ``regular_remainder`` and the
+    S-pair verdict of ``groebner.is_groebner``.
 
     Reduces (1 / den) * work, an int dict it consumes, by the divisors in
     ``leads``, entries (lead monomial, L, F, gap, index).  With a signature

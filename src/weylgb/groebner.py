@@ -60,8 +60,14 @@ nonzero u, v and m = lcm of the leading monomials,
     s_pair(u, v) = (m / ls(u)) * u  -  (m / ls(v)) * v
 
 with each single-term cofactor multiplied on the left, so the two top terms
-cancel exactly.  It reduces the pairs by increasing lcm and stops at the
-first nonzero remainder.  Pairs are dropped by the chain criterion, in the
+cancel exactly.  It prepares each element once per call as a divisor entry
+(leading monomial, L, int form F, None, index) and works on those alone:
+an S-pair is built in ints, as L_u * L_v times the one above, and reduced
+by ``division._reduce`` for its int remainder only, a nonzero multiple of
+the true remainder or empty, with no quotient and no Fraction.  It reduces
+the pairs by increasing lcm and stops at the first nonzero remainder.
+Certification (``universal.certify_universal``) runs the same verdict on
+entries it prepares itself.  Pairs are dropped by the chain criterion, in the
 Gebauer-Moeller update (Gebauer and Moeller, "On an installation of
 Buchberger's algorithm", JSC 6, 1988) run as the elements are taken in
 turn:
@@ -88,6 +94,7 @@ from .division import (
     _cofactor,
     _divisor_form,
     _monic_remainder,
+    _reduce,
     divide,
     leading_term,
     monic,
@@ -114,12 +121,21 @@ def s_pair(u, v, ordering):
         raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
     lead_u, l_u, _, _, f_u = _divisor_form(u, ordering)
     lead_v, l_v, _, _, f_v = _divisor_form(v, ordering)
+    out = _s_pair_ints((lead_u, l_u, f_u), (lead_v, l_v, f_v))
+    den = l_u * l_v
+    return WeylElement._raw(u.n, {mono: Fraction(c, den) for mono, c in out.items()})
+
+
+def _s_pair_ints(u, v):
+    """L_u * L_v times the S-pair of two prepared divisor entries
+    (lead, L, F, ...), as an int dict: see ``s_pair``."""
+    lead_u, l_u, f_u = u[:3]
+    lead_v, l_v, f_v = v[:3]
     lcm = tuple(map(max, lead_u, lead_v))
     out = {}
     add_product(out, l_v, _cofactor(lcm, lead_u), f_u)
     add_product(out, -l_u, _cofactor(lcm, lead_v), f_v)
-    den = l_u * l_v
-    return WeylElement._raw(u.n, {mono: Fraction(c, den) for mono, c in out.items()})
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,30 +313,47 @@ def is_groebner(elements, ordering):
     """True iff every S-pair the chain criterion leaves reduces to zero.
 
     The pairs are reduced by increasing lcm, and the test stops at the first
-    nonzero remainder.
+    nonzero remainder.  Each nonzero element is prepared once per call.
     """
     basis = [e for e in elements if e]
-    lts = [leading_term(g, ordering).monomial for g in basis]
+    entries = []
+    for k, e in enumerate(basis):
+        if e.n != basis[0].n:
+            raise ValueError(f"dimension mismatch: {basis[0].n} vs {e.n}")
+        lead, l_e, _, _, f_ints = _divisor_form(e, ordering)
+        entries.append((lead, l_e, f_ints, None, k))
+    return _groebner_verdict(entries, ordering.sort_key)
+
+
+def _groebner_verdict(entries, sort_key):
+    """The verdict of ``is_groebner`` on prepared divisor entries
+    (lead, L, F, None, index), one per nonzero element in list order, under
+    the ordering whose ``sort_key`` is given.
+
+    Each S-pair is reduced in ints by ``division._reduce``, remainder only:
+    its int remainder is a nonzero multiple of the true one, or empty.
+    """
+    leads = [entry[0] for entry in entries]
     pending = {}  # (i, t) -> lcm of the pair still to be reduced, as a tuple
-    for t, lt_t in enumerate(lts):
+    for t, lt_t in enumerate(leads):
         # B_k: lt_t divides the lcm of (i, j), and neither (i, t) nor (j, t)
         # has that same lcm, so the chain i - t - j covers the pair
         for (i, j), lcm in list(pending.items()):
             if (
-                lt_t.divides(lcm)
-                and tuple(map(max, lts[i], lt_t)) != lcm
-                and tuple(map(max, lts[j], lt_t)) != lcm
+                all(map(le, lt_t, lcm))
+                and tuple(map(max, leads[i], lt_t)) != lcm
+                and tuple(map(max, leads[j], lt_t)) != lcm
             ):
                 del pending[i, j]
         # M/F: of the new pairs, keep the newest one per lcm, and only when
         # no other new lcm properly divides it
-        newest = {tuple(map(max, lts[i], lt_t)): i for i in range(t)}
+        newest = {tuple(map(max, leads[i], lt_t)): i for i in range(t)}
         for lcm, i in newest.items():
             if not any(other != lcm and all(map(le, other, lcm)) for other in newest):
                 pending[i, t] = lcm
-    pairs = sorted((ordering.sort_key(lcm), t, i) for (i, t), lcm in pending.items())
+    pairs = sorted((sort_key(lcm), t, i) for (i, t), lcm in pending.items())
     return not any(
-        divide(s_pair(basis[i], basis[t], ordering), basis, ordering).remainder
+        _reduce(_s_pair_ints(entries[i], entries[t]), 1, entries, sort_key, None, None, None)[0]
         for _, t, i in pairs
     )
 

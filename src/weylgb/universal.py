@@ -41,10 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# divide is unused here, but perfbench's trace run wraps universal.divide
-from .division import divide, leading_term, monic
+# divide and is_groebner are unused here, but perfbench's trace run wraps
+# universal.divide and universal.is_groebner
+from .division import _int_form, divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities, solve_orthant
-from .groebner import buchberger, is_groebner, reduce_basis
+from .groebner import _groebner_verdict, buchberger, is_groebner, reduce_basis
 from .orderings import Ordering
 from .weyl import Monomial, combined_support
 
@@ -335,6 +336,13 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     decided as the search finds it, and the search stops at the first
     failing one, so the cones after a counterexample are never realized.
 
+    Each element's content-free int form is prepared once per call, in both
+    signs.  A new marking's verdict is the S-pair test of ``is_groebner``
+    run on divisor entries read off the marking: each element's leading
+    monomial is its marked monomial, and its form the sign whose coefficient
+    there is positive, so no leading term or divisor form is computed per
+    verdict.
+
     ``_known`` holds pairs (G, lead): G a reduced Groebner basis of the ideal
     I under some ordering s, contained (up to scalars) in ``elements``, and
     lead its leading monomials under s.  When a cone's witness w gives G
@@ -354,6 +362,10 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
         raise SupportCapExceeded(len(support), max_support, "certification support")
 
     verdicts = {}  # marking -> verdict; a marking recurs across many cones
+    forms = []  # each element's content-free int form, in both signs
+    for e in elements:
+        f_ints = _int_form(e)[2]
+        forms.append((f_ints, {m: -c for m, c in f_ints.items()}))
 
     def fails(restriction, witness):
         # the witness ordering reproduces the chain on the support, so each
@@ -365,7 +377,7 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
             ok = verdicts[marking] = any(
                 tuple(max(g.terms, key=rank) for g in basis) == lead
                 for basis, lead in _known
-            ) or is_groebner(elements, witness.ordering())
+            ) or _groebner_verdict(_entries(marking, forms), witness.ordering().sort_key)
         return not ok
 
     found = enumerate_restrictions(support, max_support, _until=fails)
@@ -376,6 +388,16 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     cones = tuple(Cone(restriction, witness, "passed") for restriction, witness in found)
     basis = tuple(sorted(elements, key=_element_key, reverse=True))
     return UniversalCertificate(basis, cones, support)
+
+
+def _entries(marking, forms):
+    """The prepared divisor entries (lead, L, F, None, index) of the elements
+    under a marking, from their int forms in both signs."""
+    entries = []
+    for k, (lead, (plus, minus)) in enumerate(zip(marking, forms)):
+        f_ints = plus if plus[lead] > 0 else minus
+        entries.append((lead, f_ints[lead], f_ints, None, k))
+    return entries
 
 
 def universal_groebner(

@@ -16,8 +16,9 @@ reduces every pair where ``buchberger`` drops those the chain criterion
 covers, the inter-reduction oracle divides every element by the others
 where ``reduce_basis`` divides only those with a reducible term and keeps
 elements already monic as they are, the Groebner-test oracle reduces every
-pair of its input where
-``is_groebner`` runs ``buchberger``'s pruned pair queue, and
+pair of its input with ``s_pair`` and ``divide`` where ``is_groebner``
+drops pairs by the chain criterion and reduces the rest in ints on forms
+prepared once, remainder only, and
 ``solve_inequalities_naive`` runs Fourier-Motzkin on Fraction copies of its
 rows, carries every row w_j >= 0 through every stage and records each
 row's derivation as it goes, and back-substitutes with Fraction sums where

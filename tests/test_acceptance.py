@@ -331,9 +331,14 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
     candidate = []
     shortcut = 0
 
-    def counting(elements, ordering):
+    real_verdict = universal._groebner_verdict
+
+    def counting(entries, sort_key):
+        ordering = sort_key.__self__  # the witness ordering's bound sort_key
         calls.append(ordering)
-        return is_groebner(elements, ordering)
+        verdict = real_verdict(entries, sort_key)
+        assert verdict == is_groebner(candidate, ordering)
+        return verdict
 
     def certify(elements, max_support, *, _known):
         candidate[:] = elements
@@ -358,7 +363,7 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
 
         return real_enumerate(support, max_support, _until=until)
 
-    monkeypatch.setattr(universal, "is_groebner", counting)
+    monkeypatch.setattr(universal, "_groebner_verdict", counting)
     monkeypatch.setattr(universal, "enumerate_restrictions", enumerate_checked)
     monkeypatch.setattr(universal, "certify_universal", certify)
     certified = [certificate_text(universal_groebner(gens)) for gens in ideals]
@@ -370,7 +375,7 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
     monkeypatch.setattr(
         universal,
         "certify_universal",
-        lambda elements, max_support, *, _known: real_certify(elements, max_support),
+        lambda elements, max_support, *, _known: certify(elements, max_support, _known=()),
     )
     assert [certificate_text(universal_groebner(gens)) for gens in ideals] == certified
 

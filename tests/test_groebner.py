@@ -453,6 +453,47 @@ def test_is_groebner_examples():
     assert is_groebner([W1.d(1)], LEX)
     assert not is_groebner([W1.xi(1), W1.d(1)], LEX)
     assert is_groebner([], LEX)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        is_groebner([W1.xi(1), W2.xi(1)], LEX)
+
+
+_NON_NORMAL_VERDICT = """
+from weylgb import Monomial, WeylAlgebra, is_groebner
+from weylgb.division import DivisionInvariantError
+
+ONE, D, X = Monomial((0,), (0,)), Monomial((0,), (1,)), Monomial((1,), (0,))
+XX, XD, DD = Monomial((2,), (0,)), Monomial((1,), (1,)), Monomial((0,), (2,))
+
+
+class TableOrdering:
+    # 1 < d < x < x^2 < x*d < d^2: total, but not translation-compatible
+    rank = {ONE: 0, D: 1, X: 2, XX: 3, XD: 4, DD: 5}
+
+    def sort_key(self, mono):
+        return self.rank[mono]
+
+
+W = WeylAlgebra(1)
+x, d = W.xi(1), W.d(1)
+try:
+    # the S-pair x * (x - d) - x^2 = -x*d reduces by x - d to 1 - d^2
+    is_groebner([x - d, x * x], TableOrdering())
+except DivisionInvariantError as exc:
+    print("raised:", exc)
+else:
+    raise SystemExit("-x*d + d * (x - d) = 1 - d^2 rose above x*d unnoticed")
+"""
+
+
+def test_verdict_descent_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_NORMAL_VERDICT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.startswith("raised:")
 
 
 def test_is_groebner_matches_naive_test():

@@ -34,7 +34,12 @@ from weylgb.orderings import monomials_up_to_degree
 from weylgb.universal import Restriction, WeightWitness, _below_row, realize_restriction
 from weylgb.weyl import combined_support
 from conftest import random_element, random_monomial, random_weight_row
-from oracles import commutative_buchberger, enumerate_restrictions_naive, to_commutative
+from oracles import (
+    commutative_buchberger,
+    enumerate_restrictions_naive,
+    is_groebner_naive,
+    to_commutative,
+)
 
 
 W1 = WeylAlgebra(1)
@@ -289,12 +294,16 @@ def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
     assert len(by_marking) < len(cones)
 
     calls = []
+    real_verdict = universal._groebner_verdict
 
-    def counting(elems, ordering):
+    def counting(entries, sort_key):
+        ordering = sort_key.__self__  # the witness ordering's bound sort_key
         calls.append(ordering)
-        return is_groebner(elems, ordering)
+        verdict = real_verdict(entries, sort_key)
+        assert verdict == is_groebner(elements, ordering)
+        return verdict
 
-    monkeypatch.setattr(universal, "is_groebner", counting)
+    monkeypatch.setattr(universal, "_groebner_verdict", counting)
     outcome = certify_universal(elements)
     failures = [i for i, cone in enumerate(cones) if not cone[3]]
     if failures:
@@ -307,6 +316,57 @@ def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
         assert len(outcome.cones) == len(cones)
         seen = cones
     assert len(calls) == len({cone[2] for cone in seen})
+
+
+def test_certification_verdicts_match_is_groebner(monkeypatch):
+    # Certification decides a marking on int forms prepared once per call,
+    # taking the sign whose coefficient at the marked leading monomial is
+    # positive.  Random bases with Fraction coefficients of both signs have
+    # elements whose leading coefficient changes sign between cones; every
+    # cone's verdict must be the one is_groebner and the all-pairs oracle
+    # give under its witness ordering.
+    rng = random.Random(20261019)
+    real_enumerate = universal.enumerate_restrictions
+    decided = []
+
+    def enumerate_all(support, max_support, *, _until):
+        # record certification's verdict on every cone, and never stop early
+        def until(restriction, witness):
+            decided.append((witness, _until(restriction, witness)))
+            return False
+
+        return real_enumerate(support, max_support, _until=until)
+
+    monkeypatch.setattr(universal, "enumerate_restrictions", enumerate_all)
+    verdicts = []
+    sign_changes = 0
+    for n, bases, max_degree in ((1, 30, 4), (2, 40, 3), (3, 6, 2)):
+        made = 0
+        while made < bases:
+            elements = [
+                random_element(rng, n, max_degree=max_degree, max_terms=4)
+                for _ in range(rng.randint(2, 3))
+            ]
+            if len(combined_support(elements)) > 8:
+                continue
+            made += 1
+            decided.clear()
+            certify_universal(elements)
+            signs = set()
+            for witness, fails in decided:
+                ordering = witness.ordering()
+                verdict = is_groebner(elements, ordering)
+                assert verdict == is_groebner_naive(elements, ordering)
+                assert fails != verdict, (elements, witness)
+                verdicts.append(verdict)
+                signs.update(
+                    (k, leading_term(e, ordering).coefficient > 0) for k, e in enumerate(elements)
+                )
+            sign_changes += sum(
+                (k, True) in signs and (k, False) in signs for k in range(len(elements))
+            )
+    assert len(verdicts) >= 1000 and verdicts.count(True) >= 50 and verdicts.count(False) >= 500
+    assert sign_changes >= 20, sign_changes
 
 
 # The literal bases of the cert benchmark, with the cones the lazy search
