@@ -8,29 +8,29 @@ of input rows.
 
 Every solve runs the same three steps on GCD-normalized int rows:
 
-* ``_stage``, the input step, normalizes the rows, drops repeats and keeps
-  each row w_j >= 0 out of the stage, marking orthant[j] instead.
-* ``_eliminate`` stands in for that row where it would act: when w_j is
-  eliminated, a row with a negative coefficient on w_j passes on with that
-  coefficient zeroed, its combination with w_j >= 0.  When every variable
-  is in the orthant, rows with coefficients >= 0 and rhs <= 0 are dropped,
-  since it implies them.  Each stage describes the same projection as with
-  every row explicit, so the solution is the same, bit for bit.
+* ``_stage``, the input step, normalizes the rows and drops repeats.
+* ``_eliminate`` projects the rows onto ever fewer variables.  With the
+  orthant implicit, the rows w_j >= 0 are in no stage; the elimination
+  stands in for them where they would act: when w_j is eliminated, a row
+  with a negative coefficient on w_j passes on with that coefficient
+  zeroed, its combination with w_j >= 0.  Rows with coefficients >= 0 and
+  rhs <= 0 are dropped, since the orthant implies them.  Each stage
+  describes the same projection as with every row explicit, so the
+  solution is the same, bit for bit.
 * ``_back_substitute`` reads the solution off stage by stage as int
   numerators over one denominator, picking the smallest value the lower
-  bounds allow (0 bounds w_j in the orthant; with no lower bound, the
-  largest value the upper bounds allow, capped at 0): with the orthant in
-  the system, that is its lexicographic minimum.
+  bounds allow (0 bounds w_j in an implicit orthant; with no lower bound,
+  the largest value the upper bounds allow, capped at 0): with the orthant
+  in the system, that is its lexicographic minimum.
 
-``solve_inequalities`` scales rows that are not all ints by the lcm of
-their denominators and returns Fractions.  ``solve_orthant``, the
-restriction search's entry, takes int rows with the orthant implicit and
-returns the ints (num, den).  On a contradiction 0 >= rhs with rhs > 0,
-``solve_inequalities`` defers a Farkas certificate to its first read: a
-recording pass reruns the steps with every row explicit, each distinct row
-remembering the first pair of rows it came from, and walking those origins
-back from the contradiction gives a certificate that can be checked
-independently of this solver.
+``solve_inequalities`` keeps every row explicit, scales rows that are not
+all ints by the lcm of their denominators and returns Fractions.  Its
+elimination records the first pair of rows each distinct row came from, so
+on a contradiction 0 >= rhs with rhs > 0, walking those origins back from
+the contradiction gives a Farkas certificate that can be checked
+independently of this solver.  ``solve_orthant``, the restriction search's
+entry, takes int rows with the orthant implicit, records nothing and
+returns the ints (num, den).
 """
 
 from __future__ import annotations
@@ -44,37 +44,13 @@ from fractions import Fraction
 @dataclass(frozen=True)
 class Infeasible:
     """Farkas witness: nonnegative multipliers over ``rows`` that combine the
-    left-hand sides to zero while the combined right-hand side stays positive.
-
-    The one ``solve_inequalities`` returns holds only a snapshot of the
-    system it took at the solve, and derives both fields when either is
-    first read, so a search that only asks whether a system is feasible
-    never pays for a certificate.  Copies and pickles carry the fields.
-    """
+    left-hand sides to zero while the combined right-hand side stays positive."""
 
     rows: tuple
     multipliers: tuple
 
     def verify(self):
         return certifies_infeasibility(self.rows, self.multipliers)
-
-    def __getattr__(self, name):
-        # reached only for a name the instance lacks, as a deferred
-        # certificate lacks its fields before their first read.  Both fields
-        # are set before the snapshot goes, so once it is gone they are there.
-        pending = self.__dict__.get("_pending")
-        if pending is not None and name in ("rows", "multipliers"):
-            rows, multipliers = _certificate(*pending)
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "multipliers", multipliers)
-            self.__dict__.pop("_pending", None)
-        if name in self.__dict__:
-            # derived above, or by another thread since this lookup missed
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __reduce__(self):
-        return (Infeasible, (self.rows, self.multipliers))
 
 
 def certifies_infeasibility(rows, multipliers):
@@ -111,11 +87,11 @@ def solve_inequalities(rows, num_vars):
     num_vars.  Nonnegativity of the variables is NOT implied; append
     nonneg_rows() when wanted, so the certificate covers those constraints
     too.  The solution is a tuple of Fractions; a certificate's rows are the
-    input rows as Fractions, and it is derived when first read.
+    input rows as Fractions.
     """
     rows = tuple(rows)
     if all(type(rhs) is int and all(type(c) is int for c in coeffs) for coeffs, rhs in rows):
-        original = scales = None
+        original, scales = None, [1] * len(rows)
         scaled = [(tuple(coeffs), rhs) for coeffs, rhs in rows]
     else:
         original = _fraction_rows(rows)
@@ -128,12 +104,12 @@ def solve_inequalities(rows, num_vars):
         if len(coeffs) != num_vars:
             raise ValueError("row width does not match num_vars")
 
-    solved = _solve(scaled, [False] * num_vars)
-    if solved is None:
-        outcome = object.__new__(Infeasible)
-        object.__setattr__(outcome, "_pending", (scaled, num_vars, scales, original))
-        return outcome
-    num, den = solved
+    origin = {}
+    bounds = _eliminate(scaled, num_vars, False, origin)
+    if bounds is None:
+        rows = _fraction_rows(scaled) if original is None else original
+        return Infeasible(rows, _multipliers(next(reversed(origin)), origin, scales))
+    num, den = _back_substitute(bounds, False)
     return tuple([Fraction(x, den) for x in num])
 
 
@@ -146,23 +122,18 @@ def solve_orthant(rows, num_vars):
     nonneg_rows(num_vars), num_vars)`` returns num / den as Fractions, and
     None where it returns an Infeasible.
     """
-    return _solve(rows, [True] * num_vars)
+    bounds = _eliminate(rows, num_vars, True)
+    return None if bounds is None else _back_substitute(bounds, True)
 
 
-def _solve(rows, orthant):
-    bounds = _eliminate(rows, orthant)
-    return None if bounds is None else _back_substitute(bounds, orthant)
-
-
-def _stage(rows, orthant, origin=None):
+def _stage(rows, orthant, origin):
     """The input step: the int rows GCD-normalized and deduplicated, in order.
 
-    Returns None at a row 0 >= rhs with rhs > 0.  Without ``origin`` a row
-    w_j >= 0 sets orthant[j] and stays out.  With ``origin`` (an empty dict)
-    every row stays, and origin[row] is (i, g) when g * row == rows[i].
+    Returns None at a row 0 >= rhs with rhs > 0.  With ``orthant`` the rows
+    it implies stay out.  With ``origin`` (an empty dict) origin[row] is
+    (i, g) when g * row == rows[i].
     """
     gcd = math.gcd
-    num_vars = len(orthant)
     seen = set() if origin is None else origin
     stage = []
     for i, (coeffs, rhs) in enumerate(rows):
@@ -175,41 +146,35 @@ def _stage(rows, orthant, origin=None):
         row = (coeffs, rhs)
         if row in seen:
             continue
-        if origin is not None:
-            origin[row] = (i, g)
-        else:
+        if origin is None:
             seen.add(row)
-            if rhs == 0 and coeffs.count(0) == num_vars - 1 and 1 in coeffs:
-                orthant[coeffs.index(1)] = True
-                continue
-        if rhs > 0 and not any(coeffs):
-            return None
+        else:
+            origin[row] = (i, g)
+        if rhs > 0:
+            if not any(coeffs):
+                return None
+        elif orthant and min(coeffs, default=0) >= 0:
+            continue
         stage.append(row)
     return stage
 
 
-def _eliminate(rows, orthant, origin=None):
+def _eliminate(rows, num_vars, orthant, origin=None):
     """Fourier-Motzkin elimination of the rows ``_stage`` keeps, last variable first.
 
     Returns None as soon as a row 0 >= rhs with rhs > 0 appears.  Otherwise
     returns bounds: bounds[var] is the pair (lower, upper) of lists of the
     rows with a positive and a negative coefficient on var in the stage left
-    after eliminating the variables above var; with the rows w_j >= 0 of the
-    orthant, that stage describes the projection onto variables 0 .. var.
-    With ``origin``, as ``_stage`` filled it, origin[row] is also (p, q, b,
-    a, g) when g * row == b * p + a * q: each distinct row's first
-    derivation, inserted after its sources, so a contradiction is last.
+    after eliminating the variables above var; with w >= 0 if ``orthant``,
+    that stage describes the projection onto variables 0 .. var.  ``origin``
+    (never with ``orthant``), filled as ``_stage`` fills it, also holds
+    (p, q, b, a, g) at each derived row with g * row == b * p + a * q: its
+    first derivation, inserted after its sources, so a contradiction is last.
     """
     stage = _stage(rows, orthant, origin)
     if stage is None:
         return None
     gcd = math.gcd
-    num_vars = len(orthant)
-    # every variable nonnegative implies each row with coefficients >= 0 and rhs <= 0
-    prune = num_vars > 0 and all(orthant)
-    if prune:
-        stage = [row for row in stage if row[1] > 0 or min(row[0]) < 0]
-
     bounds = [None] * num_vars
     for var in range(num_vars - 1, -1, -1):
         pos, neg, nxt = [], [], []
@@ -223,7 +188,7 @@ def _eliminate(rows, orthant, origin=None):
                 nxt.append(r)
         bounds[var] = (pos, neg)
         stage = nxt
-        if orthant[var] and neg:
+        if orthant and neg:
             # the row w_var >= 0 left out of the stages; combined with a row
             # of neg it zeroes that row's coefficient on var
             pos = pos + [((0,) * var + (1,) + (0,) * (num_vars - 1 - var), 0)]
@@ -253,7 +218,7 @@ def _eliminate(rows, orthant, origin=None):
                 if rhs > 0:
                     if not any(coeffs):
                         return None
-                elif prune and min(coeffs) >= 0:
+                elif orthant and min(coeffs) >= 0:
                     continue
                 stage.append(row)
     return bounds
@@ -265,11 +230,11 @@ def _back_substitute(bounds, orthant):
     solution[k] == num[k] / den, and gcd(den, *num) == 1 throughout; a bound
     on variable var is a pair (r, c) with c > 0 and value r / (den * c).
     """
-    num, den = [0] * len(orthant), 1
+    num, den = [0] * len(bounds), 1
     mul = operator.mul
     for var, (pos, neg) in enumerate(bounds):
         # the row w_var >= 0 left out of the stages bounds var below by 0
-        lower = (0, 1) if orthant[var] else None
+        lower = (0, 1) if orthant else None
         # coeffs[k] == 0 for k > var, and num[k] == 0 for k >= var
         for coeffs, rhs in pos:
             r, c = rhs * den - sum(map(mul, coeffs, num)), coeffs[var]
@@ -297,22 +262,6 @@ def _back_substitute(bounds, orthant):
                 num = [x // g for x in num]
                 den //= g
     return num, den
-
-
-def _certificate(scaled, num_vars, scales, original):
-    """The Farkas certificate of an infeasible system: (rows, multipliers).
-
-    Reruns the elimination with every row explicit and its derivations
-    recorded.  ``scales`` and ``original`` are None when the input rows
-    were all ints, so every scale is 1 and the rows are ``scaled`` itself.
-    """
-    origin = {}
-    if _eliminate(scaled, [False] * num_vars, origin) is not None:
-        raise AssertionError("recording pass found no contradiction; solver bug")
-    if scales is None:
-        scales = [1] * len(scaled)
-    rows = _fraction_rows(scaled) if original is None else original
-    return rows, _multipliers(next(reversed(origin)), origin, scales)
 
 
 def _fraction_rows(rows):

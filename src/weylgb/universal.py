@@ -220,9 +220,10 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     and one divisor bitmask per monomial.  Each system holds the same rows in
     the same order as the chain it stands for, so the result is identical to
     filtering all permutations (the naive oracle in the test suite),
-    witnesses included, and is returned in a deterministic order.  A witness is the solver's int row and denominator, and every
-    solved one, and every cone's, passes ``_witness_keys`` as ints; only a
-    cone's ``WeightWitness`` holds Fractions.
+    witnesses included, and is returned in a deterministic order.  A
+    witness is the solver's int row and denominator, and every solved one,
+    and every cone's, passes ``_witness_keys`` as ints; only a cone's
+    ``WeightWitness`` holds Fractions.
 
     ``_until`` is called on each cone as it is found; the search stops, and
     the list ends, at the first cone for which it returns true.

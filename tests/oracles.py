@@ -20,10 +20,9 @@ pair of its input with ``s_pair`` and ``divide`` where ``is_groebner``
 drops pairs by the chain criterion and reduces the rest in ints on forms
 prepared once, remainder only, and
 ``solve_inequalities_naive`` runs Fourier-Motzkin on Fraction copies of its
-rows, carries every row w_j >= 0 through every stage and records each
-row's derivation as it goes, and back-substitutes with Fraction sums where
-``solve_inequalities`` stays in ints until the output, keeps those rows
-implicit and derives a certificate only when it is read.  The expression
+rows, each scaled to ints, and back-substitutes with Fraction sums where
+``solve_inequalities`` takes int rows as they are and stays in ints until
+the output.  The expression
 oracle ``parse_element_naive`` scans the text token by token and builds a
 ``WeylElement`` for every number, variable, sum and product, left to right,
 where ``parse_element`` tokenizes in one pass, works on coefficient dicts and

@@ -305,12 +305,15 @@ def test_outcomes_are_fraction_typed(kind):
 
 
 def test_orthant_rows_match_naive(rng):
-    # the solving pass keeps the rows w_j >= 0 out of its stages and, when
-    # every variable has one, drops the rows the orthant implies; solutions
-    # and certificates must still be the slow twin's, down to types
+    # systems that hold the rows w_j >= 0, some of them or none, scaled
+    # copies and weaker rows such as w_j >= -1; solutions and certificates
+    # must be the slow twin's, down to types.  Made integral, each system
+    # with a variable also goes to the orthant entry, whose implicit rows
+    # w_j >= 0 stand in for those given and make it drop the rows they imply
     assert solve_inequalities([((), 0)], 0) == ()
     assert solve_inequalities([((), -1), ((), 0)], 0) == ()
     counts = {"all": 0, "some": 0, "none": 0, "implied": 0, "infeasible": 0}
+    implied = 0
     for case in range(1500):
         num_vars = case % 5
         rows = [_random_row(rng, num_vars) for _ in range(rng.randint(0, 5))]
@@ -330,6 +333,13 @@ def test_orthant_rows_match_naive(rng):
 
         outcome = solve_inequalities(rows, num_vars)
         assert repr(outcome) == repr(solve_inequalities_naive(rows, num_vars)), rows
+        if num_vars:
+            integral = [_integral(row) for row in rows]
+            _orthant_solve_matches(integral, num_vars)
+            implied += any(
+                rhs <= 0 and min(coeffs) >= 0 and (rhs or sum(map(bool, coeffs)) != 1)
+                for coeffs, rhs in integral
+            )
         counts[kept] += 1
         if kept == "all" and any(
             rhs <= 0 and all(c >= 0 for c in coeffs) and (rhs or sum(map(bool, coeffs)) != 1)
@@ -340,6 +350,7 @@ def test_orthant_rows_match_naive(rng):
             assert outcome.verify(), rows
             counts["infeasible"] += 1
     assert min(counts.values()) >= 300, counts
+    assert implied >= 600, implied
 
 
 def _orthant_solve_matches(rows, num_vars):
@@ -426,7 +437,6 @@ def test_deferred_certificate_is_a_value(kind):
 
     forced = solve()
     eager = Infeasible(forced.rows, forced.multipliers)
-    # each deferred certificate below is read first by the operation checked
     assert hash(solve()) == hash(eager)
     assert solve() == eager and eager == solve()
     assert repr(solve()) == repr(eager)
@@ -447,8 +457,8 @@ def test_deferred_certificate_is_a_value(kind):
 
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 def test_deferred_certificate_is_a_snapshot(kind):
-    # the certificate is derived after the solve, so it must not see later
-    # changes to input rows the caller passed as lists
+    # the certificate must not see later changes to input rows the caller
+    # passed as lists
     rows = _infeasible_rows()
     if kind == "fraction":
         rows = [[[F(c) for c in coeffs], F(rhs)] for coeffs, rhs in rows]
@@ -472,7 +482,6 @@ def test_deferred_certificate_is_a_dataclass():
         "rows",
         "multipliers",
     ]
-    # each deferred certificate below is read first by the function checked
     assert dataclasses.asdict(solve_inequalities(rows, 4)) == dataclasses.asdict(eager)
     assert dataclasses.astuple(solve_inequalities(rows, 4)) == (eager.rows, eager.multipliers)
     assert dataclasses.replace(solve_inequalities(rows, 4)) == eager
@@ -484,9 +493,20 @@ def test_deferred_certificate_is_a_dataclass():
         solve_inequalities(rows, 4).weights
 
 
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_certificate_fields_are_set_by_the_solve(kind):
+    # the instance holds both fields as the solve returns it, and nothing else
+    rows = _infeasible_rows()
+    if kind == "fraction":
+        rows = [[[F(c) for c in coeffs], F(rhs)] for coeffs, rhs in rows]
+    outcome = solve_inequalities(rows, 2)
+    assert sorted(vars(outcome)) == ["multipliers", "rows"]
+    assert outcome == Infeasible(outcome.rows, outcome.multipliers) and outcome.verify()
+
+
 def test_deferred_certificate_first_read_is_safe_across_threads():
-    # threads reading an unread certificate at once must all see the one
-    # the solver derives, and none may find neither fields nor snapshot
+    # threads reading a fresh certificate at once must all see the one the
+    # solver built, and none may find a field missing
     rng = random.Random(20261019)
     rows = _cycle(rng, [0, 5, 2, 4, 1, 3], 6, [F(1), F(0), Fraction(-1, 2), F(1), F(0), F(0)])
     rows += nonneg_rows(6)
