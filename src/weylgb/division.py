@@ -45,17 +45,18 @@ test runs only for such divisors, so only regular reductions happen.  No
 quotients are kept, and the int remainder is returned as it is, leading
 monomial first: a nonzero rational multiple of the true one.
 ``_monic_remainder`` turns it into the monic element with one Fraction per
-term, and returns its leading monomial and divisor form with it, read off
-the ints at no extra cost.
+term, and returns its int form with it, read off the ints at no extra cost.
 
-Elements keep nothing from a call: a leading term or a divisor form is
+Elements keep nothing from a call: a leading term or an int form is
 computed in the call that needs it, and an algorithm that uses one many
-times prepares it once and keeps it itself.  The completion builds an
-element's entry when it joins the basis, and ``is_groebner`` one entry per
-element per call.  Certification computes each element's content-free int
-form (``_int_form``) once per call, in both signs, and reads each marking's
-entries off them, taking the sign that is positive at the marked monomial.
-Both verdicts run ``_reduce`` on int S-pairs for the remainder alone.
+times prepares it once and keeps it itself.  ``_entry`` is the one builder
+of a prepared divisor entry, from an int form (``_int_form``) and the
+leading monomial it is taken under.  ``divide`` and ``is_groebner`` build
+one entry per divisor per call, and the completion one per element when it
+joins the basis.  Certification keeps each element's int form for the
+whole call and builds a marking's entries from them, each element led by
+its marked monomial.  The verdicts of ``is_groebner`` and certification run
+``_reduce`` on int S-pairs for the remainder alone.
 """
 
 from __future__ import annotations
@@ -93,16 +94,13 @@ def _int_form(f):
     return a, b, {m: c.numerator * (b // c.denominator) // a for m, c in f.terms.items()}
 
 
-def _divisor_form(f, ordering):
-    """(leading monomial, L, a, b, F) with
-    f == (a / b) * F, where F maps monomials to ints with gcd 1 and L > 0 is
-    its leading coefficient."""
-    lead = leading_term(f, ordering).monomial
-    a, b, ints = _int_form(f)
-    if ints[lead] < 0:
-        a = -a
-        ints = {m: -c for m, c in ints.items()}
-    return (lead, ints[lead], a, b, ints)
+def _entry(f_ints, lead, gap=None, index=0):
+    """The prepared divisor entry (lead, L, F, gap, index) of an element with
+    int form ``f_ints`` and leading monomial ``lead``: F is ``f_ints``,
+    negated when it is negative at ``lead``, so that L = F[lead] > 0."""
+    if f_ints[lead] < 0:
+        f_ints = {m: -c for m, c in f_ints.items()}
+    return (lead, f_ints[lead], f_ints, gap, index)
 
 
 def monic(w, ordering):
@@ -114,9 +112,10 @@ def monic(w, ordering):
 
 
 def _monic_remainder(n, ints):
-    """(w, lm w, form) for the int remainder ``ints`` of ``regular_remainder``
-    (leading monomial first): the monic element w it is a multiple of, its
-    leading monomial, and its divisor form (lead, L, 1, L, F)."""
+    """(w, F) for the int remainder ``ints`` of ``regular_remainder``
+    (leading monomial first): the monic element w it is a multiple of, and
+    its content-free int form F, positive at the leading monomial, which
+    stays F's first key."""
     lead = next(iter(ints))
     content = math.gcd(*ints.values())
     if ints[lead] < 0:
@@ -124,7 +123,7 @@ def _monic_remainder(n, ints):
     f_ints = {m: c // content for m, c in ints.items()}
     lc = f_ints[lead]
     w = WeylElement._raw(n, {m: Fraction(c, lc) for m, c in f_ints.items()})
-    return w, lead, (lead, lc, 1, lc, f_ints)
+    return w, f_ints
 
 
 class DivisionInvariantError(RuntimeError):
@@ -151,14 +150,17 @@ def divide(w, divisors, ordering, trace=None):
     """
     n = w.n
     leads = []
-    quotients = []  # (quotient terms, b, a * L), per divisor
+    # (quotient terms, b, a * F[lead]) for f == (a / b) * F, per divisor; a
+    # sign that _entry flips in F flips a too, so the product stays a * L
+    quotients = []
     for i, f in enumerate(divisors):
         if f.n != n:
             raise ValueError(f"dimension mismatch: {n} vs {f.n}")
         if f:
-            lead_mono, lead, a, b, f_ints = _divisor_form(f, ordering)
-            leads.append((lead_mono, lead, f_ints, None, i))
-            quotients.append(({}, b, a * lead))
+            a, b, f_ints = _int_form(f)
+            lead = leading_term(f, ordering).monomial
+            leads.append(_entry(f_ints, lead, None, i))
+            quotients.append(({}, b, a * f_ints[lead]))
         else:
             quotients.append(({}, 1, 1))
     # w == (1 / den) * work, with int values in work
@@ -175,7 +177,7 @@ def regular_remainder(mono, f_ints, divisors, signature, ordering, trace=None):
     """Remainder of mono * F under regular reduction by the prepared divisors.
 
     ``f_ints`` is the int form F of the element f being reduced, as in its
-    divisor form, and ``divisors`` holds one entry (leading monomial, L, F,
+    prepared entry, and ``divisors`` holds one entry (leading monomial, L, F,
     gap, index) per nonzero element, as the signature-based completion in
     ``groebner`` prepares them; ``signature`` is the Schreyer signature
     (key, i) of mono * f.  A divisor is used at a working monomial m only
@@ -192,15 +194,15 @@ def regular_remainder(mono, f_ints, divisors, signature, ordering, trace=None):
 
 def _reduce(work, den, leads, sort_key, trace, quotients, signature):
     """The heap-reduction loop of ``divide``, ``regular_remainder`` and the
-    S-pair verdict of ``groebner.is_groebner``.
+    S-pair verdict that ``groebner.is_groebner`` and certification share.
 
     Reduces (1 / den) * work, an int dict it consumes, by the divisors in
-    ``leads``, entries (lead monomial, L, F, gap, index).  With a signature
-    (key, i), a divisor is usable at a working monomial only when its
-    multiple there has a signature below it; with None, the gaps are not read
-    and every divisor is usable everywhere.  Fills ``quotients[index]``, a
-    triple (terms, b, a * L) for the divisor (a / b) * F, unless
-    ``quotients`` is None.  Returns the remainder as int numerators over the
+    ``leads``, entries (lead monomial, L, F, gap, index) built by ``_entry``.
+    With a signature (key, i), a divisor is usable at a working monomial only
+    when its multiple there has a signature below it; with None, the gaps
+    are not read and every divisor is usable everywhere.  Fills
+    ``quotients[index]``, a triple (terms, b, a * L) for the divisor
+    (a / b) * F, unless ``quotients`` is None.  Returns the remainder as int numerators over the
     final denominator, in the order its monomials were reached, and that
     denominator.
     """

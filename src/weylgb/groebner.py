@@ -32,17 +32,18 @@ e_i.  A J-pair is skipped when
 Otherwise it is reduced regularly (``division.regular_remainder``): a
 multiple c * h is subtracted only when its signature lies strictly below
 the J-pair's.  Each element enters the reduction through one prepared
-divisor entry (leading monomial, L, int form F, gap, index), built once when
-it joins the basis; a multiple of h at a working monomial m has the
-signature key sort_key(m) + gap with h's index, and that rule is tested only
-for the divisors whose leading monomial divides m; the element being reduced
-enters through its int form F, prepared once for an input and taken from its
-entry for an element.  A remainder of zero adds its signature to the syzygy
-signatures.  A nonzero one comes back as int numerators, is made monic with
-one Fraction per term, and joins the basis with the leading monomial and
-divisor form read off those ints.  GVW also discard a remainder that is
-singular top-reducible, one with the signature and the leading monomial of
-a multiple of some element.  None can be here:
+divisor entry (leading monomial, L, int form F, gap, index), built by
+``division._entry`` once when it joins the basis; a multiple of h at a
+working monomial m has the signature key sort_key(m) + gap with h's index,
+and that rule is tested only for the divisors whose leading monomial
+divides m; the element being reduced enters through its int form F, built
+once for an input and taken from its entry for an element.  A remainder of
+zero adds its signature to the syzygy signatures.  A nonzero one comes back
+as int numerators, is made monic with one Fraction per term, and joins the
+basis with the entry built from its int form, whose first key is its
+leading monomial.  GVW also discard a remainder that is singular
+top-reducible, one with the signature and the leading monomial of a
+multiple of some element.  None can be here:
 the remainder's leading monomial lies below the J-pair's, so that element
 would have a larger gap than the J-pair and a signature dividing it, and
 the cover criterion, checked against the whole basis when the J-pair is
@@ -67,10 +68,10 @@ by ``division._reduce`` for its int remainder only, a nonzero multiple of
 the true remainder or empty, with no quotient and no Fraction.  It reduces
 the pairs by increasing lcm and stops at the first nonzero remainder.
 Certification (``universal.certify_universal``) runs the same verdict on
-entries it prepares itself.  Pairs are dropped by the chain criterion, in the
-Gebauer-Moeller update (Gebauer and Moeller, "On an installation of
-Buchberger's algorithm", JSC 6, 1988) run as the elements are taken in
-turn:
+entries it builds with ``_entry`` per marking.  Pairs are dropped by the
+chain criterion, in the Gebauer-Moeller update (Gebauer and Moeller, "On
+an installation of Buchberger's algorithm", JSC 6, 1988) run as the
+elements are taken in turn:
 
 - B_k: a pending pair whose lcm the new leading monomial divides, unless
   the lcm of either of its elements with the new one equals that lcm;
@@ -92,7 +93,8 @@ from operator import add, itemgetter, le, sub
 from .division import (
     DivisionInvariantError,
     _cofactor,
-    _divisor_form,
+    _entry,
+    _int_form,
     _monic_remainder,
     _reduce,
     divide,
@@ -107,9 +109,9 @@ from .weyl import Monomial, WeylElement, add_product
 def s_pair(u, v, ordering):
     """Left S-pair of two nonzero elements; leading terms cancel.
 
-    Each element is taken in its divisor form (a / b) * F, with F of int
-    coefficients and leading coefficient L > 0, so that u / lc(u) = F_u / L_u.
-    The S-pair is then
+    Each element is taken as its prepared divisor entry (``division._entry``):
+    its int form F, with leading coefficient L > 0, so that u / lc(u) =
+    F_u / L_u.  The S-pair is then
 
         (L_v * (m / lm u) * F_u  -  L_u * (m / lm v) * F_v) / (L_u * L_v),
 
@@ -119,10 +121,9 @@ def s_pair(u, v, ordering):
         raise ValueError("S-pair of a zero element is undefined")
     if u.n != v.n:
         raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
-    lead_u, l_u, _, _, f_u = _divisor_form(u, ordering)
-    lead_v, l_v, _, _, f_v = _divisor_form(v, ordering)
-    out = _s_pair_ints((lead_u, l_u, f_u), (lead_v, l_v, f_v))
-    den = l_u * l_v
+    pair = [_entry(_int_form(f)[2], leading_term(f, ordering).monomial) for f in (u, v)]
+    out = _s_pair_ints(*pair)
+    den = pair[0][1] * pair[1][1]
     return WeylElement._raw(u.n, {mono: Fraction(c, den) for mono, c in out.items()})
 
 
@@ -166,11 +167,13 @@ def buchberger(generators, ordering):
     generators = list(generators)
     inputs = []
     for g in generators:
-        g = monic(g, ordering)
-        if g and g not in inputs:
+        if g:
+            # before monic, which would read g under an ordering of another width
             if inputs and g.n != inputs[0].n:
                 raise ValueError(f"dimension mismatch: {inputs[0].n} vs {g.n}")
-            inputs.append(g)
+            g = monic(g, ordering)
+            if g not in inputs:
+                inputs.append(g)
     basis = _signature_completion(inputs, ordering) if inputs else ()
     return GroebnerBasis(tuple(basis), ordering, tuple(generators))
 
@@ -182,7 +185,7 @@ def _signature_completion(inputs, ordering):
     n = inputs[0].n
     unit = Monomial.unit(n)
     input_leads = [leading_term(f, ordering).monomial for f in inputs]
-    input_forms = [_divisor_form(f, ordering) for f in inputs]
+    input_ints = [_int_form(f)[2] for f in inputs]
     # (Schreyer key of the signature s * e_i, i, s, source element or -1 for
     # input i); equal keys and indices mean equal signatures
     heap = [(sort_key(m), i, unit, -1) for i, m in enumerate(input_leads)]
@@ -199,8 +202,8 @@ def _signature_completion(inputs, ordering):
             # input i: no smaller signature divides e_i, so no criterion
             # applies; with no regular divisor of its leading monomial it joins
             # as it is, since tail reduction is optional
-            r, lt, form = inputs[i], input_leads[i], input_forms[i]
-            f_ints, gap, cofactor = form[4], no_gap, unit
+            r, lt, f_ints = inputs[i], input_leads[i], input_ints[i]
+            gap, cofactor = no_gap, unit
             reduce = any(
                 all(map(le, lead, lt)) and (tuple(map(add, key, g_gap)), g_i) < (key, i)
                 for lead, _, _, g_gap, g_i in prepared
@@ -221,7 +224,8 @@ def _signature_completion(inputs, ordering):
             if not ints:
                 syzygies.append((i, s))
                 continue
-            r, lt, form = _monic_remainder(n, ints)
+            r, f_ints = _monic_remainder(n, ints)
+            lt = next(iter(f_ints))
             r_gap = tuple(map(sub, key, sort_key(lt)))
             if not r_gap > gap:
                 raise DivisionInvariantError(
@@ -235,7 +239,7 @@ def _signature_completion(inputs, ordering):
             _push_j_pair(heap, sort_key, len(labels), label, old, old_label)
         basis.append(r)
         labels.append(label)
-        prepared.append((lt, form[1], form[4], r_gap, i))
+        prepared.append(_entry(f_ints, lt, r_gap, i))
     return basis
 
 
@@ -320,8 +324,7 @@ def is_groebner(elements, ordering):
     for k, e in enumerate(basis):
         if e.n != basis[0].n:
             raise ValueError(f"dimension mismatch: {basis[0].n} vs {e.n}")
-        lead, l_e, _, _, f_ints = _divisor_form(e, ordering)
-        entries.append((lead, l_e, f_ints, None, k))
+        entries.append(_entry(_int_form(e)[2], leading_term(e, ordering).monomial, None, k))
     return _groebner_verdict(entries, ordering.sort_key)
 
 

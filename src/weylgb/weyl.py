@@ -76,6 +76,9 @@ class Monomial(tuple):
         d = tuple(d)
         if len(xi) != len(d):
             raise ValueError("x and d exponent tuples must have equal length")
+        for e in xi + d:
+            if not isinstance(e, int):
+                raise TypeError(f"exponents must be ints, got {type(e).__name__}")
         if any(e < 0 for e in xi) or any(e < 0 for e in d):
             raise ValueError("exponents must be nonnegative")
         return tuple.__new__(cls, xi + d)

@@ -6,8 +6,9 @@ words letter by letter with the single swap rule
     d_i x_j  ->  x_j d_i  (+ drop the pair when i == j)
 
 until no d stands left of an x, then counts letters.  Slow and obviously
-correct, which is the point.  The enumeration oracle realizes every
-permutation of a support instead of pruning infeasible prefixes, the
+correct, which is the point.  The enumeration oracle decides every
+permutation of a support on its own chain's rows instead of pruning
+infeasible prefixes, and realizes each one it keeps, the
 division oracle rescans and copies the whole working element at every step
 where ``divide`` keeps a heap and updates one dict in place, the S-pair
 oracle forms both cofactor products with the brute-force rewriter where
@@ -56,17 +57,12 @@ from weylgb import (
     WeylElement,
     divide,
     leading_term,
+    universal,
 )
 from weylgb.division import DivisionInvariantError, DivisionResult, monic
 from weylgb.feasibility import Infeasible, _multipliers
 from weylgb.groebner import s_pair
-from weylgb.universal import (
-    DEFAULT_SUPPORT_CAP,
-    Restriction,
-    WeightWitness,
-    _sorted_support,
-    realize_restriction,
-)
+from weylgb.universal import DEFAULT_SUPPORT_CAP, Restriction, WeightWitness, _sorted_support
 
 
 def monomial_ops_naive(a, b):
@@ -230,15 +226,22 @@ def is_groebner_naive(elements, ordering):
 
 
 def enumerate_restrictions_naive(support, max_support=DEFAULT_SUPPORT_CAP):
-    """Filter all |support|! permutations; the oracle twin of the pruned search."""
+    """Filter all |support|! permutations; the oracle twin of the pruned search.
+
+    Each permutation is decided by ``solve_orthant`` on its own chain's rows,
+    and only a kept one is realized, through ``realize_restriction``.
+    """
     support = _sorted_support(support)
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
+    num_vars = len(support[0])
     out = []
     for perm in itertools.permutations(support):
-        restriction = Restriction(perm)
-        witness = realize_restriction(restriction)
-        if isinstance(witness, WeightWitness):
+        rows = [universal._below_row(low, high) for low, high in zip(perm, perm[1:])]
+        if universal.solve_orthant(rows, num_vars) is not None:
+            restriction = Restriction(perm)
+            witness = universal.realize_restriction(restriction)
+            assert isinstance(witness, WeightWitness), witness
             out.append((restriction, witness))
     return out
 

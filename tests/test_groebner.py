@@ -27,8 +27,9 @@ from weylgb import (
     parse_element,
     parse_ordering,
     reduce_basis,
+    universal_groebner,
 )
-from weylgb.division import _divisor_form, monic
+from weylgb.division import _entry, _int_form, monic
 from weylgb.groebner import s_pair
 from weylgb.weyl import combined_support
 from conftest import (
@@ -144,6 +145,13 @@ def test_buchberger_empty_for_zero_ideal():
 def test_buchberger_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         buchberger([W1.d(1), W2.xi(2) + W2.d(1)], LEX)
+    # under a weight ordering the dimensions are compared before the second
+    # generator is read under the first one's width
+    gens = [W1.d(1), W2.xi(2)]
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        buchberger(gens, Ordering.grlex(1))
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        universal_groebner(gens)
 
 
 def test_buchberger_x_only_matches_commutative_oracle():
@@ -286,10 +294,11 @@ def test_signature_completion_matches_naive(monkeypatch):
 
 
 def test_completion_elements_match_fresh_copies():
-    # buchberger's elements are made monic from int remainders, whose leading
-    # monomial and divisor form the completion keeps for its own divisions;
+    # buchberger's elements are made monic from int remainders, whose int
+    # form the completion keeps in its divisor entries for its own divisions;
     # each element must equal a fresh copy, with Fraction coefficients and an
-    # int form equal to the copy's, or every later division by it goes wrong
+    # int form and entry equal to the copy's, or every later division by it
+    # goes wrong
     for gens, ordering in _completion_cases(random.Random(20261024), 400):
         for e in buchberger(gens, ordering).elements:
             lead = leading_term(e, ordering)
@@ -297,11 +306,17 @@ def test_completion_elements_match_fresh_copies():
             assert e == copy
             assert lead == leading_term(copy, ordering)
             assert type(lead.coefficient) is Fraction and lead.coefficient == 1
-            form = _divisor_form(e, ordering)
-            assert form == _divisor_form(copy, ordering)
-            _, lc, a, b, f_ints = form
+            form = _prepared(e, ordering)
+            assert form == _prepared(copy, ordering)
+            (a, b, _), (_, lc, f_ints, _, _) = form
             assert all(type(c) is int for c in (lc, a, b, *f_ints.values()))
             assert all(type(c) is Fraction for c in e.terms.values())
+
+
+def _prepared(e, ordering):
+    """The int form of e and its divisor entry under the ordering."""
+    form = _int_form(e)
+    return form, _entry(form[2], leading_term(e, ordering).monomial)
 
 
 def _slots(value):
@@ -313,7 +328,8 @@ def _slots(value):
 def test_values_keep_no_state_from_a_call():
     # every call reads elements and leaves each slot holding the same
     # object with an equal value: nothing a call computes, such as a leading
-    # term or a divisor form, is kept on an element for a later call
+    # term, an int form or a divisor entry, is kept on an element for a
+    # later call
     rng = random.Random(20261025)
     certified = 0
     for _ in range(30):

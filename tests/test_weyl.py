@@ -161,6 +161,13 @@ def test_monomial_arithmetic():
         a / b
     with pytest.raises(ValueError):
         Monomial((-1,), (0,))
+    # an exponent that is not an int is refused by type, not accepted and
+    # left to fail (or print as 1) in a later product
+    for xi, name in (((0.5,), "float"), (("1",), "str"), ((Fraction(1),), "Fraction")):
+        with pytest.raises(TypeError, match=name):
+            Monomial(xi, (0,))
+        with pytest.raises(TypeError, match=name):
+            Monomial((0,), xi)
 
 
 def test_elements_are_immutable():
