@@ -40,6 +40,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 # divide and is_groebner are unused here, but perfbench's trace run wraps
 # universal.divide and universal.is_groebner
@@ -132,8 +133,7 @@ def _below_row(low, high):
     way need strict separation, encoded with slack 1 (weight rows scale
     freely).
     """
-    diff = tuple(b - a for a, b in zip(low, high))
-    return (diff, 0 if low < high else 1)
+    return (tuple(map(operator.sub, high, low)), 0 if low < high else 1)
 
 
 def realize_restriction(restriction):
@@ -161,31 +161,46 @@ def _realize_cached(monos):
         return outcome
     scale = math.lcm(*(q.denominator for q in outcome))
     row = [q.numerator * (scale // q.denominator) for q in outcome]
-    _witness_keys(row, monos, range(len(monos)), ())
+    _check_witness(row, _witness_keys(row, monos), monos, range(len(monos)), ())
     return WeightWitness(outcome)
 
 
-def _witness_keys(row, vectors, chain, rest):
-    """A solver's weights, as an int row, checked against its system: dots.
+def _witness_keys(row, vectors):
+    """The dots row . v of an int weight row with each of ``vectors``.
 
-    ``row`` is a positive multiple of the weights, and ``chain`` and
-    ``rest`` index into ``vectors``.  dots[j] is row . vectors[j], and the
-    keys (row . v, v) compare as the ordering's sort keys do, so the witness
-    is checked without building its ``Ordering``: every weight must be
-    nonnegative, as ``Ordering`` requires, the chain's keys must increase,
-    and its last key must be below the key of every index in ``rest``.  The
-    checks raise AssertionError themselves, so they run under ``python -O``.
+    The pairs (dots[j], vectors[j]) compare as the sort keys of the row's
+    ordering do, so ``_check_witness`` reads a witness's order from them
+    without building its ``Ordering``.  A witness carries its dots, so a
+    node that inherits it computes none.
     """
-    if any(w < 0 for w in row):
+    return [sum(map(operator.mul, row, v)) for v in vectors]
+
+
+def _check_witness(row, dots, vectors, chain, rest):
+    """Check a solver's weights against its system, on their dots.
+
+    ``row`` is a positive multiple of the weights, ``dots`` its
+    ``_witness_keys`` over ``vectors``, and ``chain`` and ``rest`` index
+    into ``vectors``.  Every weight must be nonnegative, as ``Ordering``
+    requires, the chain's keys must increase, and its last key must be below
+    the key of every index in ``rest``.  The checks raise AssertionError
+    themselves, so they run under ``python -O``.
+    """
+    if min(row) < 0:
         raise AssertionError("witness has a negative weight; solver bug")
-    dots = [sum(map(operator.mul, row, v)) for v in vectors]
     keys = list(zip(dots, vectors))
-    top = keys[chain[-1]]
-    if any(keys[a] >= keys[b] for a, b in zip(chain, chain[1:])) or any(
-        top >= keys[r] for r in rest
-    ):
+    ordered = [keys[j] for j in chain]
+    top = ordered[-1]
+    if any(map(operator.ge, ordered, ordered[1:])) or any(top >= keys[r] for r in rest):
         raise AssertionError("witness failed to reproduce its restriction; solver bug")
-    return dots
+
+
+class _Fractions(dict):
+    """Fraction(x, den) for each key (x, den), built on first lookup."""
+
+    def __missing__(self, key):
+        value = self[key] = Fraction(*key)
+        return value
 
 
 def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=None):
@@ -220,14 +235,20 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     and one divisor bitmask per monomial.  Each system holds the same rows in
     the same order as the chain it stands for, so the result is identical to
     filtering all permutations (the naive oracle in the test suite),
-    witnesses included, and is returned in a deterministic order.  A
-    witness is the solver's int row and denominator, and every solved one,
-    and every cone's, passes ``_witness_keys`` as ints; only a cone's
-    ``WeightWitness`` holds Fractions.
+    witnesses included, and is returned in a deterministic order.
+
+    A witness is the solver's int row, its ``_witness_keys`` dots and its
+    denominator.  The dots are computed once, where the row is solved, and
+    travel with the row to every node that inherits it.  Every solved
+    witness passes ``_check_witness`` against its node's system, and every
+    cone's, solved or inherited, against its full chain, once.  Only a
+    cone's ``WeightWitness`` holds Fractions, one per weight value and
+    denominator for the whole search.
 
     ``_until`` is called on each cone as it is found; the search stops, and
     the list ends, at the first cone for which it returns true.
     """
+    _check_bound("max_support", max_support)
     support = _sorted_support(support)
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
@@ -237,15 +258,15 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
         sum(1 << j for j, d in enumerate(support) if j != i and d.divides(m))
         for i, m in enumerate(support)
     ]
+    fraction = _Fractions().__getitem__
     out = []
 
-    def extend(prefix, chain, free, witness):
+    def extend(prefix, chain, free, mask, witness):
         # prefix: indices placed so far; chain: their adjacent-pair rows;
-        # free: indices still to be placed, ascending; witness: (num, dots,
-        # den), the lexicographic minimum num / den of this node's system
-        # and its _witness_keys dots
-        num, dots, den = witness
-        mask = sum(1 << i for i in free)
+        # free: indices still to be placed, ascending, and mask their bits;
+        # witness: (num, dots, den), the lexicographic minimum num / den of
+        # this node's system and its _witness_keys dots
+        _, dots, den = witness
         for i in free:
             # every ordering of the family puts a monomial above its divisors
             if divisors[i] & mask:
@@ -257,34 +278,47 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
             # the parent's witness is the child's when it meets the new rows
             if all(dots[j] - dots[i] >= row[1] * den for j, row in zip(rest, rows)):
                 child = witness
-                if len(rest) <= 1:
-                    _witness_keys(num, support, prefix, rest)
             else:
                 solved = solve_orthant(link + rows, num_vars)
-                child = None
-                if solved is not None:
-                    child_num, child_den = solved
-                    child = (child_num, _witness_keys(child_num, support, prefix, rest), child_den)
-            if child is not None:
-                if len(rest) <= 1:
-                    chain_monos = tuple(support[j] for j in prefix + rest)
-                    weights = tuple(Fraction(x, child[2]) for x in child[0])
-                    cone = (Restriction(chain_monos), WeightWitness(weights))
-                    out.append(cone)
-                    if _until is not None and _until(*cone):
-                        return True
-                elif extend(prefix, link, rest, child):
+                if solved is None:
+                    prefix.pop()
+                    continue
+                child_num, child_den = solved
+                child = (child_num, _witness_keys(child_num, support), child_den)
+                if len(rest) > 1:
+                    _check_witness(child_num, child[1], support, prefix, rest)
+            if len(rest) > 1:
+                if extend(prefix, link, rest, mask ^ (1 << i), child):
+                    return True
+            else:
+                order = prefix + rest
+                row, row_dots, row_den = child
+                _check_witness(row, row_dots, support, order, ())
+                weights = tuple(map(fraction, zip(row, repeat(row_den))))
+                monos = tuple(map(support.__getitem__, order))
+                cone = (Restriction(monos), WeightWitness(weights))
+                out.append(cone)
+                if _until is not None and _until(*cone):
                     return True
             prefix.pop()
         return False
 
     # the zero row is the lexicographic minimum of the orthant alone
     root = ([0] * num_vars, [0] * len(support), 1)
-    extend([], [], list(range(len(support))), root)
+    extend([], [], list(range(len(support))), (1 << len(support)) - 1, root)
     return out
 
 
+def _check_bound(name, value):
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _sorted_support(support):
+    support = tuple(support)
+    for m in support:
+        if not isinstance(m, Monomial):
+            raise TypeError(f"support entries must be Monomial, got {type(m).__name__}")
     support = sorted(set(support), key=Monomial.sort_key)
     if not support:
         raise ValueError("empty support")
@@ -354,6 +388,7 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     S-pair criterion.  Only passes are decided this way, so the first
     failing cone is the one found without ``_known``.
     """
+    _check_bound("max_support", max_support)
     elements = list(elements)
     if not elements or any(not e for e in elements):
         raise ValueError("certification needs a nonempty list of nonzero elements")
@@ -409,6 +444,8 @@ def universal_groebner(
     the S-pair criterion (see ``certify_universal``).  Certificates and
     counterexamples are those of certifying each candidate on its own.
     """
+    _check_bound("max_support", max_support)
+    _check_bound("max_rounds", max_rounds)
     generators = list(generators)
     nonzero = [g for g in generators if g]
     if not nonzero:

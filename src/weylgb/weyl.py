@@ -77,7 +77,7 @@ class Monomial(tuple):
         if len(xi) != len(d):
             raise ValueError("x and d exponent tuples must have equal length")
         for e in xi + d:
-            if not isinstance(e, int):
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError(f"exponents must be ints, got {type(e).__name__}")
         if any(e < 0 for e in xi) or any(e < 0 for e in d):
             raise ValueError("exponents must be nonnegative")
@@ -446,7 +446,9 @@ class WeylAlgebra:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise TypeError(f"the algebra dimension n must be an int, got {type(self.n).__name__}")
+        if self.n < 1:
             raise ValueError("the algebra dimension n must be an integer >= 1")
 
     def xi(self, i):

@@ -272,6 +272,93 @@ def test_enumerate_respects_cap():
         enumerate_restrictions(support[:4], max_support=3)
 
 
+def test_enumerate_rejects_entries_that_are_not_monomials():
+    # a plain exponent tuple is refused by type, not left to fail on a
+    # missing attribute inside the search
+    with pytest.raises(TypeError, match="tuple"):
+        enumerate_restrictions([(1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(TypeError, match="list"):
+        enumerate_restrictions([X1, [0, 1]])
+    with pytest.raises(TypeError, match="str"):
+        enumerate_restrictions(["x1"])
+
+
+def _full_chain_checks(monkeypatch, support):
+    """Cones of the support, the witness checks run on a full chain, and
+    how many cones took their witness without a solve of their own chain."""
+    real_check, real_solve = universal._check_witness, universal.solve_orthant
+    full = []
+    solved = set()
+
+    def counting(row, dots, vectors, chain, rest):
+        if len(chain) == len(vectors):
+            full.append(tuple(chain))
+        return real_check(row, dots, vectors, chain, rest)
+
+    def recording(rows, num_vars):
+        solved.add(tuple(rows))
+        return real_solve(rows, num_vars)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(universal, "_check_witness", counting)
+        patch.setattr(universal, "solve_orthant", recording)
+        found = enumerate_restrictions(support, max_support=10)
+    inherited = 0
+    for restriction, _ in found:
+        monos = restriction.monomials
+        inherited += tuple(_below_row(a, b) for a, b in zip(monos, monos[1:])) not in solved
+    return found, full, inherited
+
+
+def test_every_cone_is_checked_once_on_its_full_chain(monkeypatch):
+    # a cone's witness, solved or inherited from an ancestor with the dots
+    # it carries, is checked against the cone's whole chain exactly once
+    supports = [_seeded_support(n, k) for n in (1, 2, 3) for k in (2, 4, 6, 7)]
+    for name, n, texts, _, _ in CERT_BASES:
+        if name in ("xd3", "ugb_sat6"):
+            supports.append(combined_support([parse_element(t, n) for t in texts]))
+    cones = inherited = 0
+    for support in supports:
+        found, full, reused = _full_chain_checks(monkeypatch, support)
+        order = sorted(support, key=Monomial.sort_key)
+        index = {m: i for i, m in enumerate(order)}
+        assert full == [tuple(index[m] for m in r.monomials) for r, _ in found]
+        cones += len(found)
+        inherited += reused
+    assert cones >= 800 and inherited >= cones // 2, (cones, inherited)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_restrictions([X1, D1], max_support=-1),
+        lambda: certify_universal([W1.xi(1) + W1.d(1)], max_support=-5),
+        lambda: universal_groebner([W1.xi(1) + W1.d(1)], max_support=-1),
+        lambda: universal_groebner([W1.xi(1) + W1.d(1)], max_rounds=-1),
+    ],
+    ids=["enumerate", "certify", "ugb-support", "ugb-rounds"],
+)
+def test_negative_bound_is_an_input_error(monkeypatch, call):
+    # refused before any work: no completion, support or search runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the bound was checked")
+
+    for name in ("buchberger", "combined_support", "_sorted_support", "solve_orthant"):
+        monkeypatch.setattr(universal, name, no_work)
+    with pytest.raises(ValueError, match=r"max_(support|rounds) must be >= 0, got -"):
+        call()
+
+
+def test_zero_bounds_keep_their_meaning():
+    with pytest.raises(SupportCapExceeded, match="cap 0"):
+        enumerate_restrictions([X1], max_support=0)
+    with pytest.raises(SupportCapExceeded, match="cap 0"):
+        certify_universal([W1.xi(1)], max_support=0)
+    with pytest.raises(SaturationLimitExceeded) as info:
+        universal_groebner([W1.xi(1) + W1.d(1)], max_rounds=0)
+    assert info.value.rounds == 0 and info.value.partial_basis
+
+
 @pytest.mark.parametrize(
     "n, texts",
     [

@@ -23,6 +23,13 @@ def test_dimension_zero_rejected():
         WeylElement.zero(0)
 
 
+def test_dimension_must_be_an_int():
+    # bool is an int subclass, but True is no dimension
+    for n, name in ((True, "bool"), (False, "bool"), (1.0, "float"), ("2", "str")):
+        with pytest.raises(TypeError, match=name):
+            WeylAlgebra(n)
+
+
 def test_canonical_form_drops_zero_coefficients():
     x = W1.xi(1)
     w = W1.element({Monomial((1,), (0,)): 1, Monomial((0,), (1,)): 0})
@@ -163,7 +170,13 @@ def test_monomial_arithmetic():
         Monomial((-1,), (0,))
     # an exponent that is not an int is refused by type, not accepted and
     # left to fail (or print as 1) in a later product
-    for xi, name in (((0.5,), "float"), (("1",), "str"), ((Fraction(1),), "Fraction")):
+    for xi, name in (
+        ((0.5,), "float"),
+        (("1",), "str"),
+        ((Fraction(1),), "Fraction"),
+        ((True,), "bool"),
+        ((False,), "bool"),
+    ):
         with pytest.raises(TypeError, match=name):
             Monomial(xi, (0,))
         with pytest.raises(TypeError, match=name):
