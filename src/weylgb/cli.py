@@ -30,8 +30,8 @@ from .universal import (
     CounterexampleOrdering,
     SaturationLimitExceeded,
     SupportCapExceeded,
+    _certificate_lines,
     certificate_json,
-    certificate_text,
     certify_universal,
     universal_groebner,
 )
@@ -197,10 +197,10 @@ def cmd_div(args):
     result = divide(w, divisors, ordering)
     report = check_division_contract(w, divisors, ordering, result)
 
-    lines = []
-    for i, q in enumerate(result.quotients, 1):
-        lines.append(f"q[{i}] = {format_element(q)}")
-    lines.append(f"r = {format_element(result.remainder)}")
+    quotients = [format_element(q) for q in result.quotients]
+    remainder = format_element(result.remainder)
+    lines = [f"q[{i}] = {q}" for i, q in enumerate(quotients, 1)]
+    lines.append(f"r = {remainder}")
     lines.append(f"check (a) exact reconstruction: {'ok' if report.reconstruction else 'FAILED'}")
     lines.append(
         f"check (b) remainder irreducible: {'ok' if report.remainder_irreducible else 'FAILED'}"
@@ -210,8 +210,8 @@ def cmd_div(args):
         "command": "div",
         "n": n,
         "order": format_ordering(ordering),
-        "quotients": [format_element(q) for q in result.quotients],
-        "remainder": format_element(result.remainder),
+        "quotients": quotients,
+        "remainder": remainder,
         "contract": {
             "reconstruction": report.reconstruction,
             "remainder_irreducible": report.remainder_irreducible,
@@ -229,14 +229,9 @@ def cmd_gb(args):
     if not texts:
         raise UsageError("gb needs at least one generator")
     basis = reduce_basis(buchberger(_parse_all(texts, n), ordering))
-    lines = [format_element(e) for e in basis.elements] or ["0"]
-    payload = {
-        "command": "gb",
-        "n": n,
-        "order": format_ordering(ordering),
-        "basis": [format_element(e) for e in basis.elements],
-    }
-    _emit(args, lines, payload)
+    lines = [format_element(e) for e in basis.elements]
+    payload = {"command": "gb", "n": n, "order": format_ordering(ordering), "basis": lines}
+    _emit(args, lines or ["0"], payload)
     return EXIT_OK
 
 
@@ -247,10 +242,8 @@ def cmd_ugb(args):
     generators = _parse_all(texts, n)
     if not any(generators):
         raise UsageError("universal basis of the zero ideal is empty; need a nonzero generator")
-    cert = universal_groebner(generators, max_support=args.max_support)
-    lines = certificate_text(cert).rstrip("\n").split("\n")
-    payload = {"command": "ugb", "certificate": certificate_json(cert)}
-    _emit(args, lines, payload)
+    data = certificate_json(universal_groebner(generators, max_support=args.max_support))
+    _emit(args, _certificate_lines(data), {"command": "ugb", "certificate": data})
     return EXIT_OK
 
 
@@ -277,8 +270,9 @@ def cmd_cert(args):
             "weights": weights,
         }
     else:
-        lines = certificate_text(outcome).rstrip("\n").split("\n")
-        payload = {"command": "cert", "verdict": "certified", "certificate": certificate_json(outcome)}
+        data = certificate_json(outcome)
+        lines = _certificate_lines(data)
+        payload = {"command": "cert", "verdict": "certified", "certificate": data}
     _emit(args, lines, payload)
     return EXIT_OK
 

@@ -154,8 +154,7 @@ def divide(w, divisors, ordering, trace=None):
     # sign that _entry flips in F flips a too, so the product stays a * L
     quotients = []
     for i, f in enumerate(divisors):
-        if f.n != n:
-            raise ValueError(f"dimension mismatch: {n} vs {f.n}")
+        w._check_compatible(f)
         if f:
             a, b, f_ints = _int_form(f)
             lead = leading_term(f, ordering).monomial

@@ -23,8 +23,8 @@ Every solve runs the same three steps on GCD-normalized int rows:
   the largest value the upper bounds allow, capped at 0): with the orthant
   in the system, that is its lexicographic minimum.
 
-``solve_inequalities`` keeps every row explicit, scales rows that are not
-all ints by the lcm of their denominators and returns Fractions.  Its
+``solve_inequalities`` keeps every row explicit, scales each row to ints
+by the lcm of its denominators and returns Fractions.  Its
 elimination records the first pair of rows each distinct row came from, so
 on a contradiction 0 >= rhs with rhs > 0, walking those origins back from
 the contradiction gives a Farkas certificate that can be checked
@@ -89,17 +89,12 @@ def solve_inequalities(rows, num_vars):
     too.  The solution is a tuple of Fractions; a certificate's rows are the
     input rows as Fractions.
     """
-    rows = tuple(rows)
-    if all(type(rhs) is int and all(type(c) is int for c in coeffs) for coeffs, rhs in rows):
-        original, scales = None, [1] * len(rows)
-        scaled = [(tuple(coeffs), rhs) for coeffs, rhs in rows]
-    else:
-        original = _fraction_rows(rows)
-        scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
-        scaled = [
-            (tuple(int(c * s) for c in coeffs), int(rhs * s))
-            for (coeffs, rhs), s in zip(original, scales)
-        ]
+    original = _fraction_rows(rows)
+    scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
+    scaled = [
+        (tuple(int(c * s) for c in coeffs), int(rhs * s))
+        for (coeffs, rhs), s in zip(original, scales)
+    ]
     for coeffs, _ in scaled:
         if len(coeffs) != num_vars:
             raise ValueError("row width does not match num_vars")
@@ -107,8 +102,7 @@ def solve_inequalities(rows, num_vars):
     origin = {}
     bounds = _eliminate(scaled, num_vars, False, origin)
     if bounds is None:
-        rows = _fraction_rows(scaled) if original is None else original
-        return Infeasible(rows, _multipliers(next(reversed(origin)), origin, scales))
+        return Infeasible(original, _multipliers(next(reversed(origin)), origin, scales))
     num, den = _back_substitute(bounds, False)
     return tuple([Fraction(x, den) for x in num])
 

@@ -119,8 +119,7 @@ def s_pair(u, v, ordering):
     """
     if not u or not v:
         raise ValueError("S-pair of a zero element is undefined")
-    if u.n != v.n:
-        raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
+    u._check_compatible(v)
     pair = [_entry(_int_form(f)[2], leading_term(f, ordering).monomial) for f in (u, v)]
     out = _s_pair_ints(*pair)
     den = pair[0][1] * pair[1][1]
@@ -169,8 +168,8 @@ def buchberger(generators, ordering):
     for g in generators:
         if g:
             # before monic, which would read g under an ordering of another width
-            if inputs and g.n != inputs[0].n:
-                raise ValueError(f"dimension mismatch: {inputs[0].n} vs {g.n}")
+            if inputs:
+                inputs[0]._check_compatible(g)
             g = monic(g, ordering)
             if g not in inputs:
                 inputs.append(g)
@@ -322,8 +321,7 @@ def is_groebner(elements, ordering):
     basis = [e for e in elements if e]
     entries = []
     for k, e in enumerate(basis):
-        if e.n != basis[0].n:
-            raise ValueError(f"dimension mismatch: {basis[0].n} vs {e.n}")
+        basis[0]._check_compatible(e)
         entries.append(_entry(_int_form(e)[2], leading_term(e, ordering).monomial, None, k))
     return _groebner_verdict(entries, ordering.sort_key)
 

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import CACHE_SIZE, Monomial, _Immutable
+from .weyl import CACHE_SIZE, Monomial, _check_dim, _check_dimension, _Immutable
 
 
 class Ordering(_Immutable):
@@ -59,8 +59,7 @@ class Ordering(_Immutable):
     @classmethod
     def grlex(cls, n):
         """Total degree first, then lex: the all-ones weight row."""
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(n)
         return cls(((1,) * (2 * n),))
 
     @classmethod
@@ -87,8 +86,7 @@ class Ordering(_Immutable):
 
     def compare(self, a, b):
         """-1, 0 or 1 as a is below, equal to, or above b."""
-        if a.dimension != b.dimension:
-            raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
+        _check_dim(a, b)
         ka, kb = self.sort_key(a), self.sort_key(b)
         return (ka > kb) - (ka < kb)
 
@@ -144,8 +142,7 @@ class Filtration:
     rule: object = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(self.n)
 
     def level(self, i):
         if i < 0:

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 
 from .orderings import Ordering
-from .weyl import Monomial, WeylAlgebra, WeylElement, _multiply_terms, _power_terms
+from .weyl import Monomial, WeylElement, _check_dimension, _multiply_terms, _power_terms
 
 
 class ParseError(ValueError):
@@ -57,7 +57,6 @@ class _Parser:
 
     def __init__(self, text, n):
         self.tokens = _tokenize(text)
-        WeylAlgebra(n)  # raises on a bad n
         self.n = n
         self.index = 0
 
@@ -160,8 +159,7 @@ class _Parser:
 
 def parse_element(text, n):
     """Parse an expression into canonical form in dimension n."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dimension(n)
     try:
         return _Parser(text, n).parse()
     except RecursionError:
@@ -203,6 +201,7 @@ def format_element(w):
 
 def parse_ordering(text, n):
     """Ordering spec syntax: ``lex``, ``grlex`` or ``matrix:[[q,...];[q,...]]``."""
+    _check_dimension(n)
     text = text.strip()
     if text == "lex":
         return Ordering.lex()

@@ -35,7 +35,6 @@ records this boundary.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +46,7 @@ from itertools import repeat
 from .division import _entry, _int_form, divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities, solve_orthant
 from .groebner import _groebner_verdict, buchberger, is_groebner, reduce_basis
-from .orderings import Ordering
+from .orderings import Ordering, _integer_row
 from .weyl import Monomial, combined_support
 
 COVERAGE_FAMILY = "nonnegative weight row + lex tie-break"
@@ -110,9 +109,6 @@ class Restriction:
         if len(set(self.monomials)) != len(self.monomials):
             raise ValueError("restriction monomials must be distinct")
 
-    def __len__(self):
-        return len(self.monomials)
-
 
 @dataclass(frozen=True)
 class WeightWitness:
@@ -159,8 +155,7 @@ def _realize_cached(monos):
     outcome = solve_inequalities(rows + nonneg_rows(num_vars), num_vars)
     if isinstance(outcome, Infeasible):
         return outcome
-    scale = math.lcm(*(q.denominator for q in outcome))
-    row = [q.numerator * (scale // q.denominator) for q in outcome]
+    row = _integer_row(outcome)
     _check_witness(row, _witness_keys(row, monos), monos, range(len(monos)), ())
     return WeightWitness(outcome)
 
@@ -497,7 +492,11 @@ def _element_key(e):
 
 def certificate_text(cert):
     """Canonical plain-text serialization; byte-stable for identical inputs."""
-    data = certificate_json(cert)
+    return "\n".join(_certificate_lines(certificate_json(cert))) + "\n"
+
+
+def _certificate_lines(data):
+    """The lines of ``certificate_text``, laid out from ``certificate_json``'s dict."""
     lines = [
         "universal groebner certificate",
         f"dimension: {data['dimension']}",
@@ -513,7 +512,7 @@ def certificate_text(cert):
         chain = " < ".join(cone["restriction"])
         weights = " ".join(cone["weights"])
         lines.append(f"  cone {i}: {chain} | weights {weights} | {cone['verdict']}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def certificate_json(cert):

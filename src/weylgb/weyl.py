@@ -163,6 +163,14 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {len(a) // 2} vs {len(b) // 2}")
 
 
+def _check_dimension(n):
+    """The one rule for a dimension: an int (not a bool) and at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"the algebra dimension n must be an int, got {type(n).__name__}")
+    if n < 1:
+        raise ValueError("the algebra dimension n must be an integer >= 1")
+
+
 def _check_key(mono, n):
     if not isinstance(mono, Monomial):
         raise TypeError(f"terms must be keyed by Monomial, got {type(mono).__name__}")
@@ -182,8 +190,7 @@ class WeylElement(_Immutable):
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(n)
         clean = {}
         for mono, coeff in (terms or {}).items():
             _check_key(mono, n)
@@ -208,19 +215,20 @@ class WeylElement(_Immutable):
 
     @classmethod
     def zero(cls, n):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(n)
         return cls._raw(n, {})
 
     @classmethod
     def one(cls, n):
-        return cls._raw(n, {Monomial.unit(n): Fraction(1)}) if n >= 1 else cls.zero(n)
+        _check_dimension(n)
+        return cls._raw(n, {Monomial.unit(n): Fraction(1)})
 
     @classmethod
     def from_term(cls, n, mono, coeff=1):
+        _check_dimension(n)
         _check_key(mono, n)
         coeff = Fraction(coeff)
-        return cls._raw(n, {mono: coeff}) if coeff else cls.zero(n)
+        return cls._raw(n, {mono: coeff} if coeff else {})
 
     def support(self):
         return frozenset(self.terms)
@@ -446,10 +454,7 @@ class WeylAlgebra:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"the algebra dimension n must be an int, got {type(self.n).__name__}")
-        if self.n < 1:
-            raise ValueError("the algebra dimension n must be an integer >= 1")
+        _check_dimension(self.n)
 
     def xi(self, i):
         """The generator x_i, 1-based."""

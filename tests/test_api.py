@@ -61,6 +61,34 @@ def test_only_weyl_names_its_slot_writers():
         assert not writers, f"{path.name} names slot writers at {writers}"
 
 
+def test_only_weyl_states_the_dimension_rule():
+    # weyl._check_dimension and WeylElement._check_compatible are the one
+    # place that decides on a dimension; cli.py maps --n < 1 to exit status 1
+    def is_n(node):
+        return (isinstance(node, ast.Name) and node.id == "n") or (
+            isinstance(node, ast.Attribute) and node.attr == "n"
+        )
+
+    def is_one(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 1
+
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and path.name != "cli.py":
+                # adjacent operands only: 1 <= i <= n compares i with n
+                operands = [node.left, *node.comparators]
+                for pair in zip(operands, operands[1:]):
+                    if any(map(is_n, pair)) and any(map(is_one, pair)):
+                        found.append(node.lineno)
+            elif isinstance(node, ast.Constant) and str(node.value).startswith("dimension mismatch"):
+                found.append(node.lineno)
+        assert not found, f"{path.name} checks a dimension itself at lines {found}"
+
+
 def test_no_module_reads_monomial_vector():
     # a Monomial is its exponent tuple, so the kernels read the monomial
     # itself; the .vector property stays for callers outside the package

@@ -90,8 +90,11 @@ def test_divide_first_match_determinism():
 
 
 def test_divide_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
         divide(W1.xi(1), [WeylAlgebra(2).xi(1)], LEX)
+    # a divisor that is no element is refused by its type
+    with pytest.raises(TypeError, match="expected WeylElement, got Monomial"):
+        divide(W1.xi(1), [Monomial((1,), (0,))], LEX)
 
 
 def test_contract_on_random_instances():

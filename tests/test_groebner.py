@@ -152,6 +152,12 @@ def test_buchberger_dimension_mismatch_rejected():
         buchberger(gens, Ordering.grlex(1))
     with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
         universal_groebner(gens)
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        is_groebner(gens, Ordering.grlex(1))
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        divide(gens[0], gens[1:], Ordering.grlex(1))
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        s_pair(*gens, LEX)
 
 
 def test_buchberger_x_only_matches_commutative_oracle():

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from weylgb import Monomial, Ordering, WeylAlgebra, WeylElement, leading_term
+from weylgb import (
+    Filtration,
+    Monomial,
+    Ordering,
+    WeylAlgebra,
+    WeylElement,
+    leading_term,
+    parse_element,
+    parse_ordering,
+)
 from weylgb.weyl import _ONE, add_product, combined_support, multiply_monomials
 from conftest import random_coefficient, random_element, random_monomial
 from oracles import brute_element_product, brute_monomial_product, monomial_ops_naive
@@ -16,18 +25,39 @@ W1 = WeylAlgebra(1)
 W2 = WeylAlgebra(2)
 
 
+# every API that takes a dimension n, each with its own way of taking it
+DIMENSION_APIS = (
+    WeylAlgebra,
+    lambda n: WeylElement(n, {}),
+    WeylElement.zero,
+    WeylElement.one,
+    lambda n: WeylElement.from_term(n, Monomial((0,), (0,))),
+    Ordering.grlex,
+    Filtration,
+    lambda n: parse_element("1", n),
+    lambda n: parse_ordering("lex", n),
+)
+
+
 def test_dimension_zero_rejected():
-    with pytest.raises(ValueError):
-        WeylAlgebra(0)
-    with pytest.raises(ValueError):
-        WeylElement.zero(0)
+    messages = set()
+    for api in DIMENSION_APIS:
+        for n in (0, -1):
+            with pytest.raises(ValueError) as info:
+                api(n)
+            messages.add(str(info.value))
+    assert messages == {"the algebra dimension n must be an integer >= 1"}
 
 
 def test_dimension_must_be_an_int():
     # bool is an int subclass, but True is no dimension
-    for n, name in ((True, "bool"), (False, "bool"), (1.0, "float"), ("2", "str")):
-        with pytest.raises(TypeError, match=name):
-            WeylAlgebra(n)
+    for n, name in ((True, "bool"), (False, "bool"), (1.0, "float"), (1.5, "float"), ("2", "str")):
+        messages = set()
+        for api in DIMENSION_APIS:
+            with pytest.raises(TypeError, match=name) as info:
+                api(n)
+            messages.add(str(info.value))
+        assert messages == {f"the algebra dimension n must be an int, got {name}"}
 
 
 def test_canonical_form_drops_zero_coefficients():
