@@ -68,7 +68,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import NamedTuple
 
-from .weyl import Monomial, WeylElement, add_product
+from .weyl import Monomial, WeylElement, _check_elements, add_product
 
 
 class LeadingTerm(NamedTuple):
@@ -148,13 +148,13 @@ def divide(w, divisors, ordering, trace=None):
     zero quotients.  If ``trace`` is a list, the leading monomial of each
     successive working element is appended to it.
     """
+    w, *divisors = _check_elements([w, *divisors])
     n = w.n
     leads = []
     # (quotient terms, b, a * F[lead]) for f == (a / b) * F, per divisor; a
     # sign that _entry flips in F flips a too, so the product stays a * L
     quotients = []
     for i, f in enumerate(divisors):
-        w._check_compatible(f)
         if f:
             a, b, f_ints = _int_form(f)
             lead = leading_term(f, ordering).monomial

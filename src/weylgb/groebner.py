@@ -103,7 +103,7 @@ from .division import (
     regular_remainder,
 )
 from .orderings import Ordering
-from .weyl import Monomial, WeylElement, add_product
+from .weyl import Monomial, WeylElement, _check_elements, add_product
 
 
 def s_pair(u, v, ordering):
@@ -117,9 +117,9 @@ def s_pair(u, v, ordering):
 
     accumulated in ints through ``weyl.add_product`` and divided once.
     """
+    _check_elements([u, v])
     if not u or not v:
         raise ValueError("S-pair of a zero element is undefined")
-    u._check_compatible(v)
     pair = [_entry(_int_form(f)[2], leading_term(f, ordering).monomial) for f in (u, v)]
     out = _s_pair_ints(*pair)
     den = pair[0][1] * pair[1][1]
@@ -163,13 +163,11 @@ def buchberger(generators, ordering):
     basis (1,) as soon as a constant appears.  Apply reduce_basis for the
     canonical inter-reduced form.
     """
-    generators = list(generators)
+    # before monic, which would read an element under another width
+    generators = _check_elements(generators)
     inputs = []
     for g in generators:
         if g:
-            # before monic, which would read g under an ordering of another width
-            if inputs:
-                inputs[0]._check_compatible(g)
             g = monic(g, ordering)
             if g not in inputs:
                 inputs.append(g)
@@ -318,11 +316,11 @@ def is_groebner(elements, ordering):
     The pairs are reduced by increasing lcm, and the test stops at the first
     nonzero remainder.  Each nonzero element is prepared once per call.
     """
-    basis = [e for e in elements if e]
-    entries = []
-    for k, e in enumerate(basis):
-        basis[0]._check_compatible(e)
-        entries.append(_entry(_int_form(e)[2], leading_term(e, ordering).monomial, None, k))
+    basis = [e for e in _check_elements(elements) if e]
+    entries = [
+        _entry(_int_form(e)[2], leading_term(e, ordering).monomial, None, k)
+        for k, e in enumerate(basis)
+    ]
     return _groebner_verdict(entries, ordering.sort_key)
 
 

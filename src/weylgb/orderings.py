@@ -9,13 +9,12 @@ translation.  ``lex`` is the empty stack; ``grlex`` is the all-ones row.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import CACHE_SIZE, Monomial, _check_dim, _check_dimension, _Immutable
+from .weyl import CACHE_SIZE, Monomial, _check_dim, _check_dimension, _check_int, _Immutable
 
 
 class Ordering(_Immutable):
@@ -103,12 +102,12 @@ class Ordering(_Immutable):
 
 
 def agree_on(ord1, ord2, monomials):
-    """True iff the two orderings compare every pair from the set identically."""
-    monomials = list(monomials)
-    for a, b in itertools.combinations(monomials, 2):
-        if ord1.compare(a, b) != ord2.compare(a, b):
-            return False
-    return True
+    """True iff the two orderings compare every pair from the set identically:
+    keys end with the exponents, so each total order sorts the set one way."""
+    monos = list(monomials)
+    for m in monos:
+        _check_dim(monos[0], m)
+    return sorted(monos, key=ord1.sort_key) == sorted(monos, key=ord2.sort_key)
 
 
 def monomials_up_to_degree(n, max_degree):
@@ -145,8 +144,7 @@ class Filtration:
         _check_dimension(self.n)
 
     def level(self, i):
-        if i < 0:
-            raise ValueError("filtration level must be >= 0")
+        _check_int("the filtration level", i, 0)
         if self.rule is not None:
             return tuple(self.rule(i))
         if i == 0:
@@ -174,8 +172,7 @@ def ordering_distance(ord1, ord2, filtration, depth_cap):
     Equality of black-box orderings is undecidable, so when no disagreement
     shows up by the cap the result is an upper bound, not an exact value.
     """
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be >= 1")
+    _check_int("depth_cap", depth_cap, 1)
     for i in range(1, depth_cap + 1):
         if not agree_on(ord1, ord2, filtration.level(i)):
             return DistanceBound(Fraction(1, 2 ** (i - 1)), exact=True)

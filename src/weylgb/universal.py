@@ -47,7 +47,7 @@ from .division import _entry, _int_form, divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities, solve_orthant
 from .groebner import _groebner_verdict, buchberger, is_groebner, reduce_basis
 from .orderings import Ordering, _integer_row
-from .weyl import Monomial, combined_support
+from .weyl import Monomial, _check_dim, _check_elements, _check_int, combined_support
 
 COVERAGE_FAMILY = "nonnegative weight row + lex tie-break"
 
@@ -243,7 +243,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     ``_until`` is called on each cone as it is found; the search stops, and
     the list ends, at the first cone for which it returns true.
     """
-    _check_bound("max_support", max_support)
+    _check_int("max_support", max_support, 0)
     support = _sorted_support(support)
     if len(support) > max_support:
         raise SupportCapExceeded(len(support), max_support)
@@ -304,23 +304,15 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     return out
 
 
-def _check_bound(name, value):
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def _sorted_support(support):
     support = tuple(support)
     for m in support:
         if not isinstance(m, Monomial):
             raise TypeError(f"support entries must be Monomial, got {type(m).__name__}")
-    support = sorted(set(support), key=Monomial.sort_key)
+        _check_dim(support[0], m)
     if not support:
         raise ValueError("empty support")
-    dims = {m.dimension for m in support}
-    if len(dims) > 1:
-        raise ValueError("support mixes dimensions")
-    return support
+    return sorted(set(support), key=Monomial.sort_key)
 
 
 @dataclass(frozen=True)
@@ -383,8 +375,8 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     S-pair criterion.  Only passes are decided this way, so the first
     failing cone is the one found without ``_known``.
     """
-    _check_bound("max_support", max_support)
-    elements = list(elements)
+    elements = _check_elements(elements)
+    _check_int("max_support", max_support, 0)
     if not elements or any(not e for e in elements):
         raise ValueError("certification needs a nonempty list of nonzero elements")
     support = tuple(_sorted_support(combined_support(elements)))
@@ -439,9 +431,9 @@ def universal_groebner(
     the S-pair criterion (see ``certify_universal``).  Certificates and
     counterexamples are those of certifying each candidate on its own.
     """
-    _check_bound("max_support", max_support)
-    _check_bound("max_rounds", max_rounds)
-    generators = list(generators)
+    generators = _check_elements(generators)
+    _check_int("max_support", max_support, 0)
+    _check_int("max_rounds", max_rounds, 0)
     nonzero = [g for g in generators if g]
     if not nonzero:
         raise ValueError("universal basis of the zero ideal is empty; need a nonzero generator")

@@ -77,10 +77,7 @@ class Monomial(tuple):
         if len(xi) != len(d):
             raise ValueError("x and d exponent tuples must have equal length")
         for e in xi + d:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise TypeError(f"exponents must be ints, got {type(e).__name__}")
-        if any(e < 0 for e in xi) or any(e < 0 for e in d):
-            raise ValueError("exponents must be nonnegative")
+            _check_int("an exponent", e, 0)
         return tuple.__new__(cls, xi + d)
 
     def __reduce__(self):
@@ -163,12 +160,26 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {len(a) // 2} vs {len(b) // 2}")
 
 
+def _check_int(name, value, least):
+    """The one rule for an int argument: an int (not a bool), at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
 def _check_dimension(n):
-    """The one rule for a dimension: an int (not a bool) and at least 1."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"the algebra dimension n must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError("the algebra dimension n must be an integer >= 1")
+    """The one rule for a dimension: an int of at least 1."""
+    _check_int("the algebra dimension n", n, 1)
+
+
+def _check_elements(elements):
+    """The one rule for an element list: each item, zeros included, is a
+    ``WeylElement`` of the first one's dimension.  Returns the list."""
+    elements = list(elements)
+    for e in elements:  # unbound: a first item that is no element fails on itself
+        WeylElement._check_compatible(elements[0], e)
+    return elements
 
 
 def _check_key(mono, n):
@@ -294,8 +305,7 @@ class WeylElement(_Immutable):
         )
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_int("the exponent", exponent, 0)
         return WeylElement._raw(self.n, _power_terms(self.terms, exponent, self.n))
 
     def commutator(self, other):
@@ -475,7 +485,8 @@ class WeylAlgebra:
 
     def _generator(self, i, offset):
         # the unit vector at x_i (offset 0) or d_i (offset n)
-        if not 1 <= i <= self.n:
+        _check_int("the generator index", i, 1)
+        if i > self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         unit = (int(j == offset + i - 1) for j in range(2 * self.n))
         return WeylElement.from_term(self.n, _raw(unit))

@@ -22,8 +22,8 @@ drops pairs by the chain criterion and reduces the rest in ints on forms
 prepared once, remainder only, and
 ``solve_inequalities_naive`` runs Fourier-Motzkin on Fraction copies of its
 rows, each scaled to ints, and back-substitutes with Fraction sums where
-``solve_inequalities`` takes int rows as they are and stays in ints until
-the output.  The expression
+``solve_inequalities`` scales every row to ints by the lcm of its
+denominators (``_fraction_rows``) and stays in ints until the output.  The expression
 oracle ``parse_element_naive`` scans the text token by token and builds a
 ``WeylElement`` for every number, variable, sum and product, left to right,
 where ``parse_element`` tokenizes in one pass, works on coefficient dicts and

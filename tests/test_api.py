@@ -89,6 +89,30 @@ def test_only_weyl_states_the_dimension_rule():
         assert not found, f"{path.name} checks a dimension itself at lines {found}"
 
 
+def test_only_weyl_states_the_argument_rules():
+    # weyl._check_int and weyl._check_elements are the one place that decides
+    # on an int argument or an element list; cli.py words its usage errors
+    def states_int_rule(node):
+        return any(
+            isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str)
+            and ("must be >=" in sub.value or "must be an int" in sub.value)
+            for sub in ast.walk(node)
+        )
+
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_check_compatible":
+                found.append(node.lineno)
+            elif isinstance(node, ast.Raise) and path.name != "cli.py" and states_int_rule(node):
+                found.append(node.lineno)
+        assert not found, f"{path.name} checks an argument itself at lines {found}"
+
+
 def test_no_module_reads_monomial_vector():
     # a Monomial is its exponent tuple, so the kernels read the monomial
     # itself; the .vector property stays for callers outside the package

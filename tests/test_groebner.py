@@ -17,6 +17,7 @@ from weylgb import (
     Ordering,
     SupportCapExceeded,
     WeylAlgebra,
+    WeylElement,
     agree_on,
     buchberger,
     certify_universal,
@@ -54,6 +55,16 @@ from oracles import (
 W1 = WeylAlgebra(1)
 W2 = WeylAlgebra(2)
 LEX = Ordering.lex()
+
+# every API that takes a list of elements, each given the whole list
+ELEMENT_LIST_APIS = (
+    lambda elements: divide(elements[0], elements[1:], Ordering.grlex(1)),
+    lambda elements: s_pair(*elements, LEX),
+    lambda elements: buchberger(elements, Ordering.grlex(1)),
+    lambda elements: is_groebner(elements, Ordering.grlex(1)),
+    certify_universal,
+    universal_groebner,
+)
 
 
 def test_s_pair_of_generators_is_one():
@@ -146,18 +157,20 @@ def test_buchberger_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         buchberger([W1.d(1), W2.xi(2) + W2.d(1)], LEX)
     # under a weight ordering the dimensions are compared before the second
-    # generator is read under the first one's width
-    gens = [W1.d(1), W2.xi(2)]
-    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-        buchberger(gens, Ordering.grlex(1))
-    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-        universal_groebner(gens)
-    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-        is_groebner(gens, Ordering.grlex(1))
-    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-        divide(gens[0], gens[1:], Ordering.grlex(1))
-    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-        s_pair(*gens, LEX)
+    # generator is read under the first one's width; a zero is compared too
+    for gens in ([W1.d(1), W2.xi(2)], [W1.d(1), WeylElement.zero(2)]):
+        for api in ELEMENT_LIST_APIS:
+            with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
+                api(gens)
+
+
+def test_element_lists_refuse_a_non_element_first():
+    mono = Monomial((1,), (0,))
+    for api in ELEMENT_LIST_APIS:
+        with pytest.raises(TypeError, match="^expected WeylElement, got Monomial$"):
+            api([mono, W1.d(1)])
+    with pytest.raises(TypeError, match="^expected WeylElement, got Monomial$"):
+        ideal_member(mono, buchberger([W1.d(1)], LEX))
 
 
 def test_buchberger_x_only_matches_commutative_oracle():

@@ -92,6 +92,9 @@ def test_agree_on_self_and_empty(rng):
     lex = Ordering.lex()
     assert agree_on(lex, lex, [X1, D1, ONE])
     assert agree_on(lex, Ordering.matrix([(0, 1)]), [])
+    # lex reads any width, so the dimensions are compared first
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        agree_on(lex, lex, [X1, Monomial((1, 0), (0, 0))])
 
 
 def test_agree_on_detects_flip():

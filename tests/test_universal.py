@@ -345,7 +345,7 @@ def test_negative_bound_is_an_input_error(monkeypatch, call):
 
     for name in ("buchberger", "combined_support", "_sorted_support", "solve_orthant"):
         monkeypatch.setattr(universal, name, no_work)
-    with pytest.raises(ValueError, match=r"max_(support|rounds) must be >= 0, got -"):
+    with pytest.raises(ValueError, match=r"max_(support|rounds) must be an integer >= 0"):
         call()
 
 

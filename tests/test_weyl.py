@@ -12,9 +12,13 @@ from weylgb import (
     Ordering,
     WeylAlgebra,
     WeylElement,
+    certify_universal,
+    enumerate_restrictions,
     leading_term,
+    ordering_distance,
     parse_element,
     parse_ordering,
+    universal_groebner,
 )
 from weylgb.weyl import _ONE, add_product, combined_support, multiply_monomials
 from conftest import random_coefficient, random_element, random_monomial
@@ -58,6 +62,41 @@ def test_dimension_must_be_an_int():
                 api(n)
             messages.add(str(info.value))
         assert messages == {f"the algebra dimension n must be an int, got {name}"}
+
+
+# every other int argument: its name in the messages, its least value and
+# the API given it
+INT_ARGUMENTS = (
+    ("an exponent", 0, lambda e: Monomial((e,), (0,))),
+    ("an exponent", 0, lambda e: Monomial((0,), (e,))),
+    ("the exponent", 0, lambda e: W1.xi(1) ** e),
+    ("the generator index", 1, W2.xi),
+    ("the generator index", 1, W2.d),
+    ("the filtration level", 0, Filtration(1).level),
+    ("depth_cap", 1, lambda cap: ordering_distance(Ordering.lex(), Ordering.lex(), Filtration(1), cap)),
+    ("max_support", 0, lambda cap: enumerate_restrictions([Monomial((1,), (0,))], max_support=cap)),
+    ("max_support", 0, lambda cap: certify_universal([W1.xi(1)], max_support=cap)),
+    ("max_support", 0, lambda cap: universal_groebner([W1.xi(1)], max_support=cap)),
+    ("max_rounds", 0, lambda cap: universal_groebner([W1.xi(1)], max_rounds=cap)),
+)
+
+
+def test_int_arguments_must_be_ints():
+    for value, name in ((True, "bool"), (1.5, "float"), (None, "NoneType")):
+        for label, _, api in INT_ARGUMENTS:
+            with pytest.raises(TypeError) as info:
+                api(value)
+            assert str(info.value) == f"{label} must be an int, got {name}"
+
+
+def test_int_arguments_below_their_bound():
+    for label, least, api in INT_ARGUMENTS:
+        with pytest.raises(ValueError) as info:
+            api(least - 1)
+        assert str(info.value) == f"{label} must be an integer >= {least}"
+    # an index above n is out of the algebra's range
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        W2.xi(3)
 
 
 def test_canonical_form_drops_zero_coefficients():
