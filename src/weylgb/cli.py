@@ -118,7 +118,7 @@ def build_parser():
         )
         p.add_argument("exprs", nargs="*", help="element expressions")
 
-    for name, (desc, _) in _COMMANDS.items():
+    for name, (desc, *_) in _COMMANDS.items():
         common(sub.add_parser(name, help=desc))
     return parser
 
@@ -154,10 +154,6 @@ def _setup(args):
     return n, ordering, texts
 
 
-def _parse_all(texts, n):
-    return [parse_element(t, n) for t in texts]
-
-
 def _emit(args, text_lines, payload):
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -166,34 +162,35 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
-def cmd_mul(args):
-    n, _, texts = _setup(args)
-    if not texts:
-        raise UsageError("mul needs at least one expression")
-    elements = _parse_all(texts, n)
-    product = elements[0]
-    for e in elements[1:]:
+def _run(args):
+    """Resolve, count, parse, run and print one command; returns its status.
+
+    Usage errors come in a fixed order: the dimension, the ordering spec, the
+    expression count, then each expression as the handler reads it, so that
+    a handler's check on one element precedes a parse error in a later one.
+    A handler returns (text lines, JSON payload, exit status); the runner
+    adds the payload's "command" key.
+    """
+    _, handler, least, most, needs = _COMMANDS[args.command]
+    n, ordering, texts = _setup(args)
+    if len(texts) < least or (most is not None and len(texts) > most):
+        raise UsageError(f"{args.command} needs {needs}")
+    elements = (parse_element(text, n) for text in texts)
+    lines, payload, status = handler(args, n, ordering, texts, elements)
+    _emit(args, lines, {"command": args.command, **payload})
+    return status
+
+
+def _product(args, n, ordering, texts, elements):
+    product = next(elements)
+    for e in elements:
         product = product * e
     result = format_element(product)
-    _emit(args, [result], {"command": "mul", "n": n, "result": result})
-    return EXIT_OK
+    return [result], {"n": n, "result": result}, EXIT_OK
 
 
-def cmd_nf(args):
-    n, _, texts = _setup(args)
-    if len(texts) != 1:
-        raise UsageError("nf needs exactly one expression")
-    result = format_element(_parse_all(texts, n)[0])
-    _emit(args, [result], {"command": "nf", "n": n, "result": result})
-    return EXIT_OK
-
-
-def cmd_div(args):
-    n, ordering, texts = _setup(args)
-    if len(texts) < 2:
-        raise UsageError("div needs a dividend and at least one divisor")
-    elements = _parse_all(texts, n)
-    w, divisors = elements[0], elements[1:]
+def _div(args, n, ordering, texts, elements):
+    w, *divisors = elements
     result = divide(w, divisors, ordering)
     report = check_division_contract(w, divisors, ordering, result)
 
@@ -207,7 +204,6 @@ def cmd_div(args):
     )
     lines.append(f"check (c) quotient term bound: {'ok' if report.quotient_bound else 'FAILED'}")
     payload = {
-        "command": "div",
         "n": n,
         "order": format_ordering(ordering),
         "quotients": quotients,
@@ -218,40 +214,29 @@ def cmd_div(args):
             "quotient_bound": report.quotient_bound,
         },
     }
-    _emit(args, lines, payload)
-    if not report.all_ok():
-        return EXIT_INTERNAL
-    return EXIT_OK
+    if report.all_ok():
+        return lines, payload, EXIT_OK
+    print("internal error; the division contract failed", file=sys.stderr)
+    return lines, payload, EXIT_INTERNAL
 
 
-def cmd_gb(args):
-    n, ordering, texts = _setup(args)
-    if not texts:
-        raise UsageError("gb needs at least one generator")
-    basis = reduce_basis(buchberger(_parse_all(texts, n), ordering))
+def _gb(args, n, ordering, texts, elements):
+    basis = reduce_basis(buchberger(list(elements), ordering))
     lines = [format_element(e) for e in basis.elements]
-    payload = {"command": "gb", "n": n, "order": format_ordering(ordering), "basis": lines}
-    _emit(args, lines or ["0"], payload)
-    return EXIT_OK
+    payload = {"n": n, "order": format_ordering(ordering), "basis": lines}
+    return lines or ["0"], payload, EXIT_OK
 
 
-def cmd_ugb(args):
-    n, _, texts = _setup(args)
-    if not texts:
-        raise UsageError("ugb needs at least one generator")
-    generators = _parse_all(texts, n)
+def _ugb(args, n, ordering, texts, elements):
+    generators = list(elements)
     if not any(generators):
         raise UsageError("universal basis of the zero ideal is empty; need a nonzero generator")
     data = certificate_json(universal_groebner(generators, max_support=args.max_support))
-    _emit(args, _certificate_lines(data), {"command": "ugb", "certificate": data})
-    return EXIT_OK
+    return _certificate_lines(data), {"certificate": data}, EXIT_OK
 
 
-def cmd_cert(args):
-    n, _, texts = _setup(args)
-    if not texts:
-        raise UsageError("cert needs at least one basis element")
-    elements = _parse_all(texts, n)
+def _cert(args, n, ordering, texts, elements):
+    elements = list(elements)
     if not all(elements):
         raise UsageError("certification needs a nonempty list of nonzero elements")
     outcome = certify_universal(elements, max_support=args.max_support)
@@ -263,49 +248,43 @@ def cmd_cert(args):
             f"counterexample restriction: {' < '.join(chain)}",
             f"counterexample weights: {' '.join(weights)}",
         ]
-        payload = {
-            "command": "cert",
-            "verdict": "counterexample",
-            "restriction": chain,
-            "weights": weights,
-        }
+        payload = {"verdict": "counterexample", "restriction": chain, "weights": weights}
     else:
         data = certificate_json(outcome)
         lines = _certificate_lines(data)
-        payload = {"command": "cert", "verdict": "certified", "certificate": data}
-    _emit(args, lines, payload)
-    return EXIT_OK
+        payload = {"verdict": "certified", "certificate": data}
+    return lines, payload, EXIT_OK
 
 
-def cmd_cmp(args):
-    n, ordering, texts = _setup(args)
-    if len(texts) != 2:
-        raise UsageError("cmp needs exactly two monomials")
+def _cmp(args, n, ordering, texts, elements):
     monos = []
-    for text in texts:
-        element = parse_element(text, n)
+    for text, element in zip(texts, elements):
         if len(element.terms) != 1 or 1 not in element.terms.values():
             raise UsageError(f"cmp expects single monomials, got {text!r}")
         monos.append(next(iter(element.terms)))
     sign = ordering.compare(monos[0], monos[1])
     symbol = {-1: "<", 0: "=", 1: ">"}[sign]
     left, right = format_monomial(monos[0]), format_monomial(monos[1])
-    _emit(
-        args,
-        [f"{left} {symbol} {right}"],
-        {"command": "cmp", "left": left, "relation": symbol, "right": right},
-    )
-    return EXIT_OK
+    return [f"{left} {symbol} {right}"], {"left": left, "relation": symbol, "right": right}, EXIT_OK
 
 
+# name: (help, handler, least and most expression count, what the count error
+# says the command needs); a most of None sets no upper bound
 _COMMANDS = {
-    "mul": ("product of the given elements, left to right", cmd_mul),
-    "nf": ("canonical (normal) form of one element", cmd_nf),
-    "div": ("divide the first element by the rest; report the contract", cmd_div),
-    "gb": ("reduced Groebner basis of the generated left ideal", cmd_gb),
-    "ugb": ("universal Groebner basis with certificate", cmd_ugb),
-    "cert": ("certify a given basis as universal", cmd_cert),
-    "cmp": ("compare two monomials under an ordering", cmd_cmp),
+    "mul": ("product of the given elements, left to right", _product,
+            1, None, "at least one expression"),
+    "nf": ("canonical (normal) form of one element", _product,
+           1, 1, "exactly one expression"),
+    "div": ("divide the first element by the rest; report the contract", _div,
+            2, None, "a dividend and at least one divisor"),
+    "gb": ("reduced Groebner basis of the generated left ideal", _gb,
+           1, None, "at least one generator"),
+    "ugb": ("universal Groebner basis with certificate", _ugb,
+            1, None, "at least one generator"),
+    "cert": ("certify a given basis as universal", _cert,
+             1, None, "at least one basis element"),
+    "cmp": ("compare two monomials under an ordering", _cmp,
+            2, 2, "exactly two monomials"),
 }
 
 
@@ -314,7 +293,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        status = _COMMANDS[args.command][1](args)
+        status = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
     except (UsageError, ParseError) as exc:

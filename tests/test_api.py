@@ -113,6 +113,25 @@ def test_only_weyl_states_the_argument_rules():
         assert not found, f"{path.name} checks an argument itself at lines {found}"
 
 
+def test_only_the_cli_runner_parses_and_prints():
+    # cli._run resolves the inputs, parses the expressions and prints the
+    # result for every command; a handler only computes
+    path = Path(weylgb.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef) or function.name == "_run":
+            continue
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("_setup", "parse_element", "_emit")
+            ):
+                found.add(function.name)
+    assert not found, f"cli.py parses or prints outside _run in {sorted(found)}"
+
+
 def test_no_module_reads_monomial_vector():
     # a Monomial is its exponent tuple, so the kernels read the monomial
     # itself; the .vector property stays for callers outside the package

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from weylgb import cli, universal
+from weylgb import cli, parse_element, universal
 from weylgb.cli import main, parse_problem_file
+from weylgb.division import DivisionResult
 
 
 def run(capsys, argv):
@@ -94,6 +95,133 @@ def test_json_output_is_byte_stable(capsys):
     payload = json.loads(first)
     assert payload["certificate"]["basis"] == ["1"]
     assert len(payload["certificate"]["cones"]) == 1
+
+
+_CERTIFICATE_HEAD = (
+    "universal groebner certificate\n"
+    "dimension: 1\n"
+    "certified family: nonnegative weight row + lex tie-break\n"
+    "coverage: every normal ordering whose restriction to the support\n"
+    "  is realized by the family above is covered by the transfer principle\n"
+)
+_FAMILY = '"family": "nonnegative weight row + lex tie-break"'
+
+
+@pytest.mark.parametrize(
+    "argv, text, json_text",
+    [
+        (
+            ["mul", "--n", "1", "d1", "x1^2"],
+            "x1^2*d1 + 2*x1\n",
+            '{"command": "mul", "n": 1, "result": "x1^2*d1 + 2*x1"}\n',
+        ),
+        (
+            ["nf", "--n", "2", "d2*x2*d1*x1"],
+            "x1*x2*d1*d2 + x1*d1 + x2*d2 + 1\n",
+            '{"command": "nf", "n": 2, "result": "x1*x2*d1*d2 + x1*d1 + x2*d2 + 1"}\n',
+        ),
+        (
+            ["div", "--n", "1", "--order", "lex", "x1*d1^2+x1", "d1"],
+            "q[1] = x1*d1\n"
+            "r = x1\n"
+            "check (a) exact reconstruction: ok\n"
+            "check (b) remainder irreducible: ok\n"
+            "check (c) quotient term bound: ok\n",
+            '{"command": "div", "contract": {"quotient_bound": true, "reconstruction": true, '
+            '"remainder_irreducible": true}, "n": 1, "order": "lex", "quotients": ["x1*d1"], '
+            '"remainder": "x1"}\n',
+        ),
+        (
+            ["gb", "--n", "2", "--order", "lex", "x1*d2", "x2*d1"],
+            "x1*d1 - x2*d2\nx1*d2\nx2^2*d2\nx2*d1\nx2*d2^2 + 2*d2\n",
+            '{"basis": ["x1*d1 - x2*d2", "x1*d2", "x2^2*d2", "x2*d1", "x2*d2^2 + 2*d2"], '
+            '"command": "gb", "n": 2, "order": "lex"}\n',
+        ),
+        (
+            ["ugb", "--n", "1", "x1+d1"],
+            _CERTIFICATE_HEAD + "basis (1):\n"
+            "  x1 + d1\n"
+            "support (2): d1, x1\n"
+            "cones (2):\n"
+            "  cone 1: d1 < x1 | weights 0 0 | passed\n"
+            "  cone 2: x1 < d1 | weights 0 1 | passed\n",
+            '{"certificate": {"basis": ["x1 + d1"], "cones": [{"restriction": ["d1", "x1"], '
+            '"verdict": "passed", "weights": ["0", "0"]}, {"restriction": ["x1", "d1"], '
+            '"verdict": "passed", "weights": ["0", "1"]}], "dimension": 1, '
+            + _FAMILY
+            + ', "support": ["d1", "x1"]}, "command": "ugb"}\n',
+        ),
+        (
+            ["cert", "--n", "1", "x1 + d1 + 1"],
+            _CERTIFICATE_HEAD + "basis (1):\n"
+            "  x1 + d1 + 1\n"
+            "support (3): 1, d1, x1\n"
+            "cones (2):\n"
+            "  cone 1: 1 < d1 < x1 | weights 0 0 | passed\n"
+            "  cone 2: 1 < x1 < d1 | weights 0 1 | passed\n",
+            '{"certificate": {"basis": ["x1 + d1 + 1"], "cones": [{"restriction": ["1", "d1", '
+            '"x1"], "verdict": "passed", "weights": ["0", "0"]}, {"restriction": ["1", "x1", '
+            '"d1"], "verdict": "passed", "weights": ["0", "1"]}], "dimension": 1, '
+            + _FAMILY
+            + ', "support": ["1", "d1", "x1"]}, "command": "cert", "verdict": "certified"}\n',
+        ),
+        (
+            ["cert", "--n", "1", "x1", "d1"],
+            "verdict: not universal\n"
+            "counterexample restriction: d1 < x1\n"
+            "counterexample weights: 0 0\n",
+            '{"command": "cert", "restriction": ["d1", "x1"], "verdict": "counterexample", '
+            '"weights": ["0", "0"]}\n',
+        ),
+        (
+            ["cmp", "--n", "1", "--order", "lex", "d1", "x1"],
+            "d1 < x1\n",
+            '{"command": "cmp", "left": "d1", "relation": "<", "right": "x1"}\n',
+        ),
+    ],
+    ids=["mul", "nf", "div", "gb", "ugb", "cert-certified", "cert-counterexample", "cmp"],
+)
+def test_every_command_prints_exact_bytes(capsys, argv, text, json_text):
+    assert run(capsys, argv) == (0, text, "")
+    assert run(capsys, [*argv, "--json"]) == (0, json_text, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the dimension, then the ordering spec, then the expression count,
+        # then each expression in the order the command reads it
+        (["nf", "x1^"], "dimension required: pass --n or an input file with n="),
+        (
+            ["cmp", "--n", "1", "--order", "bogus", "x1^", "x1"],
+            "unknown ordering spec 'bogus'; use lex, grlex or matrix:[[...]]",
+        ),
+        (["nf", "--n", "1", "x1^", "d1"], "nf needs exactly one expression"),
+        (
+            ["cmp", "--n", "1", "x1^", "2*x1"],
+            "exponent must be a nonnegative integer (at position 3)",
+        ),
+        (["cmp", "--n", "1", "--", "2*x1", "x1^"], "cmp expects single monomials, got '2*x1'"),
+        (["ugb", "--n", "1", "0", "x1^"], "exponent must be a nonnegative integer (at position 3)"),
+    ],
+)
+def test_usage_errors_come_in_a_fixed_order(capsys, argv, message):
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+def test_division_contract_failure_is_internal_error(capsys, monkeypatch):
+    x1 = parse_element("x1", 1)
+    monkeypatch.setattr(cli, "divide", lambda w, divisors, ordering: DivisionResult([0], x1))
+    status, out, err = run(capsys, ["div", "--n", "1", "--order", "lex", "x1*d1", "d1"])
+    assert status == 3
+    assert out == (
+        "q[1] = 0\n"
+        "r = x1\n"
+        "check (a) exact reconstruction: FAILED\n"
+        "check (b) remainder irreducible: ok\n"
+        "check (c) quotient term bound: ok\n"
+    )
+    assert err == "internal error; the division contract failed\n"
 
 
 def test_missing_dimension_is_usage_error(capsys):
