@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weyl import CACHE_SIZE, Monomial, _check_dim, _check_dimension, _check_int, _Immutable
+from .weyl import Monomial, _check_dim, _check_dimension, _check_int, _Immutable
 
 
 class Ordering(_Immutable):
@@ -26,13 +26,9 @@ class Ordering(_Immutable):
     makes it a row of ints.  A positive factor per row leaves every row's
     comparison, and so the lexicographic comparison of whole keys, unchanged,
     while the keys become tuples of ints instead of tuples of Fractions.
-    Keys are cached per monomial; the cache is emptied whenever it reaches
-    ``weyl.CACHE_SIZE`` entries, so a long-lived ordering holds a bounded
-    number of them.  Instances are immutable; the key cache only stores what
-    the rows determine.
     """
 
-    __slots__ = ("rows", "_int_rows", "_key_cache")
+    __slots__ = ("rows", "_int_rows")
 
     def __init__(self, rows=()):
         rows = tuple(tuple(Fraction(q) for q in row) for row in rows)
@@ -46,7 +42,6 @@ class Ordering(_Immutable):
                 raise ValueError("weight rows must be componentwise nonnegative")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_int_rows", tuple(_integer_row(row) for row in rows))
-        object.__setattr__(self, "_key_cache", {})
 
     def __reduce__(self):
         return (Ordering, (self.rows,))
@@ -70,18 +65,14 @@ class Ordering(_Immutable):
 
     def sort_key(self, mono):
         """Key whose natural tuple comparison realizes this ordering, for a
-        Monomial or any exponent tuple."""
-        cache = self._key_cache
-        key = cache.get(mono)
-        if key is None:
-            rows = self._int_rows
-            if rows and len(rows[0]) != len(mono):
-                raise ValueError(f"weight rows have width {len(rows[0])}, expected {len(mono)}")
-            key = tuple(sum(map(operator.mul, row, mono)) for row in rows) + mono
-            if len(cache) >= CACHE_SIZE:
-                cache.clear()
-            cache[mono] = key
-        return key
+        Monomial or any exponent tuple: the dot product of each row with the
+        exponents, then the exponents."""
+        rows = self._int_rows
+        if rows and len(rows[0]) != len(mono):
+            raise ValueError(f"weight rows have width {len(rows[0])}, expected {len(mono)}")
+        if len(rows) == 1:  # grlex and one-row matrices: no generator to run
+            return (sum(map(operator.mul, rows[0], mono)), *mono)
+        return tuple(sum(map(operator.mul, row, mono)) for row in rows) + mono
 
     def compare(self, a, b):
         """-1, 0 or 1 as a is below, equal to, or above b."""

@@ -335,13 +335,12 @@ _set_terms = WeylElement.terms.__set__
 
 _ONE = Fraction(1)  # coefficient 1 of every product, shared
 
-# Bound of the product cache and of each ordering's sort-key cache.  Sized by
-# measurement: over the benchmark's passes (seeds 1-3), with the product cache
-# cleared before each solve, one solve holds at most 2 products on ugb (sat6),
-# 3 on cert (bessel) and 158 on gb (f4 under grlex), and a gb solve's ordering
-# at most 284 sort keys (gkz4 under lex).  The largest computation measured,
-# mix2 under lex, holds 115 products and 767 sort keys, so this bound never
-# evicts on the measured inputs and caps memory on larger ones.
+# Bound of the product cache.  Sized by measurement: over the benchmark's
+# passes (seeds 1-3), with the cache cleared before each solve, one solve holds
+# at most 2 products on ugb (sat6), 3 on cert (bessel) and 158 on gb (f4 under
+# grlex).  The largest computation measured, mix2 under lex, holds 115
+# products, so this bound never evicts on the measured inputs and caps memory
+# on larger ones.
 CACHE_SIZE = 65536
 
 

@@ -132,6 +132,27 @@ def test_only_the_cli_runner_parses_and_prints():
     assert not found, f"cli.py parses or prints outside _run in {sorted(found)}"
 
 
+def test_no_value_keeps_a_cache():
+    # values are stateless: what a value's fields determine is computed on
+    # each call, so no slot holds a memo that grows while the value lives
+    found = []
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in node.targets
+                ):
+                    found += [
+                        f"{path.stem}.{cls.name}.{slot}"
+                        for slot in ast.literal_eval(node.value)
+                        if "cache" in slot.lower()
+                    ]
+    assert not found, f"slots that name a cache: {found}"
+
+
 def test_no_module_reads_monomial_vector():
     # a Monomial is its exponent tuple, so the kernels read the monomial
     # itself; the .vector property stays for callers outside the package
