@@ -183,7 +183,7 @@ def format_element(w):
     if not w:
         return "0"
     pieces = []
-    for mono, coeff in w.sorted_terms(reverse=True):
+    for mono, coeff in w.sorted_terms():
         mono_text = format_monomial(mono)
         if mono.is_unit():
             body = str(abs(coeff))

@@ -12,8 +12,10 @@ a counterexample costs only the cones before it.
 
 Realization is exact: the strict inequalities a weight row must satisfy are
 solved by Fourier-Motzkin elimination over the rationals, with a slack of 1
-standing in for strictness.  Unrealizable chains come back with a Farkas
-certificate.  The search solves only where it must.  It poses int rows
+standing in for strictness.  The search keeps only the realizable
+prefixes and drops the others; for an infeasible system,
+``solve_inequalities`` returns an ``Infeasible``, a Farkas certificate.
+The search solves only where it must.  It poses int rows
 with the orthant w >= 0 implicit, so the solver returns each system's
 lexicographic minimum, and a child's system narrows its parent's; a child
 whose new rows the parent's witness meets takes that witness as its own
@@ -477,9 +479,7 @@ def _leads(elements, ordering):
 
 
 def _element_key(e):
-    return tuple(
-        (m.sort_key(), c) for m, c in e.sorted_terms(reverse=True)
-    )
+    return tuple((m.sort_key(), c) for m, c in e.sorted_terms())
 
 
 def certificate_text(cert):

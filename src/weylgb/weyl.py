@@ -20,10 +20,9 @@ Products are normalized with the closed-form expansion
 which collapses to the single defining relation when a = b = e_i.  Only the
 variables with min(a_i, b_i) > 0 contribute a factor to the sum; when there
 are none, only k = 0 remains: the factors commute and the product is
-x^a * d^b with coefficient 1.  Coefficient 1 is one shared Fraction object,
-``_ONE``, in every product, so callers test for it by identity.  The test
-suite validates this expansion exhaustively against a brute-force rewriter
-that only ever applies the single-swap relation.
+x^a * d^b with coefficient 1.  The test suite validates this expansion
+exhaustively against a brute-force rewriter that only ever applies the
+single-swap relation.
 
 ``add_product`` is the one multiply-accumulate kernel built on it: element
 products add a term times an element into a dict of Fraction coefficients
@@ -247,11 +246,9 @@ class WeylElement(_Immutable):
     def coefficient(self, mono):
         return self.terms.get(mono, Fraction(0))
 
-    def sorted_terms(self, reverse=False):
-        """Terms in graded-lex order of the exponents (deterministic)."""
-        return sorted(
-            self.terms.items(), key=lambda item: item[0].sort_key(), reverse=reverse
-        )
+    def sorted_terms(self):
+        """Terms in graded-lex order of the exponents, greatest first."""
+        return sorted(self.terms.items(), key=lambda item: item[0].sort_key(), reverse=True)
 
     def __bool__(self):
         return bool(self.terms)
@@ -323,9 +320,7 @@ class WeylElement(_Immutable):
         return format_element(self)
 
     def __repr__(self):
-        items = ", ".join(
-            f"{m.xi}{m.d}: {c}" for m, c in self.sorted_terms(reverse=True)
-        )
+        items = ", ".join(f"{m.xi}{m.d}: {c}" for m, c in self.sorted_terms())
         return f"WeylElement(n={self.n}, {{{items}}})"
 
 
@@ -333,28 +328,26 @@ class WeylElement(_Immutable):
 _set_n = WeylElement.n.__set__
 _set_terms = WeylElement.terms.__set__
 
-_ONE = Fraction(1)  # coefficient 1 of every product, shared
-
 # Bound of the product cache.  Sized by measurement: over the benchmark's
-# passes (seeds 1-3), with the cache cleared before each solve, one solve holds
-# at most 2 products on ugb (sat6), 3 on cert (bessel) and 158 on gb (f4 under
-# grlex).  The largest computation measured, mix2 under lex, holds 115
-# products, so this bound never evicts on the measured inputs and caps memory
-# on larger ones.
+# passes (seeds 1-3), with the cache cleared after parsing and before each
+# solve, one solve holds at most 2 products on ugb (sat6), 3 on cert (bessel)
+# and 153 on gb (f4 under grlex).  Outside the benchmark, mix2 under lex holds
+# 115 products.  So this bound never evicts on the measured inputs and caps
+# memory on larger ones.
 CACHE_SIZE = 65536
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
-    """Canonical form of the product (x^a.xi d^a.d) * (x^b.xi d^b.d).
+def multiply_monomials(a: Monomial, b: Monomial) -> tuple:
+    """Canonical terms of the product (x^a.xi d^a.d) * (x^b.xi d^b.d).
 
     Only the inner d^a.d * x^b.xi pair needs reordering; the outer factors
     shift exponents.  The expansion runs over the variables i with
     min(a.d[i], b.xi[i]) > 0 only; when there are none the factors commute,
-    and the product is the single term x^(a+b) with coefficient ``_ONE``.
-    Every coefficient is a Fraction, and every coefficient 1 is ``_ONE``.
-    ``add_product`` calls this only for factors that do not commute.
-    Results are cached, so callers must not mutate them.
+    and the product is the single term x^(a+b) with coefficient 1.  Returns
+    a tuple of (Monomial, int) pairs with distinct monomials and positive
+    coefficients; the top term (a * b, 1) is among them.  ``add_product``
+    calls this only for factors that do not commute.
     """
     if len(a) != len(b):
         _check_dim(a, b)  # raises
@@ -369,7 +362,7 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
             factors.append(
                 (i, [math.comb(mu, k) * math.comb(rho, k) * math.factorial(k) for k in range(cap + 1)])
             )
-    terms = {}
+    terms = []
     for k in itertools.product(*(range(len(c)) for _, c in factors)):
         coeff = 1
         vector = list(top)
@@ -378,8 +371,8 @@ def multiply_monomials(a: Monomial, b: Monomial) -> WeylElement:
             # x^(a.xi + b.xi - k) * d^(a.d + b.d - k)
             vector[i] -= ki
             vector[n + i] -= ki
-        terms[_raw(vector)] = _ONE if coeff == 1 else Fraction(coeff)
-    return WeylElement._raw(n, terms)
+        terms.append((_raw(vector), coeff))
+    return tuple(terms)
 
 
 def add_product(acc, coeff, mono, terms):
@@ -406,11 +399,11 @@ def add_product(acc, coeff, mono, terms):
         if len(f_mono) != size:
             _check_dim(mono, f_mono)  # raises
         if mixed and any(map(min, d_block, f_mono)):
-            products = multiply_monomials(mono, f_mono).terms.items()
+            products = multiply_monomials(mono, f_mono)
         else:
-            products = ((_raw(map(operator.add, mono, f_mono)), _ONE),)
+            products = ((_raw(map(operator.add, mono, f_mono)), 1),)
         for m, k in products:
-            ck = c if k is _ONE else c * k.numerator
+            ck = c if k == 1 else c * k
             old = acc.get(m)
             if old is None:
                 acc[m] = ck
@@ -445,7 +438,7 @@ def _power_terms(terms, exponent, n):
         exponent >>= 1
         if exponent:
             terms = _multiply_terms(terms, terms)
-    return {Monomial.unit(n): _ONE} if result is None else result
+    return {Monomial.unit(n): Fraction(1)} if result is None else result
 
 
 def combined_support(elements):

@@ -217,6 +217,48 @@ def test_every_cache_is_cleared_by_the_bench():
     assert cached <= cold, sorted(cached - cold)
 
 
+def _library_modules():
+    """(path, module) for each module file of the package."""
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        name = "weylgb" if path.stem == "__init__" else f"weylgb.{path.stem}"
+        yield path, importlib.import_module(name)
+
+
+def test_every_cache_has_a_bound():
+    # caches have bounded memory: an unbounded lru_cache or functools.cache
+    # would keep every argument and result for the life of the process
+    caches = {}
+    for _, mod in _library_modules():
+        values = list(vars(mod).values())
+        values += [v for c in values if isinstance(c, type) for v in vars(c).values()]
+        for value in values:
+            if callable(getattr(value, "cache_info", None)) and value.__module__ == mod.__name__:
+                caches[f"{mod.__name__}.{value.__qualname__}"] = value.cache_info().maxsize
+    assert "weylgb.weyl.multiply_monomials" in caches, "the search is broken"
+    assert all(size is not None for size in caches.values()), caches
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # perfbench's trace run wraps its patch points where a module imports
+    # them, so those imports stay even when the module never calls them
+    patched = set(_perfbench_constant("spans.py", "PATCH_POINTS"))
+    unused = []
+    for path, mod in _library_modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(getattr(mod, "__all__", ()))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and (path.stem, name) not in patched:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused
+
+
 def _readme_section(heading):
     """The README text under ``## heading``, up to the next ``## `` heading."""
     text = (ROOT / "README.md").read_text()

@@ -186,6 +186,52 @@ def test_every_command_prints_exact_bytes(capsys, argv, text, json_text):
     assert run(capsys, [*argv, "--json"]) == (0, json_text, "")
 
 
+def _with_flag(argv, flag, value):
+    return [argv[0], flag, value, *argv[1:]]
+
+
+# README: div, gb and cmp read --order, ugb and cert read --max-support, and
+# the other commands validate these flags and ignore them
+_RUNS = {
+    "mul": ["mul", "--n", "2", "d1", "x1^2*d2", "x2"],
+    "nf": ["nf", "--n", "2", "d2*x2*d1*x1"],
+    "div": ["div", "--n", "1", "x1*d1^2+x1", "d1"],
+    "gb": ["gb", "--n", "2", "x1*d2", "x2*d1"],
+    "ugb": ["ugb", "--n", "1", "x1+d1"],
+    "cert": ["cert", "--n", "1", "x1 + d1 + 1"],
+    "cmp": ["cmp", "--n", "1", "d1", "x1"],
+}
+
+
+@pytest.mark.parametrize("command", ["mul", "nf", "ugb", "cert"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_order_is_validated_and_ignored_where_unread(capsys, command, json_flag):
+    argv = _RUNS[command] + json_flag
+    plain = run(capsys, argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(capsys, _with_flag(argv, "--order", "lex")) == plain
+    assert run(capsys, _with_flag(argv, "--order", "bogus")) == (
+        1,
+        "",
+        "error: unknown ordering spec 'bogus'; use lex, grlex or matrix:[[...]]\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["mul", "nf", "div", "gb", "cmp"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_max_support_is_validated_and_ignored_where_unread(capsys, command, json_flag):
+    argv = _RUNS[command] + json_flag
+    plain = run(capsys, argv)
+    assert plain[0] == 0 and plain[1]
+    # 0 refuses every support on ugb and cert
+    assert run(capsys, _with_flag(argv, "--max-support", "0")) == plain
+    assert run(capsys, _with_flag(argv, "--max-support", "-1")) == (
+        1,
+        "",
+        "error: --max-support must be >= 0\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

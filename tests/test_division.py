@@ -20,7 +20,6 @@ from weylgb import (
 )
 from weylgb.division import DivisionInvariantError, LeadingTerm, check_division_contract, monic
 from weylgb.groebner import s_pair
-from weylgb.weyl import multiply_monomials
 from conftest import fresh, random_coefficient, random_element, random_monomial, random_ordering
 from oracles import divide_naive, poly_leading, to_commutative
 
@@ -277,7 +276,8 @@ def test_returned_coefficients_are_fractions():
     for _ in range(100):
         n = rng.randint(1, 3)
         a, b = random_monomial(rng, n), random_monomial(rng, n)
-        assert all_fractions(multiply_monomials(a, b))
+        w_a, w_b = WeylElement.from_term(n, a), WeylElement.from_term(n, b)
+        assert all_fractions(w_a * w_b)
         # integer-valued coefficients, so an int could slip through
         u = WeylElement(n, {m: c.numerator for m, c in random_element(rng, n).terms.items()})
         v = WeylElement(n, {m: c.numerator for m, c in random_element(rng, n).terms.items()})
@@ -356,7 +356,7 @@ class _TableOrdering:
         return self.rank[mono]
 
 
-_ONE, _D, _X = Monomial((0,), (0,)), Monomial((0,), (1,)), Monomial((1,), (0,))
+_UNIT, _D, _X = Monomial((0,), (0,)), Monomial((0,), (1,)), Monomial((1,), (0,))
 _XX, _XD, _XDD = Monomial((2,), (0,)), Monomial((1,), (1,)), Monomial((1,), (2,))
 
 
@@ -364,10 +364,10 @@ _XX, _XD, _XDD = Monomial((2,), (0,)), Monomial((1,), (1,)), Monomial((1,), (2,)
     "w, divisor, ordering",
     [
         # x^2 - x*(x - d) = x*d rises above x^2
-        (W1.xi(1) ** 2, W1.xi(1) - W1.d(1), _TableOrdering(_ONE, _D, _X, _XX, _XD)),
+        (W1.xi(1) ** 2, W1.xi(1) - W1.d(1), _TableOrdering(_UNIT, _D, _X, _XX, _XD)),
         # d - d*(2*x*d + 1) = -2*d - 2*x*d^2 leaves the leading term d in
         # place; with the x*d term first, d never cancels to zero on the way
-        (W1.d(1), 2 * W1.xi(1) * W1.d(1) + W1.one(), _TableOrdering(_XDD, _XD, _D, _ONE)),
+        (W1.d(1), 2 * W1.xi(1) * W1.d(1) + W1.one(), _TableOrdering(_XDD, _XD, _D, _UNIT)),
     ],
 )
 def test_non_normal_ordering_fails_like_naive_division(w, divisor, ordering):
