@@ -1,8 +1,8 @@
 """Batch command line: parse expressions, run the engine, print results.
 
 Exit codes: 0 success, 1 usage or input error, 2 computation refused
-(support cap or saturation round limit), 3 internal error or invariant
-violation.
+(support cap, saturation round limit or out of memory), 3 internal error or
+invariant violation.
 """
 
 from __future__ import annotations
@@ -301,6 +301,9 @@ def main(argv=None):
         return EXIT_USAGE
     except (SupportCapExceeded, SaturationLimitExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
         return EXIT_REFUSED
     except BrokenPipeError:
         # The result was computed; the reader stopped reading.  Point stdout

@@ -51,11 +51,12 @@ Elements keep nothing from a call: a leading term or an int form is
 computed in the call that needs it, and an algorithm that uses one many
 times prepares it once and keeps it itself.  ``_entry`` is the one builder
 of a prepared divisor entry, from an int form (``_int_form``) and the
-leading monomial it is taken under.  ``divide`` and ``is_groebner`` build
-one entry per divisor per call, and the completion one per element when it
-joins the basis.  Certification keeps each element's int form for the
-whole call and builds a marking's entries from them, each element led by
-its marked monomial.  The verdicts of ``is_groebner`` and certification run
+leading monomial it is taken under.  ``divide`` builds one entry per
+divisor per call, the completion one per element when it joins the basis,
+and ``groebner._groebner_verdict`` one per element per verdict, from the
+int forms and leading monomials it is given: ``is_groebner`` computes both
+per call, and certification keeps the int forms for the whole call and
+passes each marking as the leading monomials.  The verdict runs
 ``_reduce`` on int S-pairs for the remainder alone.
 """
 

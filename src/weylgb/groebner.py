@@ -61,17 +61,17 @@ nonzero u, v and m = lcm of the leading monomials,
     s_pair(u, v) = (m / ls(u)) * u  -  (m / ls(v)) * v
 
 with each single-term cofactor multiplied on the left, so the two top terms
-cancel exactly.  It prepares each element once per call as a divisor entry
-(leading monomial, L, int form F, None, index) and works on those alone:
+cancel exactly.  Its verdict (``_groebner_verdict``) builds each element's
+divisor entry (leading monomial, L, int form F, ...) and works on those:
 an S-pair is built in ints, as L_u * L_v times the one above, and reduced
 by ``division._reduce`` for its int remainder only, a nonzero multiple of
 the true remainder or empty, with no quotient and no Fraction.  It reduces
 the pairs by increasing lcm and stops at the first nonzero remainder.
 Certification (``universal.certify_universal``) runs the same verdict on
-entries it builds with ``_entry`` per marking.  Pairs are dropped by the
-chain criterion, in the Gebauer-Moeller update (Gebauer and Moeller, "On
-an installation of Buchberger's algorithm", JSC 6, 1988) run as the
-elements are taken in turn:
+the int forms it keeps for the whole call and each marking.  Pairs are
+dropped by the chain criterion, in the Gebauer-Moeller update (Gebauer and
+Moeller, "On an installation of Buchberger's algorithm", JSC 6, 1988) run
+as the elements are taken in turn:
 
 - B_k: a pending pair whose lcm the new leading monomial divides, unless
   the lcm of either of its elements with the new one equals that lcm;
@@ -317,22 +317,21 @@ def is_groebner(elements, ordering):
     nonzero remainder.  Each nonzero element is prepared once per call.
     """
     basis = [e for e in _check_elements(elements) if e]
-    entries = [
-        _entry(_int_form(e)[2], leading_term(e, ordering).monomial, None, k)
-        for k, e in enumerate(basis)
-    ]
-    return _groebner_verdict(entries, ordering.sort_key)
+    return _groebner_verdict(
+        [_int_form(e)[2] for e in basis],
+        [leading_term(e, ordering).monomial for e in basis],
+        ordering.sort_key,
+    )
 
 
-def _groebner_verdict(entries, sort_key):
-    """The verdict of ``is_groebner`` on prepared divisor entries
-    (lead, L, F, None, index), one per nonzero element in list order, under
-    the ordering whose ``sort_key`` is given.
-
-    Each S-pair is reduced in ints by ``division._reduce``, remainder only:
-    its int remainder is a nonzero multiple of the true one, or empty.
+def _groebner_verdict(forms, leads, sort_key):
+    """The verdict of ``is_groebner`` on nonzero elements given by their int
+    forms and leading monomials, in list order, under the ordering whose
+    ``sort_key`` is given.  Each enters as its ``division._entry``, and each
+    S-pair is reduced in ints by ``division._reduce``, remainder only: its
+    int remainder is a nonzero multiple of the true one, or empty.
     """
-    leads = [entry[0] for entry in entries]
+    entries = [_entry(f, lead) for f, lead in zip(forms, leads)]
     pending = {}  # (i, t) -> lcm of the pair still to be reduced, as a tuple
     for t, lt_t in enumerate(leads):
         # B_k: lt_t divides the lcm of (i, j), and neither (i, t) nor (j, t)

@@ -45,10 +45,11 @@ from itertools import repeat
 
 # divide and is_groebner are unused here, but perfbench's trace run wraps
 # universal.divide and universal.is_groebner
-from .division import _entry, _int_form, divide, leading_term, monic
+from .division import _int_form, divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities, solve_orthant
 from .groebner import _groebner_verdict, buchberger, is_groebner, reduce_basis
 from .orderings import Ordering, _integer_row
+from .parsing import format_element, format_monomial
 from .weyl import Monomial, _check_dim, _check_elements, _check_int, combined_support
 
 COVERAGE_FAMILY = "nonnegative weight row + lex tie-break"
@@ -258,25 +259,25 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     fraction = _Fractions().__getitem__
     out = []
 
-    def extend(prefix, chain, free, mask, witness):
-        # prefix: indices placed so far; chain: their adjacent-pair rows;
-        # free: indices still to be placed, ascending, and mask their bits;
-        # witness: (num, dots, den), the lexicographic minimum num / den of
-        # this node's system and its _witness_keys dots
+    def extend(prefix, free, mask, witness):
+        # prefix: indices placed so far; free: indices still to be placed,
+        # ascending, and mask their bits; witness: (num, dots, den), the
+        # lexicographic minimum num / den of this node's system and its
+        # _witness_keys dots
         _, dots, den = witness
         for i in free:
             # every ordering of the family puts a monomial above its divisors
             if divisors[i] & mask:
                 continue
             rest = [j for j in free if j != i]
-            link = chain + [below[prefix[-1]][i]] if prefix else chain
-            rows = [below[i][j] for j in rest]
             prefix.append(i)
             # the parent's witness is the child's when it meets the new rows
-            if all(dots[j] - dots[i] >= row[1] * den for j, row in zip(rest, rows)):
+            if all(dots[j] - dots[i] >= below[i][j][1] * den for j in rest):
                 child = witness
             else:
-                solved = solve_orthant(link + rows, num_vars)
+                # the chain's adjacent-pair rows, then i below each j in rest
+                rows = [below[a][b] for a, b in zip(prefix, prefix[1:])]
+                solved = solve_orthant(rows + [below[i][j] for j in rest], num_vars)
                 if solved is None:
                     prefix.pop()
                     continue
@@ -285,7 +286,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
                 if len(rest) > 1:
                     _check_witness(child_num, child[1], support, prefix, rest)
             if len(rest) > 1:
-                if extend(prefix, link, rest, mask ^ (1 << i), child):
+                if extend(prefix, rest, mask ^ (1 << i), child):
                     return True
             else:
                 order = prefix + rest
@@ -302,7 +303,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
 
     # the zero row is the lexicographic minimum of the orthant alone
     root = ([0] * num_vars, [0] * len(support), 1)
-    extend([], [], list(range(len(support))), (1 << len(support)) - 1, root)
+    extend([], list(range(len(support))), (1 << len(support)) - 1, root)
     return out
 
 
@@ -361,10 +362,10 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     failing one, so the cones after a counterexample are never realized.
 
     Each element's content-free int form is built once per call.  A new
-    marking's verdict is the S-pair test of ``is_groebner`` run on the
-    divisor entries ``division._entry`` builds from those forms, each
-    element led by its marked monomial, so no leading term or int form is
-    computed per verdict.
+    marking's verdict is the S-pair test of ``is_groebner``
+    (``groebner._groebner_verdict``) run on those forms with the marking as
+    their leading monomials, so no leading term or int form is computed per
+    verdict.
 
     ``_known`` holds pairs (G, lead): G a reduced Groebner basis of the ideal
     I under some ordering s, contained (up to scalars) in ``elements``, and
@@ -398,10 +399,7 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
             ok = verdicts[marking] = any(
                 tuple(max(g.terms, key=rank) for g in basis) == lead
                 for basis, lead in _known
-            ) or _groebner_verdict(
-                [_entry(f, lead, None, k) for k, (f, lead) in enumerate(zip(forms, marking))],
-                witness.ordering().sort_key,
-            )
+            ) or _groebner_verdict(forms, marking, witness.ordering().sort_key)
         return not ok
 
     found = enumerate_restrictions(support, max_support, _until=fails)
@@ -509,8 +507,6 @@ def _certificate_lines(data):
 
 def certificate_json(cert):
     """JSON-ready dict of the certificate; certificate_text lays it out as text."""
-    from .parsing import format_element, format_monomial
-
     return {
         "dimension": cert.basis[0].n,
         "family": COVERAGE_FAMILY,

@@ -225,8 +225,7 @@ class WeylElement(_Immutable):
 
     @classmethod
     def zero(cls, n):
-        _check_dimension(n)
-        return cls._raw(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n):
@@ -235,10 +234,7 @@ class WeylElement(_Immutable):
 
     @classmethod
     def from_term(cls, n, mono, coeff=1):
-        _check_dimension(n)
-        _check_key(mono, n)
-        coeff = Fraction(coeff)
-        return cls._raw(n, {mono: coeff} if coeff else {})
+        return cls(n, {mono: coeff})
 
     def support(self):
         return frozenset(self.terms)
@@ -347,10 +343,9 @@ def multiply_monomials(a: Monomial, b: Monomial) -> tuple:
     and the product is the single term x^(a+b) with coefficient 1.  Returns
     a tuple of (Monomial, int) pairs with distinct monomials and positive
     coefficients; the top term (a * b, 1) is among them.  ``add_product``
-    calls this only for factors that do not commute.
+    calls this only for factors that do not commute.  Widths are not
+    checked here: a and b come from inputs their entry point has checked.
     """
-    if len(a) != len(b):
-        _check_dim(a, b)  # raises
     n = len(a) // 2
     top = tuple(map(operator.add, a, b))
     # (i, [coefficient of k_i = 0, 1, ..., cap]) for each variable whose
@@ -385,19 +380,17 @@ def add_product(acc, coeff, mono, terms):
     and enters as the exponent sum with coefficient ``coeff`` times its own;
     only the other terms go through ``multiply_monomials``.  Entries that
     cancel are deleted.  Returns the monomials that entered ``acc``, in order;
-    one that cancels and enters again is listed twice.
+    one that cancels and enters again is listed twice.  ``mono`` and f are
+    of one width, as the caller's entry point has checked.
     """
     entered = []
-    size = len(mono)
     # f_mono commutes with mono unless some variable has a nonzero exponent
     # in both the d block of mono and the x block of f_mono; map(min, ...)
     # stops at the end of d_block, so it reads only that x block
-    d_block = mono[size // 2 :]
+    d_block = mono[len(mono) // 2 :]
     mixed = any(d_block)
     for f_mono, f_coeff in terms.items():
         c = coeff * f_coeff
-        if len(f_mono) != size:
-            _check_dim(mono, f_mono)  # raises
         if mixed and any(map(min, d_block, f_mono)):
             products = multiply_monomials(mono, f_mono)
         else:

@@ -333,10 +333,10 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
 
     real_verdict = universal._groebner_verdict
 
-    def counting(entries, sort_key):
+    def counting(forms, leads, sort_key):
         ordering = sort_key.__self__  # the witness ordering's bound sort_key
         calls.append(ordering)
-        verdict = real_verdict(entries, sort_key)
+        verdict = real_verdict(forms, leads, sort_key)
         assert verdict == is_groebner(candidate, ordering)
         return verdict
 

@@ -61,6 +61,28 @@ def test_only_weyl_names_its_slot_writers():
         assert not writers, f"{path.name} names slot writers at {writers}"
 
 
+def test_only_division_and_groebner_handle_divisor_entries():
+    # division._entry builds a prepared divisor entry, and the entry's tuple
+    # layout is known to division and groebner alone; others hand
+    # groebner._groebner_verdict int forms and leading monomials
+    found = []
+    for path in sorted(Path(weylgb.__file__).parent.glob("*.py")):
+        if path.name in ("division.py", "groebner.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names if name == "_entry"]
+    assert not found, f"modules name division._entry at {found}"
+
+
 def test_only_weyl_states_the_dimension_rule():
     # weyl._check_dimension and WeylElement._check_compatible are the one
     # place that decides on a dimension; cli.py maps --n < 1 to exit status 1

@@ -340,7 +340,10 @@ def test_refusal_counts_one_monomial_in_the_singular(capsys):
     )
     status, _, err = run(capsys, ["cert", "--n", "1", "--max-support", "1", "x1 + d1"])
     assert status == 2
-    assert err.startswith("refused: support has 2 monomials, above the enumeration cap 1;")
+    assert err == (
+        "refused: support has 2 monomials, above the enumeration cap 1; raise "
+        "max_support to force the computation (certification support)\n"
+    )
 
 
 def test_saturation_limit_is_refusal(capsys, monkeypatch):
@@ -398,6 +401,19 @@ def test_engine_value_error_is_internal_error(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error; diagnostics follow\n")
     assert "ValueError: engine bug" in err
+
+
+def test_out_of_memory_is_refusal(capsys, monkeypatch):
+    # an allocation that fails for real may first take gigabytes of the
+    # host's memory, so the handler raises MemoryError itself
+    def exhausted(*args):
+        raise MemoryError
+
+    desc, _, least, most, needs = cli._COMMANDS["nf"]
+    monkeypatch.setitem(cli._COMMANDS, "nf", (desc, exhausted, least, most, needs))
+    for json_flag in ([], ["--json"]):
+        status, out, err = run(capsys, ["nf", "--n", "1", *json_flag, "x1"])
+        assert (status, out, err) == (2, "", "refused: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -428,7 +428,7 @@ def _infeasible_rows():
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction"])
-def test_deferred_certificate_is_a_value(kind):
+def test_certificate_is_a_value(kind):
     def solve():
         rows = _infeasible_rows()
         if kind == "fraction":
@@ -456,7 +456,7 @@ def test_deferred_certificate_is_a_value(kind):
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction"])
-def test_deferred_certificate_is_a_snapshot(kind):
+def test_certificate_is_a_snapshot(kind):
     # the certificate must not see later changes to input rows the caller
     # passed as lists
     rows = _infeasible_rows()
@@ -472,7 +472,7 @@ def test_deferred_certificate_is_a_snapshot(kind):
     assert outcome.verify()
 
 
-def test_deferred_certificate_is_a_dataclass():
+def test_certificate_is_a_dataclass():
     rng = random.Random(7)
     rows = _cycle(rng, [0, 3, 1, 2], 4, [F(1), F(0), Fraction(-1, 2), F(1)]) + nonneg_rows(4)
     eager = solve_inequalities_naive(rows, 4)
@@ -504,7 +504,7 @@ def test_certificate_fields_are_set_by_the_solve(kind):
     assert outcome == Infeasible(outcome.rows, outcome.multipliers) and outcome.verify()
 
 
-def test_deferred_certificate_first_read_is_safe_across_threads():
+def test_certificate_reads_agree_across_threads():
     # threads reading a fresh certificate at once must all see the one the
     # solver built, and none may find a field missing
     rng = random.Random(20261019)

@@ -383,10 +383,10 @@ def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
     calls = []
     real_verdict = universal._groebner_verdict
 
-    def counting(entries, sort_key):
+    def counting(forms, leads, sort_key):
         ordering = sort_key.__self__  # the witness ordering's bound sort_key
         calls.append(ordering)
-        verdict = real_verdict(entries, sort_key)
+        verdict = real_verdict(forms, leads, sort_key)
         assert verdict == is_groebner(elements, ordering)
         return verdict
 

@@ -596,7 +596,7 @@ def test_add_product_matches_brute_force_and_commuting_factors_skip_the_cache(mo
     assert min(pairs.values()) >= 50, pairs
 
 
-def test_multiply_monomials_coefficients_are_fractions_and_one_is_shared():
+def test_multiply_monomials_returns_distinct_int_terms():
     # the kernel's terms are a tuple of (Monomial, int) pairs with distinct
     # monomials and positive coefficients
     rng = random.Random(20261019)
