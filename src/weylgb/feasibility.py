@@ -6,17 +6,17 @@ positive coefficient and one with negative coefficient on the pivot uses
 positive multipliers only, so every derived row is a nonnegative combination
 of input rows.
 
-Every solve runs the same three steps on GCD-normalized int rows:
+Every solve runs the same two steps on int rows:
 
-* ``_stage``, the input step, normalizes the rows and drops repeats.
-* ``_eliminate`` projects the rows onto ever fewer variables.  With the
-  orthant implicit, the rows w_j >= 0 are in no stage; the elimination
-  stands in for them where they would act: when w_j is eliminated, a row
-  with a negative coefficient on w_j passes on with that coefficient
-  zeroed, its combination with w_j >= 0.  Rows with coefficients >= 0 and
-  rhs <= 0 are dropped, since the orthant implies them.  Each stage
-  describes the same projection as with every row explicit, so the
-  solution is the same, bit for bit.
+* ``_eliminate`` GCD-normalizes the rows and projects them onto ever
+  fewer variables, in one pass that keeps each row, input or derived, at
+  most once.  With the orthant implicit, the rows w_j >= 0 are in no
+  stage; the elimination stands in for them where they would act: when
+  w_j is eliminated, a row with a negative coefficient on w_j passes on
+  with that coefficient zeroed, its combination with w_j >= 0.  Rows with
+  coefficients >= 0 and rhs <= 0 are dropped, since the orthant implies
+  them.  Each stage describes the same projection as with every row
+  explicit, so the solution is the same, bit for bit.
 * ``_back_substitute`` reads the solution off stage by stage as int
   numerators over one denominator, picking the smallest value the lower
   bounds allow (0 bounds w_j in an implicit orthant; with no lower bound,
@@ -39,6 +39,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .weyl import _check_int
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,7 @@ def solve_inequalities(rows, num_vars):
     too.  The solution is a tuple of Fractions; a certificate's rows are the
     input rows as Fractions.
     """
+    _check_int("num_vars", num_vars, 0)
     original = _fraction_rows(rows)
     scales = [math.lcm(*(f.denominator for f in c + (r,))) for c, r in original]
     scaled = [
@@ -120,12 +123,24 @@ def solve_orthant(rows, num_vars):
     return None if bounds is None else _back_substitute(bounds, True)
 
 
-def _stage(rows, orthant, origin):
-    """The input step: the int rows GCD-normalized and deduplicated, in order.
+def _eliminate(rows, num_vars, orthant, origin=None):
+    """Fourier-Motzkin elimination of the int rows, last variable first, in one pass.
 
-    Returns None at a row 0 >= rhs with rhs > 0.  With ``orthant`` the rows
-    it implies stay out.  With ``origin`` (an empty dict) origin[row] is
-    (i, g) when g * row == rows[i].
+    Every row, input or derived, is GCD-normalized and kept at most once;
+    one set, ``origin`` when given, holds every row seen.  Returns None as
+    soon as a row 0 >= rhs with rhs > 0 appears; a row that ``orthant`` (w
+    >= 0) implies, with coefficients >= 0 and rhs <= 0, is dropped.
+    Otherwise returns bounds: bounds[var] is the pair (lower, upper) of
+    lists of the rows with a positive and a negative coefficient on var in
+    the stage left after eliminating the variables above var; with w >= 0
+    if ``orthant``, that stage describes the projection onto variables 0 ..
+    var.  Each pair of a lower and an upper row passes on its combination;
+    under ``orthant``, each upper row then also passes on itself with its
+    coefficient on var zeroed, its combination with the row w_var >= 0 that
+    no stage holds.  ``origin`` (never with ``orthant``, an empty dict)
+    records each row's first derivation, after its sources, so a
+    contradiction is last: (i, g) at an input row with g * row == rows[i],
+    and (p, q, b, a, g) at a derived row with g * row == b * p + a * q.
     """
     gcd = math.gcd
     seen = set() if origin is None else origin
@@ -150,25 +165,6 @@ def _stage(rows, orthant, origin):
         elif orthant and min(coeffs, default=0) >= 0:
             continue
         stage.append(row)
-    return stage
-
-
-def _eliminate(rows, num_vars, orthant, origin=None):
-    """Fourier-Motzkin elimination of the rows ``_stage`` keeps, last variable first.
-
-    Returns None as soon as a row 0 >= rhs with rhs > 0 appears.  Otherwise
-    returns bounds: bounds[var] is the pair (lower, upper) of lists of the
-    rows with a positive and a negative coefficient on var in the stage left
-    after eliminating the variables above var; with w >= 0 if ``orthant``,
-    that stage describes the projection onto variables 0 .. var.  ``origin``
-    (never with ``orthant``), filled as ``_stage`` fills it, also holds
-    (p, q, b, a, g) at each derived row with g * row == b * p + a * q: its
-    first derivation, inserted after its sources, so a contradiction is last.
-    """
-    stage = _stage(rows, orthant, origin)
-    if stage is None:
-        return None
-    gcd = math.gcd
     bounds = [None] * num_vars
     for var in range(num_vars - 1, -1, -1):
         pos, neg, nxt = [], [], []
@@ -182,13 +178,6 @@ def _eliminate(rows, num_vars, orthant, origin=None):
                 nxt.append(r)
         bounds[var] = (pos, neg)
         stage = nxt
-        if orthant and neg:
-            # the row w_var >= 0 left out of the stages; combined with a row
-            # of neg it zeroes that row's coefficient on var
-            pos = pos + [((0,) * var + (1,) + (0,) * (num_vars - 1 - var), 0)]
-        if not (pos and neg):
-            continue
-        seen = set(stage)
         for p in pos:
             pc, pr = p
             a = pc[var]
@@ -206,13 +195,34 @@ def _eliminate(rows, num_vars, orthant, origin=None):
                 row = (coeffs, rhs)
                 if row in seen:
                     continue
-                if origin is not None:
-                    origin.setdefault(row, (p, q, b, a, g))
-                seen.add(row)
+                if origin is None:
+                    seen.add(row)
+                else:
+                    origin[row] = (p, q, b, a, g)
                 if rhs > 0:
                     if not any(coeffs):
                         return None
                 elif orthant and min(coeffs) >= 0:
+                    continue
+                stage.append(row)
+        if orthant and neg:
+            # each upper row combined with w_var >= 0: the row with its
+            # coefficient on var zeroed, as those above var already are
+            zeros = (0,) * (num_vars - var)
+            for qc, rhs in neg:
+                coeffs = qc[:var] + zeros
+                g = gcd(*coeffs, rhs)
+                if g > 1:
+                    coeffs = tuple([c // g for c in coeffs])
+                    rhs //= g
+                row = (coeffs, rhs)
+                if row in seen:
+                    continue
+                seen.add(row)
+                if rhs > 0:
+                    if not any(coeffs):
+                        return None
+                elif min(coeffs) >= 0:
                     continue
                 stage.append(row)
     return bounds

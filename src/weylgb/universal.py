@@ -243,8 +243,11 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     cone's ``WeightWitness`` holds Fractions, one per weight value and
     denominator for the whole search.
 
-    ``_until`` is called on each cone as it is found; the search stops, and
-    the list ends, at the first cone for which it returns true.
+    ``_until`` is called on each cone as it is found, as ``_until(restriction,
+    witness, order, row)``: ``order`` lists the cone's support indices
+    smallest first and ``row`` is the witness's int weight row, a positive
+    multiple of its weights.  The search stops, and the list ends, at the
+    first cone for which it returns true.
     """
     _check_int("max_support", max_support, 0)
     support = _sorted_support(support)
@@ -296,7 +299,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
                 monos = tuple(map(support.__getitem__, order))
                 cone = (Restriction(monos), WeightWitness(weights))
                 out.append(cone)
-                if _until is not None and _until(*cone):
+                if _until is not None and _until(*cone, order, row):
                     return True
             prefix.pop()
         return False
@@ -361,11 +364,14 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     decided as the search finds it, and the search stops at the first
     failing one, so the cones after a counterexample are never realized.
 
-    Each element's content-free int form is built once per call.  A new
-    marking's verdict is the S-pair test of ``is_groebner``
+    Each element's content-free int form, and its terms as indices into
+    the support, are built once per call, and so are the known bases' (see
+    below).  A cone's marking is read off the search's index order, and a
+    new marking's verdict is the S-pair test of ``is_groebner``
     (``groebner._groebner_verdict``) run on those forms with the marking as
-    their leading monomials, so no leading term or int form is computed per
-    verdict.
+    their leading monomials, under the ordering of the search's int weight
+    row, a positive multiple of the witness's weights; so no leading term,
+    int form or Fraction row is computed per verdict.
 
     ``_known`` holds pairs (G, lead): G a reduced Groebner basis of the ideal
     I under some ordering s, contained (up to scalars) in ``elements``, and
@@ -388,25 +394,34 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
 
     verdicts = {}  # marking -> verdict; a marking recurs across many cones
     forms = [_int_form(e)[2] for e in elements]
+    # elements, known bases and markings as indices into the support
+    index = {m: i for i, m in enumerate(support)}.__getitem__
+    terms = [tuple(map(index, e.terms)) for e in elements]
+    known = [
+        ([tuple(map(index, g.terms)) for g in basis], tuple(map(index, lead)))
+        for basis, lead in _known
+    ]
+    failed = []
 
-    def fails(restriction, witness):
+    def fails(restriction, witness, order, row):
         # the witness ordering reproduces the chain on the support, so each
-        # element's leading monomial is its support monomial ranked highest
-        rank = {m: i for i, m in enumerate(restriction.monomials)}.__getitem__
-        marking = tuple(max(e.terms, key=rank) for e in elements)
+        # element's leading monomial is its term latest in the order
+        rank = order.index
+        marking = tuple([max(ix, key=rank) for ix in terms])
         ok = verdicts.get(marking)
         if ok is None:
             ok = verdicts[marking] = any(
-                tuple(max(g.terms, key=rank) for g in basis) == lead
-                for basis, lead in _known
-            ) or _groebner_verdict(forms, marking, witness.ordering().sort_key)
+                tuple([max(ix, key=rank) for ix in basis]) == lead for basis, lead in known
+            ) or _groebner_verdict(
+                forms, [support[i] for i in marking], Ordering((row,)).sort_key
+            )
+        if not ok:
+            failed.append((restriction, witness))
         return not ok
 
     found = enumerate_restrictions(support, max_support, _until=fails)
-    # the search stops at the first failing cone, so only the last can fail;
-    # asking again reads its verdict back from the memo
-    if fails(*found[-1]):
-        return CounterexampleOrdering(*found[-1])
+    if failed:
+        return CounterexampleOrdering(*failed[0])
     cones = tuple(Cone(restriction, witness, "passed") for restriction, witness in found)
     basis = tuple(sorted(elements, key=_element_key, reverse=True))
     return UniversalCertificate(basis, cones, support)

@@ -329,13 +329,17 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
     real_enumerate = universal.enumerate_restrictions
     calls = []
     candidate = []
+    cone_witness = []
     shortcut = 0
 
     real_verdict = universal._groebner_verdict
 
     def counting(forms, leads, sort_key):
-        ordering = sort_key.__self__  # the witness ordering's bound sort_key
+        ordering = sort_key.__self__  # the cone ordering's bound sort_key
         calls.append(ordering)
+        # built from the search's int row, it orders the support as the
+        # witness does
+        assert agree_on(ordering, cone_witness[0].ordering(), combined_support(candidate))
         verdict = real_verdict(forms, leads, sort_key)
         assert verdict == is_groebner(candidate, ordering)
         return verdict
@@ -348,10 +352,11 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
         nonlocal shortcut
         decided = set()
 
-        def until(restriction, witness):
+        def until(restriction, witness, *search):
             nonlocal shortcut
             before = len(calls)
-            fails = _until(restriction, witness)
+            cone_witness[:] = [witness]
+            fails = _until(restriction, witness, *search)
             ordering = witness.ordering()
             marking = tuple(leading_term(e, ordering).monomial for e in candidate)
             # a marking is decided at its first cone, from then on read back
@@ -370,8 +375,8 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
     # more markings are decided from known bases than by is_groebner
     assert shortcut > len(calls), (shortcut, len(calls))
 
-    # the same saturation, certifying each candidate on its own
-    monkeypatch.setattr(universal, "enumerate_restrictions", real_enumerate)
+    # the same saturation, certifying each candidate on its own; the search
+    # stays wrapped, so each verdict is still checked against its cone
     monkeypatch.setattr(
         universal,
         "certify_universal",

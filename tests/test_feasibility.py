@@ -422,6 +422,136 @@ def test_search_systems_match_public_solver(monkeypatch):
     assert feasible.count(True) > 50 and feasible.count(False) > 50, len(feasible)
 
 
+def test_num_vars_follows_the_int_rule():
+    for value, name in ((True, "bool"), (2.5, "float")):
+        with pytest.raises(TypeError) as info:
+            solve_inequalities([], value)
+        assert str(info.value) == f"num_vars must be an int, got {name}"
+    with pytest.raises(ValueError) as info:
+        solve_inequalities([], -1)
+    assert str(info.value) == "num_vars must be an integer >= 0"
+
+
+# (num_vars, infeasible, values, rows): systems the restriction search poses
+# on the xd3 and ugb_sat1 bases of the cert benchmark, and infeasible draws
+# of the generator of test_orthant_entry_matches_public_solver (run with
+# random.Random(36)), with what the certifying pass returns on them
+# with nonneg_rows appended: the solution, or the Farkas multipliers over
+# the rows.  Certificates are built from these values, so a solver rewrite
+# must leave every one of them as it is.
+PINNED_SYSTEMS = [
+    # xd3, search system 0
+    (6, False, "0 0 0 1/2 1/2 1/2", [
+        ((0, 1, -1, 0, 0, 0), 0), ((1, 0, -1, 0, 0, 0), 0), ((0, 0, -1, 0, 0, 2), 1),
+        ((0, 0, -1, 0, 2, 0), 1), ((0, 0, -1, 2, 0, 0), 1),
+    ]),
+    # xd3, search system 200
+    (6, False, "1 0 2 3/2 1/2 3/2", [
+        ((0, -1, 0, 0, 2, 0), 1), ((1, 0, 0, 0, -2, 0), 0), ((-1, 0, 1, 0, 0, 0), 1),
+        ((0, 0, -1, 0, 0, 2), 1), ((0, 0, -1, 2, 0, 0), 1),
+    ]),
+    # xd3, search system 500
+    (6, False, "1 2 0 1/2 0 1", [
+        ((0, 0, 1, 0, -2, 0), 0), ((0, 0, -1, 2, 0, 0), 1), ((1, 0, 0, -2, 0, 0), 0),
+        ((-1, 1, 0, 0, 0, 0), 1), ((-1, 0, 0, 0, 0, 2), 1),
+    ]),
+    # xd3, search system 718
+    (6, False, "2 3 4 0 1/2 1", [
+        ((0, 0, 0, -2, 2, 0), 1), ((0, 0, 0, 0, -2, 2), 1), ((1, 0, 0, 0, 0, -2), 0),
+        ((-1, 1, 0, 0, 0, 0), 1), ((0, -1, 1, 0, 0, 0), 1),
+    ]),
+    # ugb_sat1, search system 0
+    (4, False, "1 1 0 0", [
+        ((0, 1, 0, 0), 0), ((1, -1, 0, 0), 0), ((-1, 2, 0, 0), 1), ((0, 1, 0, 0), 0),
+        ((1, 0, 0, 0), 0), ((-1, 3, 0, 0), 1), ((2, 0, 0, 0), 0),
+    ]),
+    # ugb_sat1, search system 20
+    (4, False, "1 3 0 0", [
+        ((1, 0, 0, 0), 0), ((1, 0, 0, 0), 0), ((-2, 1, 0, 0), 1), ((0, 1, 0, 0), 0),
+        ((1, 0, 0, 0), 0), ((0, 2, 0, 0), 0), ((3, -1, 0, 0), 0),
+    ]),
+    # ugb_sat1, search system 1
+    (4, True, "0 3 0 0 0 0 1 0 0 0 0", [
+        ((0, 1, 0, 0), 0), ((1, -1, 0, 0), 0), ((-1, 2, 0, 0), 1), ((1, -1, 0, 0), 0),
+        ((1, -1, 0, 0), 0), ((1, 0, 0, 0), 0), ((-3, 3, 0, 0), 1),
+    ]),
+    # ugb_sat1, search system 11
+    (4, True, "0 0 0 1/3 2/3 1 0 0 0 0 0", [
+        ((0, 1, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 1, 0, 0), 0), ((1, -3, 0, 0), 0),
+        ((1, 0, 0, 0), 0), ((-1, 1, 0, 0), 1), ((1, 0, 0, 0), 0),
+    ]),
+    # ugb_sat1, search system 24
+    (4, True, "2 0 0 1 0 1 0 0 0 0 0", [
+        ((1, 0, 0, 0), 0), ((1, 0, 0, 0), 0), ((1, 0, 0, 0), 0), ((-3, 1, 0, 0), 1),
+        ((0, 1, 0, 0), 0), ((1, -1, 0, 0), 0), ((0, 1, 0, 0), 0),
+    ]),
+    # generator draw 490
+    (5, True, "1 0 0 2 1 1 0 0 1 1 2 4", [
+        ((1, 0, -1, 0, -1), 0), ((1, 0, -1, 0, -1), 0), ((1, -1, 0, -2, 0), 0),
+        ((-1, 0, 1, 0, -2), 0), ((0, 0, -2, -2, 0), 0), ((1, -1, 0, 0, 1), 1),
+        ((1, -1, 0, -2, 0), 0),
+    ]),
+    # generator draw 1006
+    (5, True, "2 1/3 2 2 0 2 0 0 6 4 0 0 0 0 0 1", [
+        ((2, 0, -1, 0, -2), 0), ((-6, 0, 6, 0, -3), 3), ((0, 1, 0, -2, -1), 0),
+        ((-1, 0, -1, -2, 0), 0), ((-2, 0, -2, -4, 0), 0), ((0, 0, 0, 1, 0), 0),
+        ((-2, 0, 2, 0, -1), 1), ((2, 1, 0, 0, 2), 0), ((0, 1, -1, 1, 1), 0),
+        ((0, -2, 2, 0, 0), 0), ((0, -1, 1, 0, 0), 0),
+    ]),
+    # generator draw 293
+    (6, True, "1/8 0 0 1 1 0 5/8 0 1/4 0 0 1 1/2 0 0", [
+        ((0, -1, 0, 0, -2, 2), 0), ((0, 0, -2, 2, 2, 2), 0), ((0, 0, 0, -2, -2, 2), 0),
+        ((0, 1, -1, -2, 1, 1), 1), ((1, 0, 0, 2, -1, 0), 0), ((0, -1, 0, 0, -2, 2), 0),
+        ((-2, -1, 0, 0, 0, -2), 0), ((-2, -1, 0, 0, 0, -2), 0), ((1, -1, 0, -2, 1, 0), 0),
+    ]),
+]
+
+
+def test_certifying_pass_is_pinned():
+    assert len(PINNED_SYSTEMS) == 12
+    for num_vars, infeasible, values, rows in PINNED_SYSTEMS:
+        explicit = rows + nonneg_rows(num_vars)
+        values = tuple(Fraction(v) for v in values.split())
+        outcome = solve_inequalities(explicit, num_vars)
+        solved = solve_orthant(rows, num_vars)
+        if infeasible:
+            assert outcome == Infeasible(tuple(map(_as_fractions, explicit)), values), rows
+            assert all(type(m) is Fraction for m in outcome.multipliers)
+            assert solved is None, rows
+        else:
+            assert outcome == values and all(type(x) is Fraction for x in outcome), rows
+            num, den = solved
+            assert tuple(Fraction(x, den) for x in num) == values, rows
+
+
+def test_orthant_minimum_ignores_how_rows_are_given():
+    # the lexicographic minimum over the orthant is unique, so it cannot
+    # depend on the order of the rows, on repeats or on positive multiples;
+    # the systems are those of test_orthant_entry_matches_public_solver
+    rng = random.Random(20261021)
+    entries = [0, 0, 0, -2, -1, 1, 2]
+    feasible = 0
+    for case in range(1500):
+        num_vars = case % 6 + 1
+        rows = [
+            (tuple(rng.choice(entries) for _ in range(num_vars)), rng.choice([0, 0, 1]))
+            for _ in range(rng.randint(0, 8))
+        ]
+        expected = solve_orthant(rows, num_vars)
+        feasible += expected is not None
+        shuffled = rng.sample(rows, len(rows))
+        repeated = rows + rng.choices(rows, k=rng.randint(1, 4)) if rows else []
+        scaled = []
+        for coeffs, rhs in rows:
+            k = rng.randint(1, 5)
+            scaled.append((tuple(k * c for c in coeffs), k * rhs))
+        mixed = scaled + rng.choices(scaled, k=rng.randint(1, 4)) if rows else []
+        rng.shuffle(mixed)
+        for variant in (shuffled, repeated, scaled, mixed):
+            assert solve_orthant(variant, num_vars) == expected, (rows, variant)
+    assert 300 <= feasible <= 1200, feasible
+
+
 def _infeasible_rows():
     """-w2 >= 1 against w2 >= 0, rows and coefficient vectors as lists."""
     return [[[0, -1], 1], [[1, 0], 0], [[0, 1], 0]]

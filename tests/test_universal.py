@@ -19,6 +19,7 @@ from weylgb import (
     SupportCapExceeded,
     UniversalCertificate,
     WeylAlgebra,
+    agree_on,
     certificate_json,
     certificate_text,
     certify_universal,
@@ -381,16 +382,29 @@ def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
     assert len(by_marking) < len(cones)
 
     calls = []
+    cone_witness = []
     real_verdict = universal._groebner_verdict
+    real_enumerate = universal.enumerate_restrictions
 
     def counting(forms, leads, sort_key):
-        ordering = sort_key.__self__  # the witness ordering's bound sort_key
+        ordering = sort_key.__self__  # the cone ordering's bound sort_key
         calls.append(ordering)
+        # built from the search's int row, it orders the support as the
+        # witness does
+        assert agree_on(ordering, cone_witness[0].ordering(), support)
         verdict = real_verdict(forms, leads, sort_key)
         assert verdict == is_groebner(elements, ordering)
         return verdict
 
+    def enumerate_noting(*args, _until):
+        def until(restriction, witness, *search):
+            cone_witness[:] = [witness]
+            return _until(restriction, witness, *search)
+
+        return real_enumerate(*args, _until=until)
+
     monkeypatch.setattr(universal, "_groebner_verdict", counting)
+    monkeypatch.setattr(universal, "enumerate_restrictions", enumerate_noting)
     outcome = certify_universal(elements)
     failures = [i for i, cone in enumerate(cones) if not cone[3]]
     if failures:
@@ -414,16 +428,26 @@ def test_certification_verdicts_match_is_groebner(monkeypatch):
     # give under its witness ordering.
     rng = random.Random(20261019)
     real_enumerate = universal.enumerate_restrictions
+    real_verdict = universal._groebner_verdict
     decided = []
+    cone = []
+
+    def counting(forms, leads, sort_key):
+        # built from the search's int row, the cone ordering orders the
+        # support as the witness does
+        assert agree_on(sort_key.__self__, cone[1].ordering(), cone[0].monomials)
+        return real_verdict(forms, leads, sort_key)
 
     def enumerate_all(support, max_support, *, _until):
         # record certification's verdict on every cone, and never stop early
-        def until(restriction, witness):
-            decided.append((witness, _until(restriction, witness)))
+        def until(restriction, witness, *search):
+            cone[:] = [restriction, witness]
+            decided.append((witness, _until(restriction, witness, *search)))
             return False
 
         return real_enumerate(support, max_support, _until=until)
 
+    monkeypatch.setattr(universal, "_groebner_verdict", counting)
     monkeypatch.setattr(universal, "enumerate_restrictions", enumerate_all)
     verdicts = []
     sign_changes = 0
