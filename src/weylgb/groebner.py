@@ -50,10 +50,10 @@ the cover criterion, checked against the whole basis when the J-pair is
 taken, would have skipped the J-pair.  An input joins as it is when no
 regular divisor divides its leading monomial, since tail reduction is
 optional.  A constant ends completion at once with the basis (1,).
-Koszul syzygies and the product criterion are not used: both rest on
-commuting leading terms, and x1 and d1 have coprime leading monomials but
-the S-pair 1.  The raw basis differs from the one a loop reducing every
-S-pair builds; the reduced basis cannot, being unique for the ordering.
+Koszul syzygies are not used here: they rest on commuting elements, and
+x1 and d1 have coprime leading monomials but the S-pair 1.  The raw basis
+differs from the one a loop reducing every S-pair builds; the reduced
+basis cannot, being unique for the ordering.
 
 ``is_groebner`` tests a given set, without signatures, by left S-pairs: for
 nonzero u, v and m = lcm of the leading monomials,
@@ -78,9 +78,18 @@ as the elements are taken in turn:
 - M/F: a new pair whose lcm another new pair's lcm properly divides, and
   all but the newest of the new pairs that share one lcm.
 
-The chain criterion holds in G-algebras, the Weyl algebra among them
-(Levandovskyy, PhD thesis, Kaiserslautern 2005).  A set is a Groebner basis
-exactly when every S-pair the criterion leaves reduces to zero.
+Of the pairs this leaves, the product criterion (Buchberger, EUROSAM 1979)
+drops each whose leading monomials are coprime and whose elements commute
+term by term: no k has x_k in the terms of one and d_k in the terms of the
+other.  Then f * g = g * f, and the S-pair of the monic f and g is
+-tail(g) * f + tail(f) * g, every summand below the lcm, a representation
+that reduces to zero.  Commutation is tested only for coprime pairs, from
+the bitmasks of the variables each int form uses (``_Variables``), built on
+first need and kept by the caller; x1 and d1 are coprime but do not
+commute, and their S-pair is reduced.  Both criteria hold in G-algebras,
+the Weyl algebra among them, for such pairs (Levandovskyy, PhD thesis,
+Kaiserslautern 2005).  A set is a Groebner basis exactly when every S-pair
+the criteria leave reduces to zero.
 """
 
 from __future__ import annotations
@@ -311,25 +320,57 @@ def reduce_basis(basis):
 
 
 def is_groebner(elements, ordering):
-    """True iff every S-pair the chain criterion leaves reduces to zero.
+    """True iff every S-pair the chain and product criteria leave reduces to
+    zero.
 
     The pairs are reduced by increasing lcm, and the test stops at the first
     nonzero remainder.  Each nonzero element is prepared once per call.
     """
     basis = [e for e in _check_elements(elements) if e]
+    forms = [_int_form(e)[2] for e in basis]
     return _groebner_verdict(
-        [_int_form(e)[2] for e in basis],
+        forms,
         [leading_term(e, ordering).monomial for e in basis],
         ordering.sort_key,
+        _Variables(forms),
     )
 
 
-def _groebner_verdict(forms, leads, sort_key):
+class _Variables(dict):
+    """For each index into a list of int forms, built on first lookup: the
+    bitmasks (x block, d block) of the variables its terms use."""
+
+    def __init__(self, forms):
+        super().__init__()
+        self.forms = forms
+
+    def __missing__(self, i):
+        used = 0
+        for mono in self.forms[i]:
+            for k, e in enumerate(mono):
+                if e:
+                    used |= 1 << k
+        n = len(mono) // 2
+        value = self[i] = (used & ((1 << n) - 1), used >> n)
+        return value
+
+
+def _commute(u, v):
+    """Whether two elements, given by their ``_Variables`` bitmasks, commute
+    term by term: no x_k in one is met by a d_k in the other."""
+    return not (u[0] & v[1] or v[0] & u[1])
+
+
+def _groebner_verdict(forms, leads, sort_key, variables):
     """The verdict of ``is_groebner`` on nonzero elements given by their int
     forms and leading monomials, in list order, under the ordering whose
     ``sort_key`` is given.  Each enters as its ``division._entry``, and each
     S-pair is reduced in ints by ``division._reduce``, remainder only: its
     int remainder is a nonzero multiple of the true one, or empty.
+
+    ``variables`` is the forms' ``_Variables``; a caller that decides many
+    markings of the same forms passes one for all of them.  It is read only
+    for pairs with coprime leading monomials.
     """
     entries = [_entry(f, lead) for f, lead in zip(forms, leads)]
     pending = {}  # (i, t) -> lcm of the pair still to be reduced, as a tuple
@@ -349,7 +390,13 @@ def _groebner_verdict(forms, leads, sort_key):
         for lcm, i in newest.items():
             if not any(other != lcm and all(map(le, other, lcm)) for other in newest):
                 pending[i, t] = lcm
-    pairs = sorted((sort_key(lcm), t, i) for (i, t), lcm in pending.items())
+    # product criterion: drop a pair whose leading monomials are coprime and
+    # whose elements commute term by term
+    pairs = sorted(
+        (sort_key(lcm), t, i)
+        for (i, t), lcm in pending.items()
+        if any(map(min, leads[i], leads[t])) or not _commute(variables[i], variables[t])
+    )
     return not any(
         _reduce(_s_pair_ints(entries[i], entries[t]), 1, entries, sort_key, None, None, None)[0]
         for _, t, i in pairs

@@ -26,6 +26,8 @@ class Ordering(_Immutable):
     makes it a row of ints.  A positive factor per row leaves every row's
     comparison, and so the lexicographic comparison of whole keys, unchanged,
     while the keys become tuples of ints instead of tuples of Fractions.
+    ``_from_int_row`` builds a one-row ordering from a row of ints, which
+    are both its rows and its scaled copy.
     """
 
     __slots__ = ("rows", "_int_rows")
@@ -42,6 +44,17 @@ class Ordering(_Immutable):
                 raise ValueError("weight rows must be componentwise nonnegative")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_int_rows", tuple(_integer_row(row) for row in rows))
+
+    @classmethod
+    def _from_int_row(cls, row):
+        """``Ordering((row,))`` for a row of ints that the caller has found
+        nonnegative and of even width, without the round trip through
+        Fractions: the ints compare, hash and print as their Fractions do."""
+        row = tuple(row)
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", (row,))
+        object.__setattr__(self, "_int_rows", (row,))
+        return self
 
     def __reduce__(self):
         return (Ordering, (self.rows,))

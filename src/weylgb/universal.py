@@ -47,7 +47,7 @@ from itertools import repeat
 # universal.divide and universal.is_groebner
 from .division import _int_form, divide, leading_term, monic
 from .feasibility import Infeasible, nonneg_rows, solve_inequalities, solve_orthant
-from .groebner import _groebner_verdict, buchberger, is_groebner, reduce_basis
+from .groebner import _Variables, _groebner_verdict, buchberger, is_groebner, reduce_basis
 from .orderings import Ordering, _integer_row
 from .parsing import format_element, format_monomial
 from .weyl import Monomial, _check_dim, _check_elements, _check_int, combined_support
@@ -222,9 +222,15 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     below j, slacks included.  So when the parent's witness meets the
     child's new rows it is the child's lexicographic minimum too, and the
     child reuses it without a solve, at every depth, cones included;
-    otherwise the child solves.  The root starts from the zero row, the
-    minimum of the orthant alone.  Every witness in the search is
-    therefore exactly the one a solve of its own system returns.  Over a
+    otherwise the child solves.  Only the free index whose (dots, monomial)
+    key is the lowest can inherit: any other child i fails the test at
+    that index j, whose dot is below i's, or equal with i above j in tuple
+    order and so slack 1.  The test runs for that child alone, and each
+    node carries its chain's adjacent-pair rows down to its children, so
+    every solve poses the same system as before.  The root starts from the
+    zero row, the minimum of the orthant alone.  Every witness in the
+    search is therefore exactly the one a solve of its own system returns.
+    Over a
     support of k >= 2 monomials this makes at most (k - 1) feasible solves
     per cone and at most k * (k - 1) solves per cone in all.
 
@@ -262,25 +268,27 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
     fraction = _Fractions().__getitem__
     out = []
 
-    def extend(prefix, free, mask, witness):
-        # prefix: indices placed so far; free: indices still to be placed,
-        # ascending, and mask their bits; witness: (num, dots, den), the
-        # lexicographic minimum num / den of this node's system and its
-        # _witness_keys dots
+    def extend(prefix, chain, free, mask, witness):
+        # prefix: indices placed so far, and chain the rows of its adjacent
+        # pairs; free: indices still to be placed, ascending, and mask their
+        # bits; witness: (num, dots, den), the lexicographic minimum num / den
+        # of this node's system and its _witness_keys dots
         _, dots, den = witness
+        # the one child that can inherit the witness: its key is the lowest
+        low = min(free, key=lambda j: (dots[j], support[j]))
         for i in free:
             # every ordering of the family puts a monomial above its divisors
             if divisors[i] & mask:
                 continue
             rest = [j for j in free if j != i]
+            links = chain + [below[prefix[-1]][i]] if prefix else chain
             prefix.append(i)
             # the parent's witness is the child's when it meets the new rows
-            if all(dots[j] - dots[i] >= below[i][j][1] * den for j in rest):
+            if i == low and all(dots[j] - dots[i] >= below[i][j][1] * den for j in rest):
                 child = witness
             else:
                 # the chain's adjacent-pair rows, then i below each j in rest
-                rows = [below[a][b] for a, b in zip(prefix, prefix[1:])]
-                solved = solve_orthant(rows + [below[i][j] for j in rest], num_vars)
+                solved = solve_orthant(links + [below[i][j] for j in rest], num_vars)
                 if solved is None:
                     prefix.pop()
                     continue
@@ -289,7 +297,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
                 if len(rest) > 1:
                     _check_witness(child_num, child[1], support, prefix, rest)
             if len(rest) > 1:
-                if extend(prefix, rest, mask ^ (1 << i), child):
+                if extend(prefix, links, rest, mask ^ (1 << i), child):
                     return True
             else:
                 order = prefix + rest
@@ -306,7 +314,7 @@ def enumerate_restrictions(support, max_support=DEFAULT_SUPPORT_CAP, *, _until=N
 
     # the zero row is the lexicographic minimum of the orthant alone
     root = ([0] * num_vars, [0] * len(support), 1)
-    extend([], list(range(len(support))), (1 << len(support)) - 1, root)
+    extend([], [], list(range(len(support))), (1 << len(support)) - 1, root)
     return out
 
 
@@ -370,8 +378,11 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     new marking's verdict is the S-pair test of ``is_groebner``
     (``groebner._groebner_verdict``) run on those forms with the marking as
     their leading monomials, under the ordering of the search's int weight
-    row, a positive multiple of the witness's weights; so no leading term,
-    int form or Fraction row is computed per verdict.
+    row, a positive multiple of the witness's weights, built as an
+    ``Ordering`` straight from that int row (``Ordering._from_int_row``);
+    so no leading term, int form or Fraction row is computed per verdict.
+    The bitmasks of the variables each form uses, which the product
+    criterion reads, are built once per call too.
 
     ``_known`` holds pairs (G, lead): G a reduced Groebner basis of the ideal
     I under some ordering s, contained (up to scalars) in ``elements``, and
@@ -394,6 +405,7 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
 
     verdicts = {}  # marking -> verdict; a marking recurs across many cones
     forms = [_int_form(e)[2] for e in elements]
+    variables = _Variables(forms)
     # elements, known bases and markings as indices into the support
     index = {m: i for i, m in enumerate(support)}.__getitem__
     terms = [tuple(map(index, e.terms)) for e in elements]
@@ -413,7 +425,10 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
             ok = verdicts[marking] = any(
                 tuple([max(ix, key=rank) for ix in basis]) == lead for basis, lead in known
             ) or _groebner_verdict(
-                forms, [support[i] for i in marking], Ordering((row,)).sort_key
+                forms,
+                [support[i] for i in marking],
+                Ordering._from_int_row(row).sort_key,
+                variables,
             )
         if not ok:
             failed.append((restriction, witness))

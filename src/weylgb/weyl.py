@@ -357,6 +357,16 @@ def multiply_monomials(a: Monomial, b: Monomial) -> tuple:
             factors.append(
                 (i, [math.comb(mu, k) * math.comb(rho, k) * math.factorial(k) for k in range(cap + 1)])
             )
+    if len(factors) == 1:
+        # one such variable: the terms top - k * (e_i + e_{n+i}), k = 0..cap
+        [(i, coeffs)] = factors
+        vector = list(top)
+        terms = []
+        for coeff in coeffs:
+            terms.append((_raw(vector), coeff))
+            vector[i] -= 1
+            vector[n + i] -= 1
+        return tuple(terms)
     terms = []
     for k in itertools.product(*(range(len(c)) for _, c in factors)):
         coeff = 1

@@ -334,13 +334,13 @@ def test_known_basis_verdicts_agree_with_is_groebner(monkeypatch):
 
     real_verdict = universal._groebner_verdict
 
-    def counting(forms, leads, sort_key):
+    def counting(forms, leads, sort_key, variables):
         ordering = sort_key.__self__  # the cone ordering's bound sort_key
         calls.append(ordering)
         # built from the search's int row, it orders the support as the
         # witness does
         assert agree_on(ordering, cone_witness[0].ordering(), combined_support(candidate))
-        verdict = real_verdict(forms, leads, sort_key)
+        verdict = real_verdict(forms, leads, sort_key, variables)
         assert verdict == is_groebner(candidate, ordering)
         return verdict
 

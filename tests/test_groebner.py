@@ -570,6 +570,42 @@ def test_is_groebner_matches_naive_test():
     assert verdicts.count(False) >= 100
 
 
+def test_product_criterion_matches_naive_test():
+    # Elements draw their x and d variables from random subsets, so many
+    # pairs commute term by term and the product criterion drops them; x1
+    # with d1 is coprime but does not commute (S-pair 1), so a criterion
+    # that skipped coprime pairs without the commutation test fails here.
+    rng = random.Random(20261021)
+    assert not is_groebner([W1.xi(1), W1.d(1)], LEX)
+    verdicts = []
+    commuting = 0
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        ordering = random_ordering(rng, n)
+        elements = []
+        for _ in range(rng.randint(2, 4)):
+            xs = [i for i in range(n) if rng.random() < 0.5]
+            ds = [i for i in range(n) if rng.random() < 0.5]
+            terms = {}
+            for _ in range(rng.randint(1, 2)):
+                xi = tuple(rng.randint(0, 1) if i in xs else 0 for i in range(n))
+                d = tuple(rng.randint(0, 1) if i in ds else 0 for i in range(n))
+                terms[Monomial(xi, d)] = random_coefficient(rng)
+            elements.append(WeylElement(n, terms))
+        if rng.random() < 0.5:
+            elements = list(reduce_basis(buchberger(elements, ordering)).elements)
+        nonzero = [e for e in elements if e]
+        for k, u in enumerate(nonzero):
+            for v in nonzero[k + 1 :]:
+                if u * v == v * u:
+                    commuting += 1
+        expected = is_groebner_naive(elements, ordering)
+        assert is_groebner(elements, ordering) == expected
+        verdicts.append(expected)
+    assert verdicts.count(False) >= 100, verdicts.count(False)
+    assert commuting >= 1000, commuting
+
+
 def test_groebner_basis_is_immutable():
     basis = buchberger([W1.d(1)], LEX)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -29,7 +29,7 @@ from weylgb import (
     parse_element,
     universal_groebner,
 )
-from weylgb import universal
+from weylgb import groebner, universal
 from weylgb.groebner import buchberger, reduce_basis
 from weylgb.orderings import monomials_up_to_degree
 from weylgb.universal import Restriction, WeightWitness, _below_row, realize_restriction
@@ -386,13 +386,13 @@ def test_verdict_depends_only_on_marking(monkeypatch, n, texts):
     real_verdict = universal._groebner_verdict
     real_enumerate = universal.enumerate_restrictions
 
-    def counting(forms, leads, sort_key):
+    def counting(forms, leads, sort_key, variables):
         ordering = sort_key.__self__  # the cone ordering's bound sort_key
         calls.append(ordering)
         # built from the search's int row, it orders the support as the
         # witness does
         assert agree_on(ordering, cone_witness[0].ordering(), support)
-        verdict = real_verdict(forms, leads, sort_key)
+        verdict = real_verdict(forms, leads, sort_key, variables)
         assert verdict == is_groebner(elements, ordering)
         return verdict
 
@@ -432,11 +432,11 @@ def test_certification_verdicts_match_is_groebner(monkeypatch):
     decided = []
     cone = []
 
-    def counting(forms, leads, sort_key):
+    def counting(forms, leads, sort_key, variables):
         # built from the search's int row, the cone ordering orders the
         # support as the witness does
         assert agree_on(sort_key.__self__, cone[1].ordering(), cone[0].monomials)
-        return real_verdict(forms, leads, sort_key)
+        return real_verdict(forms, leads, sort_key, variables)
 
     def enumerate_all(support, max_support, *, _until):
         # record certification's verdict on every cone, and never stop early
@@ -696,3 +696,48 @@ def test_strictness_slack_encoding():
     # lex-agreeing adjacent pairs relax to >= 0, disagreeing ones demand >= 1
     assert _below_row(D1, X1) == ((Fraction(1), Fraction(-1)), Fraction(0))
     assert _below_row(X1, D1) == ((Fraction(-1), Fraction(1)), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "n, texts, reduced",
+    [
+        (3, ("x1-d1^2", "x2-d2^2", "x3-d3^2"), 0),  # xd3: 24 without the criterion
+        (2, ("x1-d1^2", "x2-d2^2"), 0),  # xd2: 4
+        (2, ("x1^2+1", "x2^2+1", "x1+x2"), 2),  # ugb_sat5: 4
+    ],
+)
+def test_product_criterion_pins_verdict_work(monkeypatch, n, texts, reduced):
+    # pairs with coprime leading monomials whose elements commute term by
+    # term are not reduced; the certificate is the same without the criterion
+    elements = [parse_element(t, n) for t in texts]
+    real_reduce = groebner._reduce
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real_reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    cert = certify_universal(elements)
+    assert isinstance(cert, UniversalCertificate)
+    assert len(calls) == reduced
+    monkeypatch.setattr(groebner, "_commute", lambda u, v: False)
+    assert certify_universal(elements) == cert
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("x1^2-x2", "x1*x2-1", "x2^2-x1"),
+        ("x1^2-d2", "x1*d2-1", "d2^2-x1"),
+        ("x1^2-x2", "x1*x2-x1-1", "x2^2-x1-x2"),
+        ("x1^2-x2", "x2^2-x1"),
+        ("x2^2+1", "x1+x2"),
+    ],
+)
+def test_product_criterion_keeps_grlex_counterexamples(monkeypatch, texts):
+    elements = [parse_element(t, 2) for t in texts]
+    outcome = certify_universal(elements)
+    assert isinstance(outcome, CounterexampleOrdering)
+    monkeypatch.setattr(groebner, "_commute", lambda u, v: False)
+    assert certify_universal(elements) == outcome

@@ -614,3 +614,19 @@ def test_multiply_monomials_returns_distinct_int_terms():
             assert all(type(c) is int and c > 0 for _, c in product)
         kinds["commuting" if _commute(a, b) else "noncommuting"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((0, 0), (1, 0)), ((2, 1), (0, 0))),  # cap 1 in x1
+        (((1, 0), (0, 2)), ((0, 3), (1, 0))),  # cap 2 in x2
+        (((0, 1), (3, 0)), ((4, 0), (0, 1))),  # cap 3 in x1
+        (((0, 0), (2, 1)), ((1, 2), (0, 0))),  # caps 1 and 1 in x1 and x2
+    ],
+)
+def test_product_in_one_or_two_mixed_variables_matches_brute_force(a, b):
+    # one variable with min(mu, rho) > 0 takes the closed form, two the
+    # general expansion
+    a, b = Monomial(*a), Monomial(*b)
+    assert dict(multiply_monomials(a, b)) == brute_monomial_product(a, b).terms
