@@ -18,14 +18,27 @@ rows, then the vector), so an element's gap, the key of s + lm f_i minus
 the key of lm g, is the same for all its multiples, and every signature
 comparison below is one of keys plus gaps.
 
+Before the loop, each pair of inputs p < i that commute, f_p * f_i =
+f_i * f_p, gives the syzygy f_p * e_i - f_i * e_p (the principal syzygies
+GVW start from, true syzygies here exactly for commuting pairs), whose
+signature lm(f_p) * e_i wins the Schreyer tie by its larger index.  A pair
+commutes when no k has x_k in the terms of one and d_k in the terms of the
+other, read from the bitmasks of the variables each int form uses
+(``_Variables``), or else when its commutator (``weyl._commutator_terms``,
+which multiplies only the term pairs that do not commute) is zero; the
+commutator is computed only for pairs with coprime leading monomials.
+Those are the pairs whose own J-pair has the signature lm(f_p) * e_i; for
+the others it is a proper multiple of the J-pair's signature, and
+computing their commutators cost more than the J-pairs it skipped.
+
 Signatures are processed in increasing order, one J-pair per signature.
 The J-pair of two elements is t * g, with t = lcm(lm g, lm h) / lm g,
 formed as a Weyl product, when its signature exceeds that of the other
 multiple (lcm / lm h) * h; equal signatures give none.  Input i enters as
 e_i.  A J-pair is skipped when
 
-- a signature of an earlier reduction to zero divides its signature
-  (syzygy criterion), or
+- a Koszul signature or the signature of an earlier reduction to zero
+  divides its signature (syzygy criterion), or
 - an element whose signature divides it has a multiple of that signature
   with a smaller leading monomial (GVW's cover criterion).
 
@@ -50,10 +63,10 @@ the cover criterion, checked against the whole basis when the J-pair is
 taken, would have skipped the J-pair.  An input joins as it is when no
 regular divisor divides its leading monomial, since tail reduction is
 optional.  A constant ends completion at once with the basis (1,).
-Koszul syzygies are not used here: they rest on commuting elements, and
-x1 and d1 have coprime leading monomials but the S-pair 1.  The raw basis
-differs from the one a loop reducing every S-pair builds; the reduced
-basis cannot, being unique for the ordering.
+Koszul signatures are recorded only for commuting inputs: x1 and d1 have
+coprime leading monomials, but they do not commute and their S-pair is 1.
+The raw basis differs from the one a loop reducing every S-pair builds;
+the reduced basis cannot, being unique for the ordering.
 
 ``is_groebner`` tests a given set, without signatures, by left S-pairs: for
 nonzero u, v and m = lcm of the leading monomials,
@@ -79,17 +92,17 @@ as the elements are taken in turn:
   all but the newest of the new pairs that share one lcm.
 
 Of the pairs this leaves, the product criterion (Buchberger, EUROSAM 1979)
-drops each whose leading monomials are coprime and whose elements commute
-term by term: no k has x_k in the terms of one and d_k in the terms of the
-other.  Then f * g = g * f, and the S-pair of the monic f and g is
+drops each whose leading monomials are coprime and whose elements commute,
+f * g = g * f.  Then the S-pair of the monic f and g is
 -tail(g) * f + tail(f) * g, every summand below the lcm, a representation
-that reduces to zero.  Commutation is tested only for coprime pairs, from
-the bitmasks of the variables each int form uses (``_Variables``), built on
-first need and kept by the caller; x1 and d1 are coprime but do not
-commute, and their S-pair is reduced.  Both criteria hold in G-algebras,
-the Weyl algebra among them, for such pairs (Levandovskyy, PhD thesis,
-Kaiserslautern 2005).  A set is a Groebner basis exactly when every S-pair
-the criteria leave reduces to zero.
+that reduces to zero.  Commutation is tested only for coprime pairs, as in
+the completion: term by term from the ``_Variables`` bitmasks, or else by a
+zero commutator, computed on the pair's first test and kept in the
+``_Variables``, which the caller builds once for its forms; x1 and d1 are
+coprime but do not commute, and their S-pair is reduced.  Both criteria
+hold in G-algebras, the Weyl algebra among them, for such pairs
+(Levandovskyy, PhD thesis, Kaiserslautern 2005).  A set is a Groebner basis
+exactly when every S-pair the criteria leave reduces to zero.
 """
 
 from __future__ import annotations
@@ -112,7 +125,7 @@ from .division import (
     regular_remainder,
 )
 from .orderings import Ordering
-from .weyl import Monomial, WeylElement, _check_elements, add_product
+from .weyl import Monomial, WeylElement, _check_elements, _commutator_terms, add_product
 
 
 def s_pair(u, v, ordering):
@@ -192,6 +205,7 @@ def _signature_completion(inputs, ordering):
     unit = Monomial.unit(n)
     input_leads = [leading_term(f, ordering).monomial for f in inputs]
     input_ints = [_int_form(f)[2] for f in inputs]
+    variables = _Variables(input_ints)
     # (Schreyer key of the signature s * e_i, i, s, source element or -1 for
     # input i); equal keys and indices mean equal signatures
     heap = [(sort_key(m), i, unit, -1) for i, m in enumerate(input_leads)]
@@ -200,7 +214,15 @@ def _signature_completion(inputs, ordering):
     basis = []  # monic elements
     labels = []  # (index i, signature vector s, gap, leading monomial), per element
     prepared = []  # (leading monomial, L, F, gap, index i), per element
-    syzygies = []  # (index i, signature vector s) of the reductions to zero
+    # (index i, signature vector s) of the reductions to zero, seeded with the
+    # Koszul signature lm(f_p) * e_i of each commuting input pair p < i
+    syzygies = [
+        (i, lead_p)
+        for i, lead_i in enumerate(input_leads)
+        for p, lead_p in enumerate(input_leads[:i])
+        if _commute(variables[p], variables[i])
+        or (_coprime(lead_p, lead_i) and variables.commute(p, i))
+    ]
     last = None
     while heap:
         key, i, s, j = heapq.heappop(heap)
@@ -338,11 +360,14 @@ def is_groebner(elements, ordering):
 
 class _Variables(dict):
     """For each index into a list of int forms, built on first lookup: the
-    bitmasks (x block, d block) of the variables its terms use."""
+    bitmasks (x block, d block) of the variables its terms use.  ``commute``
+    tells whether two of the elements commute, and keeps the verdict of each
+    pair that needs a commutator."""
 
     def __init__(self, forms):
         super().__init__()
         self.forms = forms
+        self.pairs = {}  # (i, j) -> whether forms i and j commute as elements
 
     def __missing__(self, i):
         used = 0
@@ -354,11 +379,27 @@ class _Variables(dict):
         value = self[i] = (used & ((1 << n) - 1), used >> n)
         return value
 
+    def commute(self, i, j):
+        """Whether the elements i and j commute: term by term, read from the
+        bitmasks, or else by a zero commutator, computed on the pair's first
+        call."""
+        if _commute(self[i], self[j]):
+            return True
+        value = self.pairs.get((i, j))
+        if value is None:
+            value = self.pairs[i, j] = not _commutator_terms(self.forms[i], self.forms[j])
+        return value
+
 
 def _commute(u, v):
     """Whether two elements, given by their ``_Variables`` bitmasks, commute
     term by term: no x_k in one is met by a d_k in the other."""
     return not (u[0] & v[1] or v[0] & u[1])
+
+
+def _coprime(a, b):
+    """Whether two monomials share no variable."""
+    return not any(map(min, a, b))
 
 
 def _groebner_verdict(forms, leads, sort_key, variables):
@@ -369,8 +410,10 @@ def _groebner_verdict(forms, leads, sort_key, variables):
     int remainder is a nonzero multiple of the true one, or empty.
 
     ``variables`` is the forms' ``_Variables``; a caller that decides many
-    markings of the same forms passes one for all of them.  It is read only
-    for pairs with coprime leading monomials.
+    markings of the same forms passes one for all of them, so each pair's
+    commutator is computed at most once for all of them.  It is read only
+    for pairs with coprime leading monomials, which the product criterion
+    drops when their elements commute.
     """
     entries = [_entry(f, lead) for f, lead in zip(forms, leads)]
     pending = {}  # (i, t) -> lcm of the pair still to be reduced, as a tuple
@@ -391,11 +434,11 @@ def _groebner_verdict(forms, leads, sort_key, variables):
             if not any(other != lcm and all(map(le, other, lcm)) for other in newest):
                 pending[i, t] = lcm
     # product criterion: drop a pair whose leading monomials are coprime and
-    # whose elements commute term by term
+    # whose elements commute
     pairs = sorted(
         (sort_key(lcm), t, i)
         for (i, t), lcm in pending.items()
-        if any(map(min, leads[i], leads[t])) or not _commute(variables[i], variables[t])
+        if not (_coprime(leads[i], leads[t]) and variables.commute(i, t))
     )
     return not any(
         _reduce(_s_pair_ints(entries[i], entries[t]), 1, entries, sort_key, None, None, None)[0]

@@ -381,8 +381,10 @@ def certify_universal(elements, max_support=DEFAULT_SUPPORT_CAP, *, _known=()):
     row, a positive multiple of the witness's weights, built as an
     ``Ordering`` straight from that int row (``Ordering._from_int_row``);
     so no leading term, int form or Fraction row is computed per verdict.
-    The bitmasks of the variables each form uses, which the product
-    criterion reads, are built once per call too.
+    What the product criterion reads is built once per call too, on first
+    need: the bitmasks of the variables each form uses, and, for a pair of
+    forms that some marking gives coprime leading monomials and that do
+    not commute term by term, whether their commutator is zero.
 
     ``_known`` holds pairs (G, lead): G a reduced Groebner basis of the ideal
     I under some ordering s, contained (up to scalars) in ``elements``, and

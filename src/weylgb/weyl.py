@@ -29,6 +29,9 @@ products add a term times an element into a dict of Fraction coefficients
 through it, and S-pairs and division steps into a dict of int numerators.
 A pair of factors that commute enters as the exponent sum with coefficient
 1 directly; only the other pairs reach ``multiply_monomials`` and its cache.
+Commutators (``_commutator_terms``) go the same way: a pair of terms that
+commute adds nothing to f * g - g * f, and only the other pairs are
+multiplied, without their top terms, which cancel.
 """
 
 from __future__ import annotations
@@ -302,7 +305,13 @@ class WeylElement(_Immutable):
         return WeylElement._raw(self.n, _power_terms(self.terms, exponent, self.n))
 
     def commutator(self, other):
-        return self * other - other * self
+        """self * other - other * self (``_commutator_terms``); zero for a
+        rational, which commutes with everything."""
+        if not isinstance(other, WeylElement):
+            Fraction(other)  # anything else raises, as in self * other
+            return WeylElement.zero(self.n)
+        self._check_compatible(other)
+        return WeylElement._raw(self.n, _commutator_terms(self.terms, other.terms))
 
     def _check_compatible(self, other):
         if not isinstance(other, WeylElement):
@@ -342,9 +351,10 @@ def multiply_monomials(a: Monomial, b: Monomial) -> tuple:
     min(a.d[i], b.xi[i]) > 0 only; when there are none the factors commute,
     and the product is the single term x^(a+b) with coefficient 1.  Returns
     a tuple of (Monomial, int) pairs with distinct monomials and positive
-    coefficients; the top term (a * b, 1) is among them.  ``add_product``
-    calls this only for factors that do not commute.  Widths are not
-    checked here: a and b come from inputs their entry point has checked.
+    coefficients; the top term (a * b, 1) comes first.  ``add_product``
+    and ``_commutator_terms`` call this only for factors that do not
+    commute.  Widths are not checked here: a and b come from inputs their
+    entry point has checked.
     """
     n = len(a) // 2
     top = tuple(map(operator.add, a, b))
@@ -418,6 +428,26 @@ def add_product(acc, coeff, mono, terms):
                 else:
                     del acc[m]
     return entered
+
+
+def _commutator_terms(left, right):
+    """The terms of f * g - g * f, given the terms of f and g, Fractions or
+    ints alike.
+
+    For terms a of f and b of g, a * b - b * a is the two products less
+    their common top term, the exponent sum with coefficient 1, which
+    ``multiply_monomials`` lists first.  A product whose left factor's d
+    block shares no variable with the right factor's x block is that top
+    term alone, so only the other products are formed.
+    """
+    out = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            for u, v, c in ((a, b, ca * cb), (b, a, -ca * cb)):
+                if any(map(min, u[len(u) // 2 :], v)):
+                    for m, k in multiply_monomials(u, v)[1:]:
+                        out[m] = out.get(m, 0) + c * k
+    return {m: c for m, c in out.items() if c}
 
 
 def _multiply_terms(left, right):

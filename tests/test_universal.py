@@ -698,6 +698,25 @@ def test_strictness_slack_encoding():
     assert _below_row(X1, D1) == ((Fraction(-1), Fraction(1)), Fraction(1))
 
 
+def _no_pair_commutes(monkeypatch):
+    """Turn the product criterion and the Koszul signatures off: no pair
+    commutes, term by term or as elements."""
+    monkeypatch.setattr(groebner, "_commute", lambda u, v: False)
+    monkeypatch.setattr(groebner, "_commutator_terms", lambda f, g: {None: 1})
+
+
+def _count_verdict_reductions(monkeypatch):
+    real_reduce = groebner._reduce
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real_reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "n, texts, reduced",
     [
@@ -710,19 +729,69 @@ def test_product_criterion_pins_verdict_work(monkeypatch, n, texts, reduced):
     # pairs with coprime leading monomials whose elements commute term by
     # term are not reduced; the certificate is the same without the criterion
     elements = [parse_element(t, n) for t in texts]
-    real_reduce = groebner._reduce
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real_reduce(*args)
-
-    monkeypatch.setattr(groebner, "_reduce", counting)
+    calls = _count_verdict_reductions(monkeypatch)
     cert = certify_universal(elements)
     assert isinstance(cert, UniversalCertificate)
     assert len(calls) == reduced
-    monkeypatch.setattr(groebner, "_commute", lambda u, v: False)
+    _no_pair_commutes(monkeypatch)
     assert certify_universal(elements) == cert
+
+
+@pytest.mark.parametrize(
+    "texts, outcome, reduced, unreduced",
+    [
+        (("x1+d2", "x2+d1"), UniversalCertificate, 0, 4),  # ugb_sat6
+        (("d1^2+d2^2-1", "x1*d2-x2*d1"), CounterexampleOrdering, 1, 2),  # bessel
+    ],
+)
+def test_element_product_criterion_pins_verdict_work(
+    monkeypatch, texts, outcome, reduced, unreduced
+):
+    # both pairs commute as elements but not term by term; each marking with
+    # coprime leading monomials drops the pair, from a commutator computed
+    # once per certification, and the outcome is the same without the
+    # criterion, which reduces the pair at every marking
+    elements = [parse_element(t, 2) for t in texts]
+    calls = _count_verdict_reductions(monkeypatch)
+    found = certify_universal(elements)
+    assert isinstance(found, outcome)
+    assert len(calls) == reduced
+    _no_pair_commutes(monkeypatch)
+    assert certify_universal(elements) == found
+    assert len(calls) == reduced + unreduced
+
+
+@pytest.mark.parametrize(
+    "texts, j_pairs, without",
+    [
+        (("x1^2-x2", "x1*x2-1"), 4, (7, 3)),  # sat1
+        (("x1^2-x2", "x2^2-x1"), 2, (5, 3)),  # sat4
+        (("x1+d2", "x2+d1"), 0, (1, 1)),  # sat6
+    ],
+)
+def test_koszul_signatures_pin_completion_work(monkeypatch, texts, j_pairs, without):
+    # Every completion inside universal_groebner starts from the saturating
+    # pair, whose two elements commute (sat6 as elements, the others term by
+    # term), so the pair's Koszul signature is a syzygy signature from the
+    # start and no J-pair reduces to zero; without it, (J-pairs, reductions
+    # to zero) are ``without``, and the certificate is the same
+    elements = [parse_element(t, 2) for t in texts]
+    real_reduce = groebner.regular_remainder
+    counts = {"j_pairs": 0, "zero_reductions": 0}
+
+    def counting(*args, **kwargs):
+        out = real_reduce(*args, **kwargs)
+        counts["j_pairs"] += 1
+        counts["zero_reductions"] += not out
+        return out
+
+    monkeypatch.setattr(groebner, "regular_remainder", counting)
+    cert = universal_groebner(elements)
+    assert counts == {"j_pairs": j_pairs, "zero_reductions": 0}
+    counts.update(j_pairs=0, zero_reductions=0)
+    _no_pair_commutes(monkeypatch)
+    assert universal_groebner(elements) == cert
+    assert (counts["j_pairs"], counts["zero_reductions"]) == without
 
 
 @pytest.mark.parametrize(
@@ -739,5 +808,5 @@ def test_product_criterion_keeps_grlex_counterexamples(monkeypatch, texts):
     elements = [parse_element(t, 2) for t in texts]
     outcome = certify_universal(elements)
     assert isinstance(outcome, CounterexampleOrdering)
-    monkeypatch.setattr(groebner, "_commute", lambda u, v: False)
+    _no_pair_commutes(monkeypatch)
     assert certify_universal(elements) == outcome

@@ -178,6 +178,24 @@ def test_commutator_examples():
     assert W2.xi(1).commutator(W2.xi(2)) == W2.zero()
 
 
+def test_commutator_matches_products():
+    # commutator multiplies only the term pairs that do not commute and drops
+    # their top terms; it must equal the difference of the two products, at
+    # n = 1..3 with Fraction coefficients, commuting pairs included
+    rng = random.Random(20261022)
+    nonzero = 0
+    for n in (1, 2, 3):
+        for _ in range(60):
+            x = random_element(rng, n, max_degree=3, max_terms=3, allow_zero=True)
+            y = random_element(rng, n, max_degree=3, max_terms=3, allow_zero=True)
+            bracket = x.commutator(y)
+            assert bracket == x * y - y * x
+            assert all(type(c) is Fraction for c in bracket.terms.values())
+            nonzero += bool(bracket)
+    assert 50 <= nonzero <= 130, nonzero  # 71: both kinds are drawn
+    assert W2.xi(1).commutator(Fraction(1, 2)) == W2.zero()
+
+
 def test_support():
     x, d = W1.xi(1), W1.d(1)
     w = x * d + 2 * W1.one()
